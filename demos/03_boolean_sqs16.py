@@ -21,8 +21,8 @@ print("labels use the field text form, e.g.",
       ", ".join(d.labels[b].text for b in (0, 1, 2, 9)))
 
 a = gf16.ALPHA
-print("\nalpha^4 = alpha + 1:", gf16.pow_(a, 4) == gf16.add(a, 1),
-      "| alpha^15 =", gf16.text(gf16.pow_(a, 15)))
+print("\nalpha^4 = alpha + 1:", gf16.alpha_power(4) == gf16.add(a, 1),
+      "| alpha^15 =", gf16.text(gf16.alpha_power(15)))
 
 tpl = template()
 rep = verify_template()

@@ -11,8 +11,8 @@ symmetry and everything is re-verified after translation.
 
 from collections import Counter
 
-from quadsys import catalog, verify_star, verify_star_point
-from quadsys.star import derived_block_multiset, star_multiset
+from quadsys import catalog, derived_frame, verify_star, verify_star_point
+from quadsys.star import star_multiset
 
 d = catalog.sqs28()
 print("28-point system:", len(d.blocks), "blocks from 117 base blocks x 7 shifts")
@@ -22,7 +22,7 @@ print("certificate points:", len(cert.per_point), "(4 seeds + 24 translates)")
 
 x = d.point("0_0")
 pc = cert.per_point[x]
-bx = derived_block_multiset(d, x)
+bx = Counter(derived_frame(d, x)[1])
 m = star_multiset(bx, pc.special)
 print(f"\nat point 0_0: {sum(bx.values())} derived triples, |M| = {sum(m.values())}",
       "= 27 classes x 9 triples")

@@ -25,6 +25,7 @@ from .core import (
     VerifyReport,
     admissible,
     derived_design,
+    derived_frame,
     derived_gdd,
     expected_block_count,
     make_design,
@@ -68,6 +69,7 @@ from .star import (
     StarGroup,
     StarPointCertificate,
     expand_certificate,
+    load_certificate,
     verify_star,
     verify_star_point,
 )

@@ -34,7 +34,7 @@ from .core import (
     verify_gdd,
     verify_resolution,
 )
-from .star import StarCertificate, expand_certificate
+from .star import StarCertificate, load_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def rdgdd24_resolutions() -> dict[str, Resolution]:
     g = rdgdd24()
     raw = formats.parse_resolution(formats.read_data("rdgdd24_derived.res"), g.design)
     return _verified({
-        point: formats.gdd_resolution_for_point(g, point, classes)
+        point: formats.resolution_for_point(g, point, classes)
         for point, classes in raw.items()
     })
 
@@ -392,7 +392,7 @@ def rdgdd42_resolutions() -> dict[str, Resolution]:
     g = rdgdd42()
     raw = formats.parse_resolution(formats.read_data("rdgdd42_derived.res"), g.design)
     return _verified({
-        point: formats.gdd_resolution_for_point(g, point, classes)
+        point: formats.resolution_for_point(g, point, classes)
         for point, classes in raw.items()
     })
 
@@ -418,8 +418,7 @@ def sqs28_star() -> StarCertificate:
     """The full 28-point star certificate, expanded from the 4 seed points."""
     d = sqs28()
     seeds = formats.parse_star(formats.read_data("sqs28_star.star"), d)
-    by_id = {cert.point: cert for cert in seeds.values()}
-    return expand_certificate(d, by_id, Shift(1, 7), order=7)
+    return load_certificate(d, seeds)
 
 
 GENERATORS = {

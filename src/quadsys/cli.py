@@ -20,11 +20,12 @@ from .core import (
     Gdd,
     ParameterError,
     derived_design,
+    derived_gdd,
     verify_gdd,
     verify_resolution,
     verify_steiner,
 )
-from .star import verify_star
+from .star import load_certificate, verify_star
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -94,11 +95,7 @@ def _pool_init(obj) -> None:
 
 def _verify_res_section(item) -> tuple[str, bool, str]:
     point, classes = item
-    obj = _POOL_OBJ
-    if isinstance(obj, Gdd):
-        res = formats.gdd_resolution_for_point(obj, point, classes)
-    else:
-        res = formats.resolution_for_point(obj, point, classes)
+    res = formats.resolution_for_point(_POOL_OBJ, point, classes)
     rep = verify_resolution(res)
     detail = f"classes={len(classes)}"
     if not rep.passed:
@@ -156,16 +153,7 @@ def cmd_verify(args) -> int:
         seeds = formats.parse_star(
             Path(args.certificate).read_text(encoding="utf-8"), design
         )
-        missing = {lab.text for lab in design.labels} - set(seeds)
-        ok &= _claim("certificate covers every point", not missing, f"points={len(seeds)}")
-        if missing:
-            return FAIL
-        from .star import StarCertificate
-
-        cert = StarCertificate(
-            design=design, per_point={c.point: c for c in seeds.values()}
-        )
-        rep = verify_star(cert)
+        rep = verify_star(load_certificate(design, seeds))
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
             print(rep.violations[:4], file=sys.stderr)
@@ -180,8 +168,10 @@ def cmd_verify(args) -> int:
 
 def cmd_derive(args) -> int:
     obj = _load_design(args.design)
-    design = obj.design if isinstance(obj, Gdd) else obj
-    sub = derived_design(design, args.point)
+    if isinstance(obj, Gdd):
+        sub = derived_gdd(obj, args.point)
+    else:
+        sub = derived_design(obj, args.point)
     out = Path(args.out or f"derived_{args.point}.design")
     out.write_text(formats.emit_design(sub), encoding="utf-8")
     _say(f"wrote {out}")
@@ -209,22 +199,8 @@ def cmd_construct(args) -> int:
     else:
         companion = catalog.sqs28()
     seeds = formats.parse_star(Path(args.star).read_text(encoding="utf-8"), companion)
-    from .star import StarCertificate, expand_certificate
-    from .core import Shift
-
-    if len(seeds) == companion.v:
-        cert = StarCertificate(
-            design=companion, per_point={c.point: c for c in seeds.values()}
-        )
-        verify_star(cert).require("star certificate")
-    else:
-        if companion.v != 28:
-            raise DesignError(
-                "partial star files expand by +1 mod 7, which fits only v=28; "
-                "supply a certificate covering every point"
-            )
-        by_id = {c.point: c for c in seeds.values()}
-        cert = expand_certificate(companion, by_id, Shift(1, 7), order=7)
+    cert = load_certificate(companion, seeds)
+    verify_star(cert).require("star certificate")
     quadruple.verify_template().require("template")
     asm = quadruple.QuadrupleAssembly(cert)
     rep = verify_steiner(asm.design)
@@ -264,7 +240,7 @@ def cmd_resolve(args) -> int:
     obj = _load_design(args.design)
     design = obj.design if isinstance(obj, Gdd) else obj
     if args.point is not None:
-        blocks, ground = resolver.derived_instance(design, args.point)
+        blocks, ground = resolver.derived_instance(obj, args.point)
         what = f"derived design at {args.point}"
     else:
         blocks = list(design.blocks)

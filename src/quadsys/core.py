@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 Block = tuple[int, ...]
@@ -186,8 +186,14 @@ class Design:
         except KeyError:
             raise ParameterError(f"no point labelled {label.text}") from None
 
-    def block_counter(self) -> Counter[Block]:
-        return Counter(self.blocks)
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For each point id, the ascending indices of the blocks through it."""
+        inc: list[list[int]] = [[] for _ in range(self.v)]
+        for bi, b in enumerate(self.blocks):
+            for p in b:
+                inc[p].append(bi)
+        return tuple(map(tuple, inc))
 
 
 def make_design(
@@ -360,6 +366,7 @@ def verify_steiner(d: Design, witness_limit: int = MAX_WITNESSES) -> VerifyRepor
     return rep
 
 
+@lru_cache(maxsize=16)
 def _expected_cross_coverage(v: int, t: int, groups: tuple[tuple[int, ...], ...]) -> bytes:
     """1 at the rank of every t-set meeting t distinct groups, else 0."""
     gof = [0] * v
@@ -373,9 +380,6 @@ def _expected_cross_coverage(v: int, t: int, groups: tuple[tuple[int, ...], ...]
     return bytes(expected)
 
 
-_cross_coverage_cache: dict[tuple, bytes] = {}
-
-
 def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
     """Check the block/group intersection rule and exact cross coverage."""
     d = g.design
@@ -386,12 +390,7 @@ def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
         hit = [gof[p] for p in b]
         if len(set(hit)) != len(hit):
             rep.flag("block meets a group twice", b)
-    key = (d.v, d.t, g.groups)
-    expected = _cross_coverage_cache.get(key)
-    if expected is None:
-        expected = _cross_coverage_cache[key] = _expected_cross_coverage(
-            d.v, d.t, g.groups
-        )
+    expected = _expected_cross_coverage(d.v, d.t, g.groups)
     counts = _coverage(d.blocks, d.t, d.v)
     if counts != expected:
         for r, (c, e) in enumerate(zip(counts, expected)):
@@ -446,55 +445,60 @@ def verify_resolution(r: Resolution, witness_limit: int = MAX_WITNESSES) -> Veri
 # derivation and translation
 
 
-def derived_design(d: Design, x: Label | str | int) -> Design:
-    """Blocks through x with x removed; strength and sizes drop by one.
+def derived_frame(
+    obj: Design | Gdd, x: Label | str | int
+) -> tuple[tuple[int, ...], tuple[Block, ...]]:
+    """(ground, target) of the derived design at x, in parent ids.
 
-    The surviving points are re-indexed densely in their original order;
-    labels carry over, so label-based lookups keep working.
+    ``target`` is the sorted multiset of blocks through x with x removed;
+    ``ground`` is every point but x or, for a GDD, every point outside the
+    group of x.
     """
+    d = obj.design if isinstance(obj, Gdd) else obj
     xid = d.point(x)
-    old_to_new = {}
-    labels = []
-    for i, lab in enumerate(d.labels):
-        if i != xid:
-            old_to_new[i] = len(labels)
-            labels.append(lab)
-    blocks = [
-        tuple(old_to_new[p] for p in b if p != xid) for b in d.blocks if xid in b
-    ]
-    return make_design(
+    gone = obj.groups[obj.group_of[xid]] if isinstance(obj, Gdd) else (xid,)
+    ground = tuple(p for p in range(d.v) if p not in gone)
+    punctured = []
+    for bi in d.incidence[xid]:
+        b = d.blocks[bi]
+        i = b.index(xid)
+        punctured.append(b[:i] + b[i + 1 :])
+    return ground, tuple(sorted(punctured))
+
+
+def _reindexed_derived(
+    obj: Design | Gdd, x: Label | str | int, kind: str
+) -> tuple[Design, dict[int, int]]:
+    """The derived frame at x as a design on dense ids 0..|ground|-1.
+
+    The surviving points keep their original order and labels, so
+    label-based lookups keep working; also returns the old -> new id map.
+    """
+    d = obj.design if isinstance(obj, Gdd) else obj
+    ground, target = derived_frame(obj, x)
+    old_to_new = {p: n for n, p in enumerate(ground)}
+    design = make_design(
         t=d.t - 1,
         sizes={s - 1 for s in d.sizes},
-        labels=labels,
-        blocks=blocks,
-        kind={"SQS": "STS"}.get(d.kind, "RAW"),
+        labels=[d.labels[p] for p in ground],
+        blocks=[tuple(old_to_new[p] for p in b) for b in target],
+        kind=kind,
     )
+    return design, old_to_new
+
+
+def derived_design(d: Design, x: Label | str | int) -> Design:
+    """Blocks through x with x removed; strength and sizes drop by one."""
+    return _reindexed_derived(d, x, {"SQS": "STS"}.get(d.kind, "RAW"))[0]
 
 
 def derived_gdd(g: Gdd, x: Label | str | int) -> Gdd:
     """Remove x's whole group, puncture the blocks through x."""
-    d = g.design
-    xid = d.point(x)
-    gone = g.groups[g.group_of[xid]]
-    drop = set(gone)
-    old_to_new = {}
-    labels = []
-    for i, lab in enumerate(d.labels):
-        if i not in drop:
-            old_to_new[i] = len(labels)
-            labels.append(lab)
-    blocks = [
-        tuple(old_to_new[p] for p in b if p != xid) for b in d.blocks if xid in b
-    ]
-    design = make_design(
-        t=d.t - 1,
-        sizes={s - 1 for s in d.sizes},
-        labels=labels,
-        blocks=blocks,
-        kind="GDD",
-    )
+    design, old_to_new = _reindexed_derived(g, x, "GDD")
     groups = tuple(
-        tuple(old_to_new[p] for p in cell) for cell in g.groups if cell is not gone
+        tuple(old_to_new[p] for p in cell)
+        for cell in g.groups
+        if all(p in old_to_new for p in cell)
     )
     return Gdd(design=design, groups=groups)
 

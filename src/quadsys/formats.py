@@ -26,6 +26,7 @@ from .core import (
     Gdd,
     Label,
     Resolution,
+    derived_frame,
     make_design,
     parse_label,
 )
@@ -208,28 +209,13 @@ def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ..
 
 
 def resolution_for_point(
-    d: Design, x, classes: tuple[tuple[Block, ...], ...]
+    obj: Design | Gdd, x, classes: tuple[tuple[Block, ...], ...]
 ) -> Resolution:
-    """A Resolution object for the derived design at x, in parent ids."""
-    xid = d.point(x)
-    ground = tuple(p for p in range(d.v) if p != xid)
-    target = tuple(
-        sorted(tuple(p for p in b if p != xid) for b in d.blocks if xid in b)
-    )
-    return Resolution(ground=ground, classes=classes, target=target)
+    """A Resolution object for the derived design at x, in parent ids.
 
-
-def gdd_resolution_for_point(
-    g: Gdd, x, classes: tuple[tuple[Block, ...], ...]
-) -> Resolution:
-    """Derived-GDD resolution frame: the whole group of x leaves the ground."""
-    d = g.design
-    xid = d.point(x)
-    drop = set(g.groups[g.group_of[xid]])
-    ground = tuple(p for p in range(d.v) if p not in drop)
-    target = tuple(
-        sorted(tuple(p for p in b if p != xid) for b in d.blocks if xid in b)
-    )
+    For a GDD the whole group of x leaves the ground set.
+    """
+    ground, target = derived_frame(obj, x)
     return Resolution(ground=ground, classes=classes, target=target)
 
 

@@ -3,13 +3,12 @@
 Elements are 4-bit integers c3 c2 c1 c0 standing for
 c3*x^3 + c2*x^2 + c1*x + c0 over GF(2).  ALPHA (the class of x) is
 primitive for this polynomial, so the multiplicative group is
-{ALPHA^0, ..., ALPHA^14}; a 15-entry log/antilog table drives mul and inv.
-Addition is plain xor.  Text form: "0", "1", "a^k" for k = 1..14.
+{ALPHA^0, ..., ALPHA^14}; 15-entry exp/log tables, built by polynomial
+multiplication, serve ``alpha_power`` and ``text``.  Addition is plain
+xor.  Text form: "0", "1", "a^k" for k = 1..14.
 """
 
 from __future__ import annotations
-
-from .core import ParameterError
 
 ALPHA = 0b0010
 _REDUCER = 0b10011  # x^4 + x + 1
@@ -48,36 +47,8 @@ def alpha_power(k: int) -> int:
     return _EXP[k % 15]
 
 
-def log(a: int) -> int:
-    if a == 0:
-        raise ParameterError("log(0) is undefined")
-    return _LOG[a]
-
-
-def mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[(_LOG[a] + _LOG[b]) % 15]
-
-
-def pow_(a: int, n: int) -> int:
-    if a == 0:
-        if n <= 0:
-            raise ParameterError("0 has no inverse")
-        return 0
-    return _EXP[(_LOG[a] * n) % 15]
-
-
-def inv(a: int) -> int:
-    return pow_(a, -1)
-
-
 def text(a: int) -> str:
     if a == 0:
         return "0"
     k = _LOG[a]
     return "1" if k == 0 else f"a^{k}"
-
-
-def elements() -> range:
-    return range(16)

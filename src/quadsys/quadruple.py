@@ -27,7 +27,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from . import gf16
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     ParameterError,
     Resolution,
     VerifyReport,
+    derived_frame,
     is_partition,
     make_design,
     verify_gdd,
@@ -125,95 +126,83 @@ class Sqs16Template:
     degenerate: tuple[Block, ...]
 
 
-def _z_block(block: frozenset[int], rename: dict[int, int]) -> Block:
-    return tuple(sorted(rename[e] for e in block))
+def _z_renaming() -> dict[int, int]:
+    """GF(16) element -> Z4 x Z4 point 4a+i, as listed in _RENAMING."""
+    rename = {
+        _elem(code): 4 * a + i
+        for a, row in enumerate(_RENAMING)
+        for i, code in enumerate(row)
+    }
+    if len(rename) != 16:
+        raise ConstructionError("renaming is not a bijection")
+    return rename
+
+
+def _orbit_classes(bases, rename: dict[int, int]) -> tuple[tuple[Block, ...], ...]:
+    """One sorted parallel class per base block: its renamed orbit."""
+    return tuple(
+        tuple(
+            sorted(
+                tuple(sorted(rename[e] for e in blk))
+                for blk in _orbit(frozenset(_elem(c) for c in base))
+            )
+        )
+        for base in bases
+    )
+
+
+def _punctured(rows, p: int) -> tuple[tuple[Block, ...], ...]:
+    """Per row of classes: the sorted triples its blocks through p leave."""
+    return tuple(
+        tuple(
+            sorted(
+                tuple(q for q in blk if q != p) for cls in row for blk in cls if p in blk
+            )
+        )
+        for row in rows
+    )
+
+
+def _lift(template_blocks: Iterable[Block], b4: Sequence[int]) -> tuple[Block, ...]:
+    """Template blocks (point 4a+i) moved onto b4 x Z4 (point 4*b4[a]+i).
+
+    The map is increasing when b4 is sorted, so sorted template blocks (all
+    of them are) lift to sorted blocks.
+    """
+    cols = [4 * c for c in b4]
+    return tuple(tuple(cols[q >> 2] + (q & 3) for q in tb) for tb in template_blocks)
 
 
 @lru_cache(maxsize=None)
 def template() -> Sqs16Template:
-    rename = {}
-    for a, row in enumerate(_RENAMING):
-        for i, code in enumerate(row):
-            rename[_elem(code)] = 4 * a + i
-    if len(rename) != 16:
-        raise ConstructionError("renaming is not a bijection")
+    rename = _z_renaming()
+    row_classes = tuple(_orbit_classes(row, rename) for row in _ROW_BASES)
+    td_row_classes = tuple(_orbit_classes(row, rename) for row in _TD_ROW_BASES)
 
-    row_classes = []
-    all_blocks: list[Block] = []
-    for row in _ROW_BASES:
-        classes = []
-        for base in row:
-            orbit = _orbit(frozenset(_elem(c) for c in base))
-            classes.append(tuple(sorted(_z_block(b, rename) for b in orbit)))
-        row_classes.append(tuple(classes))
-        for cls in classes:
-            all_blocks.extend(cls)
-    all_blocks.sort()
-
-    group_blocks = row_classes[0][0]
     td_blocks: list[Block] = []
-    td_set_positions = set(_TD_POSITIONS)
     two_column: list[Block] = []
     for r, row in enumerate(row_classes):
         for c, cls in enumerate(row):
-            if (r, c) in td_set_positions:
+            if (r, c) in _TD_POSITIONS:
                 td_blocks.extend(cls)
             elif (r, c) != (0, 0):
                 two_column.extend(cls)
-    td_blocks.sort()
-    two_column.sort()
 
-    td_row_classes = []
-    for row in _TD_ROW_BASES:
-        classes = []
-        for base in row:
-            orbit = _orbit(frozenset(_elem(c) for c in base))
-            classes.append(tuple(sorted(_z_block(b, rename) for b in orbit)))
-        td_row_classes.append(tuple(classes))
-
-    td_derived = []
-    e_derived = []
-    degenerate = []
-    for p in range(16):
-        td_derived.append(
-            tuple(
-                tuple(
-                    sorted(
-                        tuple(q for q in blk if q != p)
-                        for cls in row
-                        for blk in cls
-                        if p in blk
-                    )
-                )
-                for row in td_row_classes
-            )
-        )
-        # rows 1..6 take indices 0..5, the group-carrying row 0 is index 6
-        e_derived.append(
-            tuple(
-                tuple(
-                    sorted(
-                        tuple(q for q in blk if q != p)
-                        for cls in row_classes[(j + 1) % 7]
-                        for blk in cls
-                        if p in blk
-                    )
-                )
-                for j in range(7)
-            )
-        )
-        degenerate.append(tuple(q for q in range(4 * (p // 4), 4 * (p // 4) + 4) if q != p))
-
+    # rows 1..6 take derived class indices 0..5, the group-carrying row 0 is 6
+    e_rows = row_classes[1:] + row_classes[:1]
     return Sqs16Template(
-        blocks=tuple(all_blocks),
-        row_classes=tuple(row_classes),
-        group_blocks=group_blocks,
-        td_blocks=tuple(td_blocks),
-        td_row_classes=tuple(td_row_classes),
-        two_column_blocks=tuple(two_column),
-        td_derived=tuple(td_derived),
-        e_derived=tuple(e_derived),
-        degenerate=tuple(degenerate),
+        blocks=tuple(sorted(b for row in row_classes for cls in row for b in cls)),
+        row_classes=row_classes,
+        group_blocks=row_classes[0][0],
+        td_blocks=tuple(sorted(td_blocks)),
+        td_row_classes=td_row_classes,
+        two_column_blocks=tuple(sorted(two_column)),
+        td_derived=tuple(_punctured(td_row_classes, p) for p in range(16)),
+        e_derived=tuple(_punctured(e_rows, p) for p in range(16)),
+        degenerate=tuple(
+            tuple(q for q in range(4 * (p // 4), 4 * (p // 4) + 4) if q != p)
+            for p in range(16)
+        ),
     )
 
 
@@ -227,18 +216,10 @@ def verify_template() -> VerifyReport:
     rep = VerifyReport()
     tpl = template()
 
-    zero_sum = sorted(
-        tuple(sorted(b))
-        for b in (
-            tuple(q) for q in itertools.combinations(range(16), 4)
-        )
-        if 0 == _xor_sum(b)
+    rename = _z_renaming()
+    zero_sum_z = sorted(
+        tuple(sorted(rename[e] for e in b)) for b in boolean_sqs16().blocks
     )
-    rename = {}
-    for a, row in enumerate(_RENAMING):
-        for i, code in enumerate(row):
-            rename[_elem(code)] = 4 * a + i
-    zero_sum_z = sorted(tuple(sorted(rename[e] for e in b)) for b in zero_sum)
     if list(tpl.blocks) != zero_sum_z:
         rep.flag("developed blocks differ from the zero-sum quadruples", None)
     if len(tpl.blocks) != 140:
@@ -336,11 +317,7 @@ def rdtd_blocks(block: Block) -> list[Block]:
     """
     if len(block) != 4:
         raise ParameterError("TD copies exist only over 4-point blocks")
-    b = sorted(block)
-    return [
-        tuple(sorted(4 * b[q // 4] + q % 4 for q in tb))
-        for tb in template().td_blocks
-    ]
+    return list(_lift(template().td_blocks, sorted(block)))
 
 
 def two_column_blocks(points: Iterable[int]) -> list[Block]:
@@ -374,17 +351,8 @@ def e_classes(b4: Block, x: int, i: int) -> tuple[tuple[Block, ...], ...]:
     order.
     """
     bs = sorted(b4)
-    a = bs.index(x)
-    tpl = template()
-    out = []
-    for j in range(7):
-        out.append(
-            tuple(
-                tuple(sorted(4 * bs[q // 4] + q % 4 for q in tri))
-                for tri in tpl.e_derived[4 * a + i][j]
-            )
-        )
-    return tuple(out)
+    zp = 4 * bs.index(x) + i
+    return tuple(_lift(cls, bs) for cls in template().e_derived[zp])
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +390,6 @@ class QuadrupleAssembly:
         self.cert = cert
         self.design = assemble_design(cert)
         self._tpl = template()
-        # derived triples of the assembled design, per point, in parent ids
-        derived: list[list[Block]] = [[] for _ in range(self.design.v)]
-        for blk in self.design.blocks:
-            for p in blk:
-                derived[p].append(tuple(q for q in blk if q != p))
-        self._derived = [tuple(sorted(t)) for t in derived]
         self._occ: dict[int, dict[tuple[int, int, Block], int]] = {}
 
     def _occ_for(self, x: int) -> dict[tuple[int, int, Block], int]:
@@ -440,14 +402,15 @@ class QuadrupleAssembly:
         x, i = divmod(p, 4)
         pc = self.cert.per_point[x]
         occ = self._occ_for(x)
-        tpl = self._tpl
-        ground = tuple(q for q in range(self.design.v) if q != p)
+        td_derived = self._tpl.td_derived
+        ground, target = derived_frame(self.design, p)
         degenerate = tuple(q for q in range(4 * x, 4 * x + 4) if q != p)
 
         classes: list[tuple[Block, ...]] = []
+        final: list[Block] = [degenerate]
         for k, grp in enumerate(pc.groups):
-            b4 = sorted(grp.common + (x,))
-            zp = 4 * b4.index(x) + i
+            e_cls = e_classes(grp.common + (x,), x, i)
+            final.extend(b for b in e_cls[6] if b != degenerate)
             for l, cls in enumerate(grp.classes):
                 for r in (0, 1):
                     blocks: list[Block] = []
@@ -457,14 +420,8 @@ class QuadrupleAssembly:
                         bb = sorted(tri + (x,))
                         zq = 4 * bb.index(x) + i
                         r_prime = r + 2 * occ[(k, l, tri)]
-                        for tb in tpl.td_derived[zq][r_prime]:
-                            blocks.append(
-                                tuple(sorted(4 * bb[q // 4] + q % 4 for q in tb))
-                            )
-                    for tb in tpl.e_derived[zp][2 * l + r]:
-                        blocks.append(
-                            tuple(sorted(4 * b4[q // 4] + q % 4 for q in tb))
-                        )
+                        blocks.extend(_lift(td_derived[zq][r_prime], bb))
+                    blocks.extend(e_cls[2 * l + r])
                     bad = is_partition(blocks, ground)
                     if bad is not None:
                         raise ConstructionError(
@@ -473,34 +430,16 @@ class QuadrupleAssembly:
                         )
                     classes.append(tuple(sorted(blocks)))
 
-        final: list[Block] = [degenerate]
-        for grp in pc.groups:
-            b4 = sorted(grp.common + (x,))
-            zp = 4 * b4.index(x) + i
-            for tb in tpl.e_derived[zp][6]:
-                if tb == tpl.degenerate[zp]:
-                    continue
-                final.append(tuple(sorted(4 * b4[q // 4] + q % 4 for q in tb)))
         bad = is_partition(final, ground)
         if bad is not None:
             raise ConstructionError(
                 f"final class at (x={x}, i={i}) is not a parallel class: {bad}"
             )
         classes.append(tuple(sorted(final)))
-
-        return Resolution(
-            ground=ground, classes=tuple(classes), target=self._derived[p]
-        )
-
-    def verify_point(self, p: int) -> VerifyReport:
-        return verify_resolution(self.point_resolution(p))
-
-    def iter_resolutions(self) -> Iterator[tuple[int, Resolution]]:
-        for p in range(self.design.v):
-            yield p, self.point_resolution(p)
+        return Resolution(ground=ground, classes=tuple(classes), target=target)
 
 
-def construct_rdsqs_4v(cert: StarCertificate, progress=None) -> QuadrupleAssembly:
+def construct_rdsqs_4v(cert: StarCertificate) -> QuadrupleAssembly:
     """Build and fully verify the RDSQS(4v); fails loudly otherwise.
 
     Checks, in order: the template's structural claims, the certificate,
@@ -512,9 +451,7 @@ def construct_rdsqs_4v(cert: StarCertificate, progress=None) -> QuadrupleAssembl
     asm = QuadrupleAssembly(cert)
     verify_steiner(asm.design).require(f"SQS({asm.design.v})")
     for p in range(asm.design.v):
-        asm.verify_point(p).require(
+        verify_resolution(asm.point_resolution(p)).require(
             f"derived resolution at {asm.design.labels[p].text}"
         )
-        if progress is not None:
-            progress(p)
     return asm

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Block, Design, ParameterError, Resolution
+from .core import Block, Design, Gdd, ParameterError, Resolution, derived_frame
 
 MAX_ORACLE_POINTS = 45
 DEFAULT_BUDGET = 10**8
@@ -184,12 +184,13 @@ def find_resolution(
     return SearchOutcome(status=status, resolution=resolution, nodes=search.nodes)
 
 
-def derived_instance(d: Design, x) -> tuple[list[Block], tuple[int, ...]]:
-    """(blocks, ground) of the derived design at x, in parent ids."""
-    xid = d.point(x)
-    blocks = [tuple(p for p in b if p != xid) for b in d.blocks if xid in b]
-    ground = tuple(p for p in range(d.v) if p != xid)
-    return blocks, ground
+def derived_instance(d: Design | Gdd, x) -> tuple[list[Block], tuple[int, ...]]:
+    """(blocks, ground) of the derived design at x, in parent ids.
+
+    For a GDD the whole group of x leaves the ground set.
+    """
+    ground, target = derived_frame(d, x)
+    return list(target), ground
 
 
 def confirm_rds(d: Design, budget: int = DEFAULT_BUDGET) -> dict[str, SearchOutcome]:

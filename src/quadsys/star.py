@@ -24,7 +24,9 @@ from .core import (
     Design,
     Shift,
     VerifyReport,
+    _permutation,
     admissible,
+    derived_frame,
     is_partition,
     verify_steiner,
 )
@@ -55,12 +57,6 @@ class StarCertificate:
     per_point: dict[int, StarPointCertificate]
 
 
-def derived_block_multiset(d: Design, xid: int) -> Counter[Block]:
-    return Counter(
-        tuple(p for p in b if p != xid) for b in d.blocks if xid in b
-    )
-
-
 def star_multiset(bx: Counter[Block], special: tuple[Block, ...]) -> Counter[Block]:
     """M: each special triple three times, each remaining triple twice."""
     m = Counter()
@@ -73,11 +69,10 @@ def star_multiset(bx: Counter[Block], special: tuple[Block, ...]) -> Counter[Blo
 
 def verify_star_point(d: Design, cert: StarPointCertificate) -> VerifyReport:
     rep = VerifyReport()
-    xid = cert.point
-    ground = tuple(p for p in range(d.v) if p != xid)
+    ground, target = derived_frame(d, cert.point)
     n = (d.v - 1) // 3
 
-    bx = derived_block_multiset(d, xid)
+    bx = Counter(target)
 
     bad = is_partition(cert.special, ground)
     if bad is not None:
@@ -119,8 +114,7 @@ def translate_star_point(
     d: Design, cert: StarPointCertificate, action: Shift
 ) -> StarPointCertificate:
     """Image of a point certificate under a label automorphism."""
-    index = d.label_index
-    perm = [index[action(lab)] for lab in d.labels]
+    perm = _permutation(d.labels, d.label_index, action)
 
     def move(b: Block) -> Block:
         return tuple(sorted(perm[p] for p in b))
@@ -170,6 +164,19 @@ def expand_certificate(
             f"expansion covers {len(per_point)} of {d.v} points"
         )
     return StarCertificate(design=d, per_point=per_point)
+
+
+def load_certificate(d: Design, seeds: dict[str, StarPointCertificate]) -> StarCertificate:
+    """The full certificate a star file stands for.
+
+    Seeds that cover every point are taken as given; fewer seeds are spread
+    by +1 mod 7 on the first label coordinate, the action of the shipped
+    seeds, with every translate re-verified.
+    """
+    by_id = {c.point: c for c in seeds.values()}
+    if len(by_id) == d.v:
+        return StarCertificate(design=d, per_point=by_id)
+    return expand_certificate(d, by_id, Shift(1, 7), order=7)
 
 
 def verify_star(cert: StarCertificate) -> VerifyReport:

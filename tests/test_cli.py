@@ -1,12 +1,17 @@
+import hashlib
 import io
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from quadsys import catalog
+from quadsys import Gdd, catalog
 from quadsys.cli import main
-from quadsys.formats import emit_design, parse_design
+from quadsys.formats import emit_design, parse_design, read_data
+
+# sha256 over "<sha256>  <name>" lines of the construct output files, sorted
+# by name, for `gen sqs28` + `construct sqs28.star --design sqs28.design`
+CONSTRUCT_SQS28_SHA256 = "f686bf554aa6b4967e3939e3c51e600f914d7cade98ae7d86f6db18ba6f4181f"
 
 
 def run_cli(*argv):
@@ -14,6 +19,14 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def tree_sha256(directory):
+    """The same digest as `LC_ALL=C sha256sum * | sha256sum` in the directory."""
+    h = hashlib.sha256()
+    for f in sorted(p for p in directory.iterdir() if p.is_file()):
+        h.update(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n".encode())
+    return h.hexdigest()
 
 
 def test_gen_and_verify_sqs8(tmp_path):
@@ -81,6 +94,20 @@ def test_derive_writes_derived_design(tmp_path):
     assert sub.v == 7 and len(sub.blocks) == 7
 
 
+def test_derive_on_a_gdd_writes_the_derived_gdd(tmp_path):
+    design = tmp_path / "rdgdd24.design"
+    run_cli("gen", "rdgdd24", "--out", str(design))
+    out_file = tmp_path / "gdd21.design"
+    code, _ = run_cli("derive", str(design), "0_0", "--out", str(out_file))
+    assert code == 0
+    sub = parse_design(out_file.read_text())
+    assert isinstance(sub, Gdd) and sub.design.kind == "GDD"
+    assert sub.design.v == 21 and len(sub.design.blocks) == 63
+    assert sub.type_multiset == (3,) * 7
+    code, out = run_cli("verify", "--kind", "gdd", str(out_file))
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_resolve_found_and_exhausted(tmp_path):
     design = tmp_path / "sqs22.design"
     run_cli("gen", "sqs22", "--out", str(design))
@@ -92,6 +119,20 @@ def test_resolve_found_and_exhausted(tmp_path):
         "resolve", str(design), "--point", "inf_0", "--budget", "10"
     )
     assert code == 1 and out.startswith("EXHAUSTED")
+
+
+def test_resolve_point_of_a_gdd_searches_the_derived_gdd(tmp_path):
+    # the ground set loses the whole group of the point, not the point alone
+    design = tmp_path / "rdgdd24.design"
+    run_cli("gen", "rdgdd24", "--out", str(design))
+    code, out = run_cli(
+        "resolve", str(design), "--point", "inf_1", "--budget", "10000000"
+    )
+    assert code == 0 and out.startswith("FOUND")
+    code, out = run_cli(
+        "resolve", str(design), "--point", "0_0", "--budget", "1000000"
+    )
+    assert code == 0 and out.startswith("FOUND")
 
 
 def test_resolve_whole_design_none(tmp_path):
@@ -126,6 +167,17 @@ def test_star_verify_roundtrip(tmp_path):
     assert "PASS star certificate" in out
 
 
+def test_star_verify_expands_the_shipped_seed_file(tmp_path):
+    # the 4-seed file construct builds from must verify the same way
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    star = tmp_path / "seeds.star"
+    star.write_text(read_data("sqs28_star.star"))
+    code, out = run_cli("verify", "--kind", "star", str(design), str(star))
+    assert code == 0
+    assert "PASS star certificate {'points': 28, 'blocks': 819}" in out
+
+
 def test_construct_and_report(tmp_path):
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
@@ -141,6 +193,7 @@ def test_construct_and_report(tmp_path):
     assert "design blocks=56980 v=112" in manifest
     assert manifest.count("PASS") == 113  # steiner + 112 points
     assert "resolved_points 112/112" in manifest
+    assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
     code, out = run_cli("report", str(out_dir))
     assert code == 0
     assert "PASS every point resolved 112/112" in out

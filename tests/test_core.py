@@ -5,6 +5,7 @@ import pytest
 
 from quadsys import (
     Design,
+    Gdd,
     Label,
     ParameterError,
     Resolution,
@@ -12,6 +13,7 @@ from quadsys import (
     admissible,
     catalog,
     derived_design,
+    derived_frame,
     derived_gdd,
     expected_block_count,
     make_design,
@@ -162,6 +164,31 @@ def test_derived_design_at_every_point_of_sqs22_is_steiner():
         sub = derived_design(d, x)
         assert len(sub.blocks) == 21 * 20 // 6
         assert verify_steiner(sub).passed
+
+
+@pytest.mark.parametrize("name", sorted(catalog.GENERATORS))
+def test_derived_frame_matches_a_brute_force_scan(name):
+    obj = catalog.GENERATORS[name]()
+    d = obj.design if isinstance(obj, Gdd) else obj
+    for x in range(d.v):
+        ground, target = derived_frame(obj, x)
+        assert list(target) == sorted(
+            tuple(p for p in b if p != x) for b in d.blocks if x in b
+        )
+        if isinstance(obj, Gdd):
+            gone = next(set(cell) for cell in obj.groups if x in cell)
+        else:
+            gone = {x}
+        assert ground == tuple(p for p in range(d.v) if p not in gone)
+        assert derived_frame(obj, d.labels[x]) == (ground, target)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.GENERATORS))
+def test_incidence_lists_each_block_once_per_point(name):
+    obj = catalog.GENERATORS[name]()
+    d = obj.design if isinstance(obj, Gdd) else obj
+    for p in range(d.v):
+        assert d.incidence[p] == tuple(bi for bi, b in enumerate(d.blocks) if p in b)
 
 
 def test_derived_design_rejects_unknown_point():

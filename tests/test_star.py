@@ -14,7 +14,8 @@ from quadsys import (
     verify_star_point,
 )
 from quadsys.formats import parse_star, read_data
-from quadsys.star import derived_block_multiset, star_multiset, translate_star_point
+from quadsys.core import derived_frame
+from quadsys.star import star_multiset, translate_star_point
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def test_seed_certificates_verify(d28, seeds):
 def test_multiset_identity(d28, seeds):
     # |M| = 3*(v-1)/3 + 2*((v-1)(v-2)/6 - (v-1)/3) = (v-1)^2/3 = 243 for v=28
     cert = seeds["0_0"]
-    bx = derived_block_multiset(d28, cert.point)
+    bx = Counter(derived_frame(d28, cert.point)[1])
     assert sum(bx.values()) == 27 * 26 // 6
     m = star_multiset(bx, cert.special)
     assert sum(m.values()) == 27 * 27 // 3 == 243
