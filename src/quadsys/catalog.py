@@ -28,6 +28,7 @@ from .core import (
     Resolution,
     Shift,
     TableError,
+    _permutation,
     make_design,
     plain_labels,
     translate,
@@ -56,10 +57,7 @@ class BaseBlockSystem:
 def develop(sys: BaseBlockSystem) -> Design:
     """Union of the base-block orbits, each block appearing exactly once."""
     index = {lab: i for i, lab in enumerate(sys.labels)}
-    try:
-        perm = [index[sys.action(lab)] for lab in sys.labels]
-    except KeyError as exc:
-        raise ParameterError(f"action leaves the label set at {exc.args[0]}") from None
+    perm = _permutation(sys.labels, index, sys.action)
     seen: dict[Block, tuple[Label, ...]] = {}
     blocks: list[Block] = []
     for base in sys.base_blocks:

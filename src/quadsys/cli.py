@@ -181,14 +181,14 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _point_job(p: int) -> tuple[int, bool, str]:
+def _point_job(p: int) -> tuple[int, bool, int, str]:
     asm = _POOL_OBJ
     res = asm.point_resolution(p)
     rep = verify_resolution(res)
     text = formats.emit_resolution(
         asm.design, {asm.design.labels[p].text: res.classes}
     )
-    return p, rep.passed, text
+    return p, rep.passed, len(res.classes), text
 
 
 def cmd_construct(args) -> int:
@@ -219,14 +219,14 @@ def cmd_construct(args) -> int:
         "steiner PASS",
     ]
     ok = True
-    for p, passed, text in results:
+    for p, passed, n_classes, text in results:
         label = asm.design.labels[p].text
         (out_dir / f"point_{label}.res").write_text(text, encoding="utf-8")
         manifest.append(
-            f"point {label} classes={2 * cert.design.v - 1} {'PASS' if passed else 'FAIL'}"
+            f"point {label} classes={n_classes} {'PASS' if passed else 'FAIL'}"
         )
         ok &= passed
-    manifest.append(f"resolved_points {sum(1 for _, p2, _ in results if p2)}/{asm.design.v}")
+    manifest.append(f"resolved_points {sum(passed for _, passed, _, _ in results)}/{asm.design.v}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     _say(f"wrote {out_dir}/design.design, {asm.design.v} resolution files, manifest.txt")
     return OK if ok else FAIL
@@ -281,6 +281,21 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quadsys",
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sqs", "sts", "gdd", "td", "rdsqs", "rdgdd", "star"])
     p.add_argument("design")
     p.add_argument("certificate", nargs="?", help="resolution or star file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="write the derived design at a point")
@@ -311,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("star")
     p.add_argument("out", help="output directory")
     p.add_argument("--design", help="companion design file (default: catalog sqs28)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("resolve", help="search a resolution with the exact-cover oracle")
     p.add_argument("design")
     p.add_argument("--point")
-    p.add_argument("--budget", type=int, default=resolver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=resolver.DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_resolve)
 

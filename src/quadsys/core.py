@@ -406,13 +406,18 @@ def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
 
 
 def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, object] | None:
-    """Return a violation witness if ``blocks`` do not partition ``ground``."""
+    """Return a violation witness if ``blocks`` do not partition ``ground``.
+
+    The verdict is multiset equality of the points of ``blocks`` with
+    ``ground``, decided by sorting both; the tallies are built only to name
+    the witness of a failure.
+    """
+    if sorted(itertools.chain.from_iterable(blocks)) == sorted(ground):
+        return None
     seen = Counter()
     for b in blocks:
         seen.update(b)
     want = Counter(ground)
-    if seen == want:
-        return None
     extra = seen - want
     if extra:
         return ("point covered twice or foreign", next(iter(extra)))
@@ -420,18 +425,24 @@ def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, o
 
 
 def verify_resolution(r: Resolution, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
-    """Each class partitions the ground set; classes exhaust the target."""
+    """Each class partitions the ground set; classes exhaust the target.
+
+    The classes exhaust the target iff the multiset union of their blocks
+    equals the target multiset, decided by sorting both; the tallies are
+    built only to name the over-used and the missing block.
+    """
     rep = VerifyReport(_limit=witness_limit)
     rep.counts["classes"] = len(r.classes)
     rep.counts["blocks"] = len(r.target)
-    union: Counter[Block] = Counter()
     for ci, cls in enumerate(r.classes):
         bad = is_partition(cls, r.ground)
         if bad is not None:
             rep.flag(f"class {ci}: {bad[0]}", bad[1])
-        union.update(cls)
-    want = Counter(r.target)
-    if union != want:
+    if sorted(itertools.chain.from_iterable(r.classes)) != sorted(r.target):
+        union: Counter[Block] = Counter()
+        for cls in r.classes:
+            union.update(cls)
+        want = Counter(r.target)
         for b in (union - want):
             rep.flag("block not in target (or over-used)", b)
             break

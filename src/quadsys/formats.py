@@ -49,6 +49,20 @@ def _tokenized(text: str):
             yield no, line.split()
 
 
+def _value(tok: list[str], no: int) -> str:
+    """The one value of a header line such as ``KIND SQS``."""
+    if len(tok) != 2:
+        raise ParseError(f"{tok[0]} takes exactly one value", no)
+    return tok[1]
+
+
+def _int(text: str, key: str, no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{key} value {text!r} is not an integer", no) from None
+
+
 # ---------------------------------------------------------------------------
 # designs
 
@@ -65,17 +79,23 @@ def parse_design(text: str) -> Design | Gdd:
     for no, tok in _tokenized(text):
         key = tok[0]
         if key == "KIND":
-            if tok[1] not in _DESIGN_KINDS:
-                raise ParseError(f"unknown design kind {tok[1]!r}", no)
-            kind = tok[1]
+            kind = _value(tok, no)
+            if kind not in _DESIGN_KINDS:
+                raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
-            t = int(tok[1])
+            t = _int(_value(tok, no), key, no)
         elif key == "V":
-            v = int(tok[1])
+            v = _int(_value(tok, no), key, no)
         elif key == "K":
-            sizes = [int(x) for x in tok[1:]]
+            if len(tok) < 2:
+                raise ParseError("K needs at least one block size", no)
+            sizes = [_int(x, key, no) for x in tok[1:]]
         elif key == "POINTS":
-            labels.extend(parse_label(x) for x in tok[1:])
+            for x in tok[1:]:
+                try:
+                    labels.append(parse_label(x))
+                except ValueError:
+                    raise ParseError(f"malformed point label {x!r}", no) from None
         elif key == "GROUP":
             groups.append(tuple(tok[1:]))
         elif key in _KEYWORDS:
@@ -113,24 +133,29 @@ def parse_design(text: str) -> Design | Gdd:
     return Gdd(design=design, groups=tuple(sorted(cells)))
 
 
-def _blocks_text(design: Design, blocks: Iterable[Block]) -> list[str]:
-    return [" ".join(design.labels[p].text for p in b) for b in blocks]
+def _label_texts(design: Design) -> list[str]:
+    """Label text of every point id; build once per emitted file."""
+    return [lab.text for lab in design.labels]
+
+
+def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
+    return [" ".join(map(names.__getitem__, b)) for b in blocks]
 
 
 def emit_design(obj: Design | Gdd) -> str:
     gdd = obj if isinstance(obj, Gdd) else None
     design = gdd.design if gdd else obj
+    names = _label_texts(design)
     lines = [
         f"KIND {design.kind}",
         f"T {design.t}",
         f"V {design.v}",
         "K " + " ".join(str(s) for s in sorted(design.sizes)),
-        "POINTS " + " ".join(lab.text for lab in design.labels),
+        "POINTS " + " ".join(names),
     ]
     if gdd:
-        for cell in gdd.groups:
-            lines.append("GROUP " + " ".join(design.labels[p].text for p in cell))
-    lines.extend(_blocks_text(design, design.blocks))
+        lines.extend("GROUP " + line for line in _blocks_text(names, gdd.groups))
+    lines.extend(_blocks_text(names, design.blocks))
     return "\n".join(lines) + "\n"
 
 
@@ -153,7 +178,7 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
     for no, tok in _tokenized(text):
         key = tok[0]
         if key == "KIND":
-            if tok[1] != "RES":
+            if _value(tok, no) != "RES":
                 raise ParseError(f"expected KIND RES, got {tok[1]!r}", no)
         elif key == "POINT":
             if len(tok) != 2:
@@ -199,12 +224,13 @@ def _close_class(cls, no: int) -> None:
 
 
 def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
+    names = _label_texts(companion)
     lines = ["KIND RES"]
     for point, classes in sections.items():
         lines.append(f"POINT {point}")
         for cls in classes:
             lines.append("CLASS")
-            lines.extend(_blocks_text(companion, sorted(cls)))
+            lines.extend(_blocks_text(names, sorted(cls)))
     return "\n".join(lines) + "\n"
 
 
@@ -273,11 +299,11 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
     for no, tok in _tokenized(text):
         key = tok[0]
         if key == "KIND":
-            if tok[1] != "STAR":
+            if _value(tok, no) != "STAR":
                 raise ParseError(f"expected KIND STAR, got {tok[1]!r}", no)
         elif key == "POINT":
             close_point(no)
-            if tok[1] not in index:
+            if _value(tok, no) not in index:
                 raise ParseError(f"unknown point label {tok[1]!r}", no)
             point, special, groups = tok[1], None, []
             mode = None
@@ -313,19 +339,18 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
 
 def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:
+    names = _label_texts(companion)
     lines = ["KIND STAR"]
     for point, cert in certs.items():
         lines.append(f"POINT {point}")
         lines.append("SPECIAL")
-        lines.extend(_blocks_text(companion, cert.special))
+        lines.extend(_blocks_text(names, cert.special))
         for gi, grp in enumerate(cert.groups, start=1):
             lines.append(f"GROUP {gi}")
-            lines.append(
-                "COMMON " + " ".join(companion.labels[p].text for p in grp.common)
-            )
+            lines.append("COMMON " + " ".join(map(names.__getitem__, grp.common)))
             for cls in grp.classes:
                 lines.append("CLASS")
-                lines.extend(_blocks_text(companion, sorted(cls)))
+                lines.extend(_blocks_text(names, sorted(cls)))
     return "\n".join(lines) + "\n"
 
 

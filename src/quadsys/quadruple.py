@@ -169,8 +169,8 @@ def _lift(template_blocks: Iterable[Block], b4: Sequence[int]) -> tuple[Block, .
     The map is increasing when b4 is sorted, so sorted template blocks (all
     of them are) lift to sorted blocks.
     """
-    cols = [4 * c for c in b4]
-    return tuple(tuple(cols[q >> 2] + (q & 3) for q in tb) for tb in template_blocks)
+    m = [4 * c + i for c in b4 for i in range(4)]
+    return tuple(tuple(map(m.__getitem__, tb)) for tb in template_blocks)
 
 
 @lru_cache(maxsize=None)

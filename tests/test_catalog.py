@@ -6,6 +6,7 @@ import pytest
 from quadsys import (
     DuplicateBlockError,
     Label,
+    ParameterError,
     Shift,
     TableError,
     catalog,
@@ -62,6 +63,20 @@ def test_develop_rejects_overlapping_orbits():
     )
     with pytest.raises(DuplicateBlockError):
         develop(BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(1, 7), kind="RAW"))
+
+
+@pytest.mark.parametrize(
+    "action,message",
+    [(Shift(1, 6), "not a bijection"), (Shift(1, 9), "outside the point set")],
+    ids=["mod 6 on 8 labels", "mod 9 on 8 labels"],
+)
+def test_develop_rejects_actions_that_do_not_permute_the_labels(action, message):
+    # mod 6, the orbit of {0,1,2,5} closes inside 0..5 although 6 and 7
+    # collide with 0 and 1
+    labels = tuple(Label.plain(n) for n in range(8))
+    bases = (tuple(Label.plain(n) for n in (0, 1, 2, 5)),)
+    with pytest.raises(ParameterError, match=message):
+        develop(BaseBlockSystem(3, frozenset({4}), labels, bases, action, kind="RAW"))
 
 
 def test_sqs14_orbits_all_have_length_7():

@@ -1,7 +1,11 @@
 import hashlib
 import io
+import os
+import re
+import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,68 @@ def test_parse_error_exits_2(tmp_path):
     path.write_text("KIND SQS\nT 3\nK 4\nPOINTS 0 1 2 3\n0 1 2 9\n")
     code, _ = run_cli("verify", "--kind", "sqs", str(path))
     assert code == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli_process(*argv):
+    """Run the CLI as a fresh interpreter, as users do; returns the process."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "quadsys.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "header,line",
+    [
+        ("KIND\nT 3\nK 4\n", 1),
+        ("KIND SQS\nT\nK 4\n", 2),
+        ("KIND SQS\nT x\nK 4\n", 2),
+        ("KIND SQS\nT 3\nV\nK 4\n", 3),
+        ("KIND SQS\nT 3\nV 4.0\nK 4\n", 3),
+        ("KIND SQS\nT 3\nK\n", 3),
+        ("KIND SQS\nT 3\nK 4 y\n", 3),
+    ],
+    ids=["bare KIND", "bare T", "T x", "bare V", "V 4.0", "bare K", "K 4 y"],
+)
+def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
+    path = tmp_path / "bad.design"
+    path.write_text(header + "POINTS 0 1 2 3\n0 1 2 3\n")
+    proc = run_cli_process("verify", "--kind", "sqs", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(rf"error: line {line}: [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, command, capsys):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    argv = {
+        "verify": ["verify", "--kind", "sqs", str(design)],
+        "construct": ["construct", str(tmp_path / "none.star"), str(tmp_path / "out")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--jobs", "0"])
+    assert err.value.code == 2
+    assert "--jobs: must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["resolve", str(design), "--budget", "-1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--budget: must be at least 0, got -1" in captured.err
+    assert "EXHAUSTED" not in captured.out
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -193,6 +259,11 @@ def test_construct_and_report(tmp_path):
     assert "design blocks=56980 v=112" in manifest
     assert manifest.count("PASS") == 113  # steiner + 112 points
     assert "resolved_points 112/112" in manifest
+    stated = dict(re.findall(r"^point (\S+) classes=(\d+) ", manifest, re.MULTILINE))
+    assert len(stated) == 112
+    for label, n_classes in stated.items():
+        text = (out_dir / f"point_{label}.res").read_text()
+        assert text.splitlines().count("CLASS") == int(n_classes)
     assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
     code, out = run_cli("report", str(out_dir))
     assert code == 0

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,15 @@ from quadsys import (
     verify_resolution,
     verify_steiner,
 )
-from quadsys.core import parse_label, plain_labels, subset_rank, subset_unrank
+from quadsys.core import (
+    MAX_WITNESSES,
+    VerifyReport,
+    is_partition,
+    parse_label,
+    plain_labels,
+    subset_rank,
+    subset_unrank,
+)
 
 
 def brute_force_coverage(design):
@@ -235,6 +245,127 @@ def test_verify_resolution_flags_missing_class():
     rep = verify_resolution(bad)
     assert not rep.passed
     assert any("missing" in kind for kind, _ in rep.violations)
+
+
+# Counter-based references for the sort-and-compare kernels: the previous
+# implementations of is_partition and verify_resolution, kept as written.
+
+
+def reference_is_partition(blocks, ground):
+    seen = Counter()
+    for b in blocks:
+        seen.update(b)
+    want = Counter(ground)
+    if seen == want:
+        return None
+    extra = seen - want
+    if extra:
+        return ("point covered twice or foreign", next(iter(extra)))
+    return ("point uncovered", next(iter(want - seen)))
+
+
+def reference_verify_resolution(r, witness_limit=MAX_WITNESSES):
+    rep = VerifyReport(_limit=witness_limit)
+    rep.counts["classes"] = len(r.classes)
+    rep.counts["blocks"] = len(r.target)
+    union = Counter()
+    for ci, cls in enumerate(r.classes):
+        bad = reference_is_partition(cls, r.ground)
+        if bad is not None:
+            rep.flag(f"class {ci}: {bad[0]}", bad[1])
+        union.update(cls)
+    want = Counter(r.target)
+    if union != want:
+        for b in (union - want):
+            rep.flag("block not in target (or over-used)", b)
+            break
+        for b in (want - union):
+            rep.flag("target block missing from classes", b)
+            break
+    return rep
+
+
+PARTITION_FAULTS = ("none", "duplicated", "missing", "foreign", "foreign for missing")
+
+
+def test_is_partition_matches_the_counter_reference():
+    rng = random.Random(0)
+    verdicts = Counter()
+    for case in range(600):
+        fault = PARTITION_FAULTS[case % len(PARTITION_FAULTS)]
+        n = rng.randint(1, 30)
+        ground = rng.sample(range(40), n)
+        if rng.random() < 0.5:
+            ground.sort()
+        order = rng.sample(ground, n)
+        k = rng.randint(1, 4)
+        blocks = [order[i:i + k] for i in range(0, n, k)]
+        b = rng.randrange(len(blocks))
+        foreign = rng.choice([q for q in range(45) if q not in ground])
+        if fault == "duplicated":
+            blocks[b].append(rng.choice(ground))
+        elif fault == "missing":
+            blocks[b].pop(rng.randrange(len(blocks[b])))
+        elif fault == "foreign":
+            blocks[b].append(foreign)
+        elif fault == "foreign for missing":
+            blocks[b][rng.randrange(len(blocks[b]))] = foreign
+        blocks = [tuple(blk) for blk in blocks]
+        got = is_partition(blocks, ground)
+        assert got == reference_is_partition(blocks, ground), (fault, blocks, ground)
+        verdicts[fault, got is None] += 1
+    assert verdicts["none", True] == 120
+    for fault in PARTITION_FAULTS[1:]:
+        assert verdicts[fault, False] == 120
+
+
+RESOLUTION_FAULTS = (
+    "none", "move a block", "drop a class", "duplicate a class",
+    "over-use a block", "miss a target block", "foreign block",
+)
+
+
+def _mutated(res, fault, rng):
+    classes = [list(cls) for cls in res.classes]
+    a, b = rng.sample(range(len(classes)), 2)
+    i = rng.randrange(len(classes[a]))
+    if fault == "move a block":
+        classes[b].append(classes[a].pop(i))
+    elif fault == "drop a class":
+        del classes[a]
+    elif fault == "duplicate a class":
+        classes.append(classes[a])
+    elif fault == "over-use a block":
+        classes[a][i] = rng.choice(classes[b])
+    elif fault == "miss a target block":
+        del classes[a][i]
+    elif fault == "foreign block":
+        classes[a][i] = tuple(sorted(rng.sample(res.ground, len(classes[a][i]))))
+    return Resolution(
+        ground=res.ground, classes=tuple(map(tuple, classes)), target=res.target
+    )
+
+
+def test_verify_resolution_matches_the_counter_reference():
+    rng = random.Random(0)
+    shipped = sorted(catalog.sqs22_resolutions().items()) + sorted(
+        catalog.rdgdd24_resolutions().items()
+    )
+    failed = Counter()
+    for case in range(700):
+        fault = RESOLUTION_FAULTS[case % len(RESOLUTION_FAULTS)]
+        point, res = rng.choice(shipped)
+        bad = _mutated(res, fault, rng)
+        limit = rng.choice((1, 2, 3, MAX_WITNESSES))
+        got = verify_resolution(bad, witness_limit=limit)
+        want = reference_verify_resolution(bad, witness_limit=limit)
+        assert (got.passed, got.violations, got.counts) == (
+            want.passed, want.violations, want.counts
+        ), (fault, point)
+        failed[fault] += not got.passed
+    assert failed["none"] == 0
+    for fault in RESOLUTION_FAULTS[1:]:
+        assert failed[fault] == 100, fault
 
 
 # ---------------------------------------------------------------------------

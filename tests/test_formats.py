@@ -44,6 +44,8 @@ def test_parse_design_errors_carry_line_numbers():
         parse_design(good + "0 1 2 99\n")
     with pytest.raises(ParseError, match="repeated point"):
         parse_design(good + "0 0 1 2\n")
+    with pytest.raises(ParseError, match="line 2: malformed point label '1_x'"):
+        parse_design("KIND SQS\nPOINTS 0 1_x 2\n")
 
 
 def test_parse_design_requires_headers():
@@ -62,6 +64,8 @@ def test_resolution_round_trip_is_byte_stable():
 
 def test_parse_resolution_rejects_bad_structure():
     d = catalog.sqs8()
+    with pytest.raises(ParseError, match="line 1: KIND takes exactly one value"):
+        parse_resolution("KIND\nPOINT 0\n", d)
     with pytest.raises(ParseError, match="unknown point"):
         parse_resolution("KIND RES\nPOINT zap\n", d)
     with pytest.raises(ParseError, match="empty CLASS"):
@@ -104,6 +108,15 @@ def test_parse_star_rejects_wrong_group_arity():
     idx = text.rstrip().rfind("CLASS")
     with pytest.raises(ParseError):
         parse_star(text[:idx], d)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("KIND\n", "line 1: KIND takes"), ("KIND STAR\nPOINT\n", "line 2: POINT takes")],
+)
+def test_parse_star_rejects_header_without_value(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_star(text, catalog.sqs28())
 
 
 def test_comments_and_blank_lines_are_ignored():
