@@ -39,8 +39,18 @@ def _claim(name: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
-def _load_design(path: str) -> Design | Gdd:
-    return formats.parse_design(Path(path).read_text(encoding="utf-8"))
+def _read_text(path) -> str:
+    """An input file's text; a file that is not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
+def _load_design(path) -> Design | Gdd:
+    return formats.parse_design(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +147,7 @@ def cmd_verify(args) -> int:
             ok &= _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
         if not args.certificate:
             raise DesignError(f"--kind {kind} needs a resolution file")
-        sections = formats.parse_resolution(
-            Path(args.certificate).read_text(encoding="utf-8"), design
-        )
+        sections = formats.parse_resolution(_read_text(args.certificate), design)
         missing = {lab.text for lab in design.labels} - set(sections)
         ok &= _claim("resolutions cover every point", not missing, f"points={len(sections)}")
         results = _map_jobs(args.jobs, _verify_res_section, sorted(
@@ -150,9 +158,7 @@ def cmd_verify(args) -> int:
     elif kind == "star":
         if not args.certificate:
             raise DesignError("--kind star needs a star file")
-        seeds = formats.parse_star(
-            Path(args.certificate).read_text(encoding="utf-8"), design
-        )
+        seeds = formats.parse_star(_read_text(args.certificate), design)
         rep = verify_star(load_certificate(design, seeds))
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
@@ -198,7 +204,7 @@ def cmd_construct(args) -> int:
             raise DesignError("the star companion must be a plain design")
     else:
         companion = catalog.sqs28()
-    seeds = formats.parse_star(Path(args.star).read_text(encoding="utf-8"), companion)
+    seeds = formats.parse_star(_read_text(args.star), companion)
     cert = load_certificate(companion, seeds)
     verify_star(cert).require("star certificate")
     quadruple.verify_template().require("template")
@@ -269,7 +275,7 @@ def cmd_report(args) -> int:
     ok = _claim("steiner coverage", verify_steiner(design).passed, f"blocks={len(design.blocks)}")
     count = 0
     for path in sorted(out_dir.glob("point_*.res")):
-        sections = formats.parse_resolution(path.read_text(encoding="utf-8"), design)
+        sections = formats.parse_resolution(_read_text(path), design)
         for point, classes in sections.items():
             res = formats.resolution_for_point(design, point, classes)
             ok &= _claim(f"derived resolution at {point}", verify_resolution(res).passed)

@@ -104,18 +104,26 @@ class Label:
 
 
 def parse_label(text: str) -> Label:
-    """Inverse of ``Label.text`` (GF(16) "0"/"1" parse as plain)."""
-    if text.startswith("inf"):
-        tail = text[3:]
-        return Label.inf(int(tail[1:]) if tail else 0)
-    if text.startswith("a^"):
+    """Inverse of ``Label.text`` (GF(16) "0"/"1" parse as plain).
+
+    Only canonical text is accepted: ValueError for anything ``Label.text``
+    would not write back unchanged ("07", "inf", "a^0", "1_01", ...), so a
+    label has exactly one spelling.
+    """
+    if text.startswith("inf_"):
+        lab = Label.inf(int(text[4:]))
+    elif text.startswith("a^"):
         from . import gf16
 
-        return Label.f16(gf16.alpha_power(int(text[2:])))
-    if "_" in text:
+        lab = Label.f16(gf16.alpha_power(int(text[2:])))
+    elif "_" in text:
         a, i = text.split("_")
-        return Label.pair(int(a), int(i))
-    return Label.plain(int(text))
+        lab = Label.pair(int(a), int(i))
+    else:
+        lab = Label.plain(int(text))
+    if lab.text != text:
+        raise ValueError(f"non-canonical point label {text!r} (write {lab.text!r})")
+    return lab
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,10 @@ class Design:
                 raise ParameterError(f"point id {label} out of range")
             return label
         if isinstance(label, str):
-            label = parse_label(label)
+            try:
+                label = parse_label(label)
+            except ValueError:
+                raise ParameterError(f"malformed point label {label!r}") from None
         try:
             return self.label_index[label]
         except KeyError:

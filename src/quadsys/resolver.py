@@ -7,6 +7,15 @@ which makes the search deterministic and the first answer
 lexicographically least.  A node budget separates "provably none" from
 "ran out of budget"; the two are never conflated.
 
+The state of the class being grown is one integer bitmask over the
+ground ids.  Every block carries its own mask, so the least uncovered
+point is the lowest zero bit, a candidate conflicts iff its mask meets the
+cover, and a step recurses on ``covered | mask`` with nothing to undo; a
+class is complete when the cover is full.  The masks set only the cost of
+a node, never the search: candidate order, node counts and verdicts follow
+from the rules above alone, and the tests pin them against a per-point
+reference kernel.
+
 The oracle is confined to instances of at most 45 points: that covers
 every derived design shipped here, and anything larger is verified
 against constructed certificates instead of searched.
@@ -48,22 +57,29 @@ class _Search:
             raise ParameterError(
                 f"oracle confined to {MAX_ORACLE_POINTS} points, got {len(self.ground)}"
             )
-        self.index = {p: n for n, p in enumerate(self.ground)}
+        index = {p: n for n, p in enumerate(self.ground)}
         multiset = Counter(tuple(sorted(b)) for b in blocks)
         self.blocks = sorted(multiset)
         self.avail = [multiset[b] for b in self.blocks]
-        self.iblocks = [tuple(self.index[p] for p in b) for b in self.blocks]
-        self.incident: list[list[int]] = [[] for _ in self.ground]
-        for bi, b in enumerate(self.iblocks):
-            for p in b:
-                self.incident[p].append(bi)
+        # per ground id, the (block index, block mask) pairs through it,
+        # in ascending block index: the canonical candidate order
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in self.ground]
+        for bi, b in enumerate(self.blocks):
+            ids = [index[p] for p in b]
+            mask = sum(1 << p for p in ids)
+            for p in ids:
+                self.incident[p].append((bi, mask))
         self.budget = budget
         self.nodes = 0
         self.n = len(self.ground)
+        self.full = (1 << self.n) - 1
 
-    def _class_step(
-        self, covered: bytearray, left: int, chosen: list[int], anchor_min: int = 0
-    ) -> bool:
+    def _sizes_incompatible(self) -> bool:
+        """One block size k that does not divide the ground: no class exists."""
+        sizes = {len(b) for b in self.blocks}
+        return len(sizes) == 1 and self.n % next(iter(sizes)) != 0
+
+    def _class_step(self, covered: int, chosen: list[int], anchor_min: int = 0) -> bool:
         """Extend the current class; True once it partitions the ground.
 
         The first block of a class (its anchor, through the least ground
@@ -72,29 +88,23 @@ class _Search:
         permutation symmetry without losing any resolution (every class
         contains exactly one block through the least point).
         """
-        if left == 0:
+        if covered == self.full:
             return self._on_class(chosen)
-        pivot = covered.index(0)
+        pivot = (~covered & (covered + 1)).bit_length() - 1
         floor = anchor_min if not chosen else 0
-        for bi in self.incident[pivot]:
-            if bi < floor or self.avail[bi] == 0:
-                continue
-            b = self.iblocks[bi]
-            if any(covered[p] for p in b):
+        avail = self.avail
+        for bi, mask in self.incident[pivot]:
+            if bi < floor or mask & covered or not avail[bi]:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _Budget()
-            self.avail[bi] -= 1
-            for p in b:
-                covered[p] = 1
+            avail[bi] -= 1
             chosen.append(bi)
-            if self._class_step(covered, left - len(b), chosen, anchor_min):
+            if self._class_step(covered | mask, chosen, anchor_min):
                 return True
             chosen.pop()
-            for p in b:
-                covered[p] = 0
-            self.avail[bi] += 1
+            avail[bi] += 1
         return False
 
     def _on_class(self, chosen: list[int]) -> bool:
@@ -110,16 +120,12 @@ class _OneClass(_Search):
         if self._sizes_incompatible():
             return "none", None
         try:
-            found = self._class_step(bytearray(self.n), self.n, [])
+            found = self._class_step(0, [])
         except _Budget:
             return "exhausted", None
         if not found:
             return "none", None
         return "found", [self.blocks[bi] for bi in self.result]
-
-    def _sizes_incompatible(self) -> bool:
-        sizes = {len(b) for b in self.blocks}
-        return len(sizes) == 1 and self.n % next(iter(sizes)) != 0
 
     def _on_class(self, chosen: list[int]) -> bool:
         self.result = list(chosen)
@@ -133,13 +139,12 @@ class _FullResolution(_Search):
         self.remaining = sum(self.avail)
 
     def run(self) -> tuple[str, list[list[Block]] | None]:
-        sizes = {len(b) for b in self.blocks}
-        if len(sizes) == 1 and self.n % next(iter(sizes)) != 0:
+        if self._sizes_incompatible():
             return "none", None
         if self.remaining == 0:
             return "found", []
         try:
-            found = self._class_step(bytearray(self.n), self.n, [])
+            found = self._class_step(0, [])
         except _Budget:
             return "exhausted", None
         if not found:
@@ -151,7 +156,7 @@ class _FullResolution(_Search):
         self.remaining -= len(chosen)
         if self.remaining == 0:
             return True
-        if self._class_step(bytearray(self.n), self.n, [], chosen[0] + 1):
+        if self._class_step(0, [], chosen[0] + 1):
             return True
         self.remaining += len(chosen)
         self.classes.pop()
@@ -193,14 +198,17 @@ def derived_instance(d: Design | Gdd, x) -> tuple[list[Block], tuple[int, ...]]:
     return list(target), ground
 
 
-def confirm_rds(d: Design, budget: int = DEFAULT_BUDGET) -> dict[str, SearchOutcome]:
+def confirm_rds(d: Design | Gdd, budget: int = DEFAULT_BUDGET) -> dict[str, SearchOutcome]:
     """Search a resolution of the derived design at every point.
 
-    The design is an RDS iff every outcome is "found"; any "exhausted"
-    entry leaves the question open rather than answering it.
+    For a GDD each search runs on the derived GDD (the point's whole group
+    leaves the ground).  The object is resolvable at every point iff every
+    outcome is "found"; any "exhausted" entry leaves the question open
+    rather than answering it.
     """
+    design = d.design if isinstance(d, Gdd) else d
     out = {}
-    for xid in range(d.v):
+    for xid in range(design.v):
         blocks, ground = derived_instance(d, xid)
-        out[d.labels[xid].text] = find_resolution(blocks, ground, budget)
+        out[design.labels[xid].text] = find_resolution(blocks, ground, budget)
     return out

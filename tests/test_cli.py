@@ -274,3 +274,53 @@ def test_gen_unknown_name_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["gen", "nope"])
     assert err.value.code == 2
+
+
+def _one_error_line(proc, pattern):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(rf"error: {pattern}[^\n]*\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["resolve", "derive"])
+@pytest.mark.parametrize("point", ["1_2_3", "07", "inf", "a^0"])
+def test_malformed_point_label_exits_2_with_one_line(tmp_path, command, point):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    argv = {
+        "resolve": ["resolve", str(design), "--point", point],
+        "derive": ["derive", str(design), point, "--out", str(tmp_path / "d.design")],
+    }[command]
+    proc = run_cli_process(*argv)
+    _one_error_line(proc, re.escape(f"malformed point label {point!r}"))
+    assert not (tmp_path / "d.design").exists()
+
+
+@pytest.mark.parametrize("label", ["00", "inf", "inf_00", "1_01", "a^15"])
+def test_non_canonical_points_label_fails_on_its_line(tmp_path, label):
+    path = tmp_path / "bad.design"
+    path.write_text(f"KIND SQS\nT 3\nK 4\nPOINTS {label} 1 2 3\n{label} 1 2 3\n")
+    proc = run_cli_process("verify", "--kind", "sqs", str(path))
+    _one_error_line(proc, re.escape(f"line 4: malformed point label {label!r}"))
+
+
+@pytest.mark.parametrize("command", ["verify", "derive", "construct", "resolve", "report"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, command):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(design.read_bytes() + b"0 1 \xff 3\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "design.design").write_bytes(bad.read_bytes())
+    argv = {
+        "verify": ["verify", "--kind", "sqs", str(bad)],
+        "derive": ["derive", str(bad), "inf_0", "--out", str(tmp_path / "d.design")],
+        "construct": ["construct", str(bad), str(tmp_path / "built")],
+        "resolve": ["resolve", str(bad)],
+        "report": ["report", str(out_dir)],
+    }[command]
+    named = out_dir / "design.design" if command == "report" else bad
+    proc = run_cli_process(*argv)
+    _one_error_line(proc, re.escape(f"{named}: not UTF-8 text"))
+    assert proc.stdout == ""

@@ -90,6 +90,22 @@ def test_label_text_roundtrip():
         assert parse_label(lab.text) == lab
 
 
+@pytest.mark.parametrize(
+    "text", ["a^0", "a^15", "07", "1_01", "inf", "inf_00", "+3", "1_2_3", "inf_", "a^x", ""]
+)
+def test_parse_label_accepts_only_canonical_text(text):
+    with pytest.raises(ValueError):
+        parse_label(text)
+
+
+def test_design_point_rejects_a_malformed_label_as_a_parameter_error():
+    d = catalog.sqs8()
+    assert d.point("inf_0") == 7
+    for text in ("1_2_3", "07", "inf"):
+        with pytest.raises(ParameterError, match=f"malformed point label '{text}'"):
+            d.point(text)
+
+
 def test_label_sort_order_puts_infinity_last():
     labs = [Label.inf(0), Label.pair(0, 1), Label.plain(5), Label.pair(4, 0)]
     ordered = sorted(labs, key=Label.sort_key)
