@@ -22,9 +22,9 @@ print("certificate points:", len(cert.per_point), "(4 seeds + 24 translates)")
 
 x = d.point("0_0")
 pc = cert.per_point[x]
-bx = Counter(derived_frame(d, x)[1])
-m = star_multiset(bx, pc.special)
-print(f"\nat point 0_0: {sum(bx.values())} derived triples, |M| = {sum(m.values())}",
+target = derived_frame(d, x)[1]
+m = star_multiset(target, pc.special)
+print(f"\nat point 0_0: {len(target)} derived triples, |M| = {len(m)}",
       "= 27 classes x 9 triples")
 print("distinguished class:",
       " ".join("{" + ",".join(d.labels[p].text for p in b) + "}" for b in pc.special[:3]),

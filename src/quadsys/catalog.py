@@ -375,39 +375,34 @@ def _verified(res: dict[str, Resolution]) -> dict[str, Resolution]:
     return res
 
 
+def _framed(name: str) -> dict[str, Resolution]:
+    """The shipped ``<name>_derived.res``, each section framed at its point."""
+    obj = GENERATORS[name]()
+    design = obj.design if isinstance(obj, Gdd) else obj
+    raw = formats.parse_resolution(formats.read_data(f"{name}_derived.res"), design)
+    return {
+        point: formats.resolution_for_point(obj, point, classes)
+        for point, classes in raw.items()
+    }
+
+
 @lru_cache(maxsize=None)
 def rdgdd24_resolutions() -> dict[str, Resolution]:
-    g = rdgdd24()
-    raw = formats.parse_resolution(formats.read_data("rdgdd24_derived.res"), g.design)
-    return _verified({
-        point: formats.resolution_for_point(g, point, classes)
-        for point, classes in raw.items()
-    })
+    return _verified(_framed("rdgdd24"))
 
 
 @lru_cache(maxsize=None)
 def rdgdd42_resolutions() -> dict[str, Resolution]:
-    g = rdgdd42()
-    raw = formats.parse_resolution(formats.read_data("rdgdd42_derived.res"), g.design)
-    return _verified({
-        point: formats.resolution_for_point(g, point, classes)
-        for point, classes in raw.items()
-    })
+    return _verified(_framed("rdgdd42"))
 
 
 @lru_cache(maxsize=None)
 def sqs22_resolutions() -> dict[str, Resolution]:
     """Listed resolutions at inf_0 and 0, the other 20 points by +p mod 21."""
     d = sqs22()
-    raw = formats.parse_resolution(formats.read_data("sqs22_derived.res"), d)
-    out = {
-        point: formats.resolution_for_point(d, point, classes)
-        for point, classes in raw.items()
-    }
-    base = out["0"]
+    out = _framed("sqs22")
     for p in range(1, 21):
-        img = translate(base, Shift(p, 21), labels=d.labels)
-        out[str(p)] = img
+        out[str(p)] = translate(out["0"], Shift(p, 21), labels=d.labels)
     return _verified(out)
 
 
@@ -427,4 +422,11 @@ GENERATORS = {
     "sqs28": sqs28,
     "rdgdd24": rdgdd24,
     "rdgdd42": rdgdd42,
+}
+
+# the designs that ship with a resolution at every point, and its loader
+RESOLUTIONS = {
+    "sqs22": sqs22_resolutions,
+    "rdgdd24": rdgdd24_resolutions,
+    "rdgdd42": rdgdd42_resolutions,
 }

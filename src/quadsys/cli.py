@@ -1,9 +1,13 @@
 """Command-line front end.
 
+``verify`` reads what to prove from its inputs: GROUP lines mean GDD cross
+coverage, none mean Steiner coverage, and a certificate's KIND line picks
+its check (RES: every point's section, STAR: the star certificate).
+
 Exit codes: 0 all checks passed, 1 a verification failed (witnesses go to
-stderr), 2 usage or parse errors.  All outputs are deterministic: repeated
-invocations on the same inputs are byte-identical, and --jobs only changes
-wall time, never output.
+stderr), 2 usage, parse or OS errors (one ``error:`` line on stderr).  All
+outputs are deterministic: repeated invocations on the same inputs are
+byte-identical, and --jobs only changes wall time, never output.
 """
 
 from __future__ import annotations
@@ -53,42 +57,34 @@ def _load_design(path) -> Design | Gdd:
     return formats.parse_design(_read_text(path))
 
 
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
+    _say(f"wrote {path}")
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
 def cmd_gen(args) -> int:
     name = args.name
-    if name not in catalog.GENERATORS:
-        raise DesignError(f"unknown design {name!r}; choose from {sorted(catalog.GENERATORS)}")
     out = Path(args.out or f"{name}.design")
     obj = catalog.GENERATORS[name]()
-    out.write_text(formats.emit_design(obj), encoding="utf-8")
-    _say(f"wrote {out}")
+    _write(out, formats.emit_design(obj))
     companion = obj.design if isinstance(obj, Gdd) else obj
-    sections = None
-    if name == "sqs22":
+    if name in catalog.RESOLUTIONS:
+        resolutions = catalog.RESOLUTIONS[name]()
         sections = {
-            k: v.classes for k, v in sorted(
-                catalog.sqs22_resolutions().items(), key=lambda kv: companion.point(kv[0])
-            )
+            point: resolutions[point].classes
+            for point in sorted(resolutions, key=companion.point)
         }
-    elif name == "rdgdd24":
-        sections = {k: v.classes for k, v in catalog.rdgdd24_resolutions().items()}
-    elif name == "rdgdd42":
-        sections = {k: v.classes for k, v in catalog.rdgdd42_resolutions().items()}
-    if sections is not None:
-        res_path = out.with_suffix(".res")
-        res_path.write_text(formats.emit_resolution(companion, sections), encoding="utf-8")
-        _say(f"wrote {res_path}")
+        _write(out.with_suffix(".res"), formats.emit_resolution(companion, sections))
     if name == "sqs28":
         cert = catalog.sqs28_star()
-        star_path = out.with_suffix(".star")
         per_point = {
             companion.labels[p].text: cert.per_point[p] for p in sorted(cert.per_point)
         }
-        star_path.write_text(formats.emit_star(companion, per_point), encoding="utf-8")
-        _say(f"wrote {star_path}")
+        _write(out.with_suffix(".star"), formats.emit_star(companion, per_point))
     return OK
 
 
@@ -123,48 +119,54 @@ def _map_jobs(jobs: int, func, items, init_obj):
         return list(pool.map(func, items))
 
 
+def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> tuple[bool, list[str]]:
+    """One claim per (point, classes) section: the derived resolution at
+    the point, framed as ``obj`` frames it, passes ``verify_resolution``.
+
+    Returns whether every claim passed and the points claimed, in order.
+    """
+    ok, points = True, []
+    for point, passed, detail in _map_jobs(jobs, _verify_res_section, items, obj):
+        ok &= _claim(f"derived resolution at {point}", passed, detail)
+        points.append(point)
+    return ok, points
+
+
+def _check_coverage(obj: Design | Gdd) -> bool:
+    """GROUP lines make a GDD, checked for cross coverage; anything else
+    is checked for Steiner coverage."""
+    if isinstance(obj, Gdd):
+        rep = verify_gdd(obj)
+        return _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
+    rep = verify_steiner(obj)
+    return _claim("steiner coverage", rep.passed, str(rep.counts))
+
+
 def cmd_verify(args) -> int:
     obj = _load_design(args.design)
     design = obj.design if isinstance(obj, Gdd) else obj
-    ok = True
-    kind = args.kind
-    if kind in ("sqs", "sts"):
-        rep = verify_steiner(design)
-        ok &= _claim(f"{kind} strength-{design.t} coverage", rep.passed, str(rep.counts))
-    elif kind in ("gdd", "td"):
-        if not isinstance(obj, Gdd):
-            raise DesignError("design file has no GROUP lines")
-        rep = verify_gdd(obj)
-        ok &= _claim(f"{kind} cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
-    elif kind in ("rdsqs", "rdgdd"):
-        if kind == "rdsqs":
-            rep = verify_steiner(design)
-            ok &= _claim("steiner coverage", rep.passed, str(rep.counts))
-        else:
-            if not isinstance(obj, Gdd):
-                raise DesignError("design file has no GROUP lines")
-            rep = verify_gdd(obj)
-            ok &= _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
-        if not args.certificate:
-            raise DesignError(f"--kind {kind} needs a resolution file")
-        sections = formats.parse_resolution(_read_text(args.certificate), design)
+    cert_kind = None
+    if args.certificate:
+        cert_text = _read_text(args.certificate)
+        cert_kind = formats.file_kind(cert_text)
+        if cert_kind not in ("RES", "STAR"):
+            raise ParameterError(
+                f"{args.certificate}: a certificate needs a KIND RES or KIND STAR line"
+            )
+    ok = _check_coverage(obj)
+    if cert_kind == "RES":
+        sections = formats.parse_resolution(cert_text, design)
         missing = {lab.text for lab in design.labels} - set(sections)
         ok &= _claim("resolutions cover every point", not missing, f"points={len(sections)}")
-        results = _map_jobs(args.jobs, _verify_res_section, sorted(
-            sections.items(), key=lambda kv: design.point(kv[0])
-        ), obj)
-        for point, passed, detail in results:
-            ok &= _claim(f"derived resolution at {point}", passed, detail)
-    elif kind == "star":
-        if not args.certificate:
-            raise DesignError("--kind star needs a star file")
-        seeds = formats.parse_star(_read_text(args.certificate), design)
+        ok &= _check_sections(
+            obj, sorted(sections.items(), key=lambda kv: design.point(kv[0])), args.jobs
+        )[0]
+    elif cert_kind == "STAR":
+        seeds = formats.parse_star(cert_text, design)
         rep = verify_star(load_certificate(design, seeds))
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
             print(rep.violations[:4], file=sys.stderr)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DesignError(f"unknown kind {kind}")
     return OK if ok else FAIL
 
 
@@ -178,9 +180,7 @@ def cmd_derive(args) -> int:
         sub = derived_gdd(obj, args.point)
     else:
         sub = derived_design(obj, args.point)
-    out = Path(args.out or f"derived_{args.point}.design")
-    out.write_text(formats.emit_design(sub), encoding="utf-8")
-    _say(f"wrote {out}")
+    _write(Path(args.out or f"derived_{args.point}.design"), formats.emit_design(sub))
     return OK
 
 
@@ -205,14 +205,7 @@ def cmd_construct(args) -> int:
     else:
         companion = catalog.sqs28()
     seeds = formats.parse_star(_read_text(args.star), companion)
-    cert = load_certificate(companion, seeds)
-    verify_star(cert).require("star certificate")
-    quadruple.verify_template().require("template")
-    asm = quadruple.QuadrupleAssembly(cert)
-    rep = verify_steiner(asm.design)
-    if not rep.passed:
-        print(rep.violations[:4], file=sys.stderr)
-        return FAIL
+    asm = quadruple.checked_assembly(load_certificate(companion, seeds))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,11 +249,7 @@ def cmd_resolve(args) -> int:
     _say(f"{outcome.status.upper()} {what} nodes={outcome.nodes}")
     if outcome.found and args.out:
         key = args.point if args.point is not None else "*"
-        Path(args.out).write_text(
-            formats.emit_resolution(design, {key: outcome.resolution.classes}),
-            encoding="utf-8",
-        )
-        _say(f"wrote {args.out}")
+        _write(Path(args.out), formats.emit_resolution(design, {key: outcome.resolution.classes}))
     return OK if outcome.status in ("found", "none") else FAIL
 
 
@@ -272,15 +261,15 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     obj = _load_design(out_dir / "design.design")
     design = obj.design if isinstance(obj, Gdd) else obj
-    ok = _claim("steiner coverage", verify_steiner(design).passed, f"blocks={len(design.blocks)}")
-    count = 0
-    for path in sorted(out_dir.glob("point_*.res")):
-        sections = formats.parse_resolution(_read_text(path), design)
-        for point, classes in sections.items():
-            res = formats.resolution_for_point(design, point, classes)
-            ok &= _claim(f"derived resolution at {point}", verify_resolution(res).passed)
-            count += 1
-    ok &= _claim("every point resolved", count == design.v, f"{count}/{design.v}")
+    ok = _check_coverage(obj)
+    passed, points = _check_sections(obj, (
+        item
+        for path in sorted(out_dir.glob("point_*.res"))
+        for item in formats.parse_resolution(_read_text(path), design).items()
+    ))
+    every = sorted(points) == sorted(lab.text for lab in design.labels)
+    ok &= passed
+    ok &= _claim("every point resolved", every, f"{len(points)}/{design.v}")
     return OK if ok else FAIL
 
 
@@ -314,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output design file (default <name>.design)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="verify a design file against its defining property")
-    p.add_argument("--kind", required=True,
-                   choices=["sqs", "sts", "gdd", "td", "rdsqs", "rdgdd", "star"])
+    p = sub.add_parser(
+        "verify", help="verify a design file and, if given, its resolution or star certificate"
+    )
     p.add_argument("design")
     p.add_argument("certificate", nargs="?", help="resolution or star file")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
@@ -352,7 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (formats.ParseError, ParameterError, FileNotFoundError) as exc:
+    except (formats.ParseError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except DesignError as exc:

@@ -63,6 +63,14 @@ def _int(text: str, key: str, no: int) -> int:
         raise ParseError(f"{key} value {text!r} is not an integer", no) from None
 
 
+def file_kind(text: str) -> str | None:
+    """The value of the first KIND line, or None if the file has none."""
+    for no, tok in _tokenized(text):
+        if tok[0] == "KIND":
+            return _value(tok, no)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # designs
 
@@ -70,10 +78,10 @@ def _int(text: str, key: str, no: int) -> int:
 def parse_design(text: str) -> Design | Gdd:
     kind = None
     t = None
-    v = None
+    v = v_line = None
     sizes: list[int] = []
     labels: list[Label] = []
-    groups: list[tuple[str, ...]] = []
+    groups: list[tuple[int, tuple[str, ...]]] = []
     blocks: list[tuple[str, ...]] = []
     block_lines: list[int] = []
     for no, tok in _tokenized(text):
@@ -85,7 +93,7 @@ def parse_design(text: str) -> Design | Gdd:
         elif key == "T":
             t = _int(_value(tok, no), key, no)
         elif key == "V":
-            v = _int(_value(tok, no), key, no)
+            v, v_line = _int(_value(tok, no), key, no), no
         elif key == "K":
             if len(tok) < 2:
                 raise ParseError("K needs at least one block size", no)
@@ -96,8 +104,10 @@ def parse_design(text: str) -> Design | Gdd:
                     labels.append(parse_label(x))
                 except ValueError:
                     raise ParseError(f"malformed point label {x!r}", no) from None
+            if len(set(labels)) != len(labels):
+                raise ParseError("duplicate label in POINTS", no)
         elif key == "GROUP":
-            groups.append(tuple(tok[1:]))
+            groups.append((no, tuple(tok[1:])))
         elif key in _KEYWORDS:
             raise ParseError(f"{key} not valid in a design file", no)
         else:
@@ -106,9 +116,7 @@ def parse_design(text: str) -> Design | Gdd:
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
-        raise ParseError(f"V {v} does not match {len(labels)} labels", 1)
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate label in POINTS", 1)
+        raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
     index = {lab.text: i for i, lab in enumerate(labels)}
     id_blocks = []
     for tok, no in zip(blocks, block_lines):
@@ -125,11 +133,11 @@ def parse_design(text: str) -> Design | Gdd:
     if not groups:
         return design
     cells = []
-    for cell in groups:
+    for no, cell in groups:
         try:
             cells.append(tuple(sorted(index[x] for x in cell)))
         except KeyError as exc:
-            raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", 1) from None
+            raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", no) from None
     return Gdd(design=design, groups=tuple(sorted(cells)))
 
 
@@ -171,10 +179,10 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
     labels must resolve and classes within a point must not be ragged.
     """
     index = {lab.text: i for i, lab in enumerate(companion.labels)}
-    sections: dict[str, list[list[Block]]] = {}
+    sections: dict[str, tuple[int, list[list[Block]]]] = {}  # POINT line, classes
     current: list[list[Block]] | None = None
     cls: list[Block] | None = None
-    last_point = None
+    cls_line = 0
     for no, tok in _tokenized(text):
         key = tok[0]
         if key == "KIND":
@@ -183,19 +191,19 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
         elif key == "POINT":
             if len(tok) != 2:
                 raise ParseError("POINT takes exactly one label", no)
-            _close_class(cls, no)
+            _close_class(cls, cls_line)
             if tok[1] not in index and tok[1] != "*":
                 raise ParseError(f"unknown point label {tok[1]!r}", no)
             if tok[1] in sections:
                 raise ParseError(f"duplicate POINT {tok[1]}", no)
-            current = sections.setdefault(tok[1], [])
-            last_point = tok[1]
+            current = []
+            sections[tok[1]] = (no, current)
             cls = None
         elif key == "CLASS":
             if current is None:
                 raise ParseError("CLASS before any POINT", no)
-            _close_class(cls, no)
-            cls = []
+            _close_class(cls, cls_line)
+            cls, cls_line = [], no
             current.append(cls)
         elif key in _KEYWORDS:
             raise ParseError(f"{key} not valid in a resolution file", no)
@@ -206,19 +214,20 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
                 cls.append(tuple(sorted(index[x] for x in tok)))
             except KeyError as exc:
                 raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
-    _close_class(cls, -1)
+    _close_class(cls, cls_line)
+    if not sections:
+        raise ParseError("no POINT section found", 1)
     out = {}
-    for point, classes in sections.items():
+    for point, (no, classes) in sections.items():
         arities = {len(c) for c in classes}
         if len(arities) > 1:
-            raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", -1)
+            raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", no)
         out[point] = tuple(tuple(sorted(c)) for c in classes)
-    if last_point is None:
-        raise ParseError("no POINT section found", 1)
     return out
 
 
 def _close_class(cls, no: int) -> None:
+    """An empty CLASS section is an error on its own header line ``no``."""
     if cls is not None and not cls:
         raise ParseError("empty CLASS section", no)
 
@@ -256,11 +265,12 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
     points: dict[str, StarPointCertificate] = {}
     point = None
+    point_line = group_line = 0
     special: list[Block] | None = None
-    groups: list[StarGroup] | None = None
+    groups: list[StarGroup] = []
     common: Block | None = None
-    classes: list[list[Block]] | None = None
-    mode = None
+    classes: list[tuple[int, list[Block]]] | None = None  # (CLASS line, triples)
+    dest: list[Block] | None = None  # where block lines go: SPECIAL or the last CLASS
 
     def parse_block(tok, no) -> Block:
         try:
@@ -268,71 +278,66 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
         except KeyError as exc:
             raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
 
-    def close_group(no: int) -> None:
+    def close_group() -> None:
         nonlocal common, classes
         if common is None:
             return
-        if classes is None or len(classes) != 3:
-            raise ParseError("each GROUP needs exactly 3 CLASS sections", no)
-        for c in classes:
+        if len(classes) != 3:
+            raise ParseError("each GROUP needs exactly 3 CLASS sections", group_line)
+        for no, c in classes:
             if len(c) != n_class:
-                raise ParseError(
-                    f"class has {len(c)} triples, expected {n_class}", no
-                )
-        groups.append(StarGroup(common=common, classes=tuple(tuple(c) for c in classes)))
+                raise ParseError(f"class has {len(c)} triples, expected {n_class}", no)
+        groups.append(StarGroup(common=common, classes=tuple(tuple(c) for _, c in classes)))
         common, classes = None, None
 
-    def close_point(no: int) -> None:
+    def close_point() -> None:
         nonlocal point, special, groups
         if point is None:
             return
-        close_group(no)
+        close_group()
         if special is None or len(special) != n_class:
-            raise ParseError(f"SPECIAL class needs {n_class} triples", no)
+            raise ParseError(f"SPECIAL class needs {n_class} triples", point_line)
         if len(groups) != n_class:
-            raise ParseError(f"expected {n_class} GROUP sections, got {len(groups)}", no)
+            raise ParseError(f"expected {n_class} GROUP sections, got {len(groups)}", point_line)
         points[point] = StarPointCertificate(
             point=index[point], special=tuple(special), groups=tuple(groups)
         )
-        point, special, groups = None, None, None
+        point, special, groups = None, None, []
 
     for no, tok in _tokenized(text):
         key = tok[0]
+        if key in ("SPECIAL", "GROUP", "COMMON") and point is None:
+            raise ParseError(f"{key} before any POINT", no)
         if key == "KIND":
             if _value(tok, no) != "STAR":
                 raise ParseError(f"expected KIND STAR, got {tok[1]!r}", no)
         elif key == "POINT":
-            close_point(no)
+            close_point()
             if _value(tok, no) not in index:
                 raise ParseError(f"unknown point label {tok[1]!r}", no)
-            point, special, groups = tok[1], None, []
-            mode = None
+            if tok[1] in points:
+                raise ParseError(f"duplicate POINT {tok[1]}", no)
+            point, point_line, dest = tok[1], no, None
         elif key == "SPECIAL":
-            special = []
-            mode = "special"
+            special = dest = []
         elif key == "GROUP":
-            close_group(no)
-            mode = None
+            close_group()
+            dest = None
         elif key == "COMMON":
-            common = parse_block(tok[1:], no)
-            classes = []
-            mode = None
+            close_group()
+            common, group_line, classes, dest = parse_block(tok[1:], no), no, [], None
         elif key == "CLASS":
             if classes is None:
                 raise ParseError("CLASS before COMMON in a GROUP", no)
-            classes.append([])
-            mode = "class"
+            dest = []
+            classes.append((no, dest))
         elif key in _KEYWORDS:
             raise ParseError(f"{key} not valid in a star file", no)
+        elif dest is None:
+            raise ParseError("block line outside SPECIAL or CLASS", no)
         else:
-            b = parse_block(tok, no)
-            if mode == "special":
-                special.append(b)
-            elif mode == "class" and classes:
-                classes[-1].append(b)
-            else:
-                raise ParseError("block line outside SPECIAL or CLASS", no)
-    close_point(-1)
+            dest.append(parse_block(tok, no))
+    close_point()
     if not points:
         raise ParseError("no POINT section found", 1)
     return points

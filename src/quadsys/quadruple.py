@@ -439,17 +439,20 @@ class QuadrupleAssembly:
         return Resolution(ground=ground, classes=tuple(classes), target=target)
 
 
-def construct_rdsqs_4v(cert: StarCertificate) -> QuadrupleAssembly:
-    """Build and fully verify the RDSQS(4v); fails loudly otherwise.
-
-    Checks, in order: the template's structural claims, the certificate,
-    strength 3 of the assembled design over every point triple, and the
-    partition/multiset conditions of all 4v derived resolutions.
-    """
+def checked_assembly(cert: StarCertificate) -> QuadrupleAssembly:
+    """The SQS(4v), assembled once the template and the certificate are
+    proven, and proven to have strength 3 over every point triple."""
     verify_template().require("SQS(16) template")
     verify_star(cert).require("star certificate")
     asm = QuadrupleAssembly(cert)
     verify_steiner(asm.design).require(f"SQS({asm.design.v})")
+    return asm
+
+
+def construct_rdsqs_4v(cert: StarCertificate) -> QuadrupleAssembly:
+    """``checked_assembly`` plus all 4v derived resolutions verified; fails
+    loudly otherwise."""
+    asm = checked_assembly(cert)
     for p in range(asm.design.v):
         verify_resolution(asm.point_resolution(p)).require(
             f"derived resolution at {asm.design.labels[p].text}"

@@ -6,7 +6,10 @@ of the multiset M (each P'_x triple three times, every other derived
 triple twice) into v-1 parallel classes, grouped in threes that share
 their P'_x triple.  ``verify_star_point`` checks all of that exhaustively
 against the derived block multiset, so a certificate that verifies is a
-proof.
+proof.  The v-1 classes are a resolution of M, so the partition and
+multiset part of the check is ``core.verify_resolution``, the same check
+every other resolution goes through; the group structure (commons, the
+special class) is checked beside it.
 
 Certificates are expressed in the ids of the ambient design; classes are
 kept in certificate order because the quadrupling construction indexes
@@ -15,19 +18,20 @@ them by (group, class) position.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     Block,
     DataIntegrityError,
     Design,
+    Resolution,
     Shift,
     VerifyReport,
     _permutation,
     admissible,
     derived_frame,
     is_partition,
+    verify_resolution,
     verify_steiner,
 )
 
@@ -57,14 +61,9 @@ class StarCertificate:
     per_point: dict[int, StarPointCertificate]
 
 
-def star_multiset(bx: Counter[Block], special: tuple[Block, ...]) -> Counter[Block]:
-    """M: each special triple three times, each remaining triple twice."""
-    m = Counter()
-    for b, c in bx.items():
-        m[b] = 2 * c
-    for b in special:
-        m[b] += 1
-    return m
+def star_multiset(target: tuple[Block, ...], special: tuple[Block, ...]) -> tuple[Block, ...]:
+    """M, sorted: each derived triple twice, each special triple once more."""
+    return tuple(sorted(target + target + special))
 
 
 def verify_star_point(d: Design, cert: StarPointCertificate) -> VerifyReport:
@@ -72,41 +71,31 @@ def verify_star_point(d: Design, cert: StarPointCertificate) -> VerifyReport:
     ground, target = derived_frame(d, cert.point)
     n = (d.v - 1) // 3
 
-    bx = Counter(target)
-
     bad = is_partition(cert.special, ground)
     if bad is not None:
         rep.flag(f"special class: {bad[0]}", bad[1])
+    derived = set(target)
     for b in cert.special:
-        if b not in bx:
+        if b not in derived:
             rep.flag("special triple not a derived block", b)
 
     if len(cert.groups) != n:
         rep.flag("group count", len(cert.groups))
-    commons = Counter(grp.common for grp in cert.groups)
-    if commons != Counter(cert.special):
+    if sorted(grp.common for grp in cert.groups) != sorted(cert.special):
         rep.flag("common triples do not equal the special class", None)
-
-    union: Counter[Block] = Counter()
     for gi, grp in enumerate(cert.groups):
         for li, cls in enumerate(grp.classes):
             if grp.common not in cls:
                 rep.flag(f"group {gi} class {li} misses its common triple", grp.common)
-            bad = is_partition(cls, ground)
-            if bad is not None:
-                rep.flag(f"group {gi} class {li}: {bad[0]}", bad[1])
-            union.update(cls)
 
-    m = star_multiset(bx, cert.special)
-    if union != m:
-        over = union - m
-        under = m - union
-        if over:
-            rep.flag("triple over-used in the class multiset", next(iter(over)))
-        if under:
-            rep.flag("triple missing from the class multiset", next(iter(under)))
-    rep.counts["classes"] = sum(len(g.classes) for g in cert.groups)
-    rep.counts["multiset"] = sum(union.values())
+    # the v-1 classes, in (group, class) order, are a resolution of M
+    sub = verify_resolution(
+        Resolution(ground, cert.all_classes(), star_multiset(target, cert.special))
+    )
+    for kind, witness in sub.violations:
+        rep.flag(kind, witness)
+    rep.counts["classes"] = sub.counts["classes"]
+    rep.counts["multiset"] = sub.counts["blocks"]
     return rep
 
 
@@ -137,7 +126,6 @@ def expand_certificate(
     seeds: dict[int, StarPointCertificate],
     action: Shift,
     order: int,
-    verify: bool = True,
 ) -> StarCertificate:
     """Spread seed certificates over the whole point set by a cyclic action.
 
@@ -152,10 +140,9 @@ def expand_certificate(
                 raise DataIntegrityError(
                     f"point {d.labels[cert.point].text} covered twice by expansion"
                 )
-            if verify:
-                verify_star_point(d, cert).require(
-                    f"star certificate at {d.labels[cert.point].text}"
-                )
+            verify_star_point(d, cert).require(
+                f"star certificate at {d.labels[cert.point].text}"
+            )
             per_point[cert.point] = cert
             if j + 1 < order:
                 cert = translate_star_point(d, cert, action)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,13 @@ import pytest
 
 from quadsys import Gdd, catalog
 from quadsys.cli import main
-from quadsys.formats import emit_design, parse_design, read_data
+from quadsys.formats import (
+    emit_design,
+    emit_resolution,
+    parse_design,
+    parse_resolution,
+    read_data,
+)
 
 # sha256 over "<sha256>  <name>" lines of the construct output files, sorted
 # by name, for `gen sqs28` + `construct sqs28.star --design sqs28.design`
@@ -37,7 +44,7 @@ def test_gen_and_verify_sqs8(tmp_path):
     design = tmp_path / "sqs8.design"
     code, out = run_cli("gen", "sqs8", "--out", str(design))
     assert code == 0 and design.exists()
-    code, out = run_cli("verify", "--kind", "sqs", str(design))
+    code, out = run_cli("verify", str(design))
     assert code == 0
     assert out.startswith("PASS")
 
@@ -49,7 +56,7 @@ def test_verify_corrupted_design_exits_1(tmp_path, capsys):
     corrupt = "\n".join(lines[:-1]) + "\n"  # drop the last block
     path = tmp_path / "bad.design"
     path.write_text(corrupt)
-    code, out = run_cli("verify", "--kind", "sqs", str(path))
+    code, out = run_cli("verify", str(path))
     assert code == 1
     assert "FAIL" in out
 
@@ -57,7 +64,7 @@ def test_verify_corrupted_design_exits_1(tmp_path, capsys):
 def test_parse_error_exits_2(tmp_path):
     path = tmp_path / "junk.design"
     path.write_text("KIND SQS\nT 3\nK 4\nPOINTS 0 1 2 3\n0 1 2 9\n")
-    code, _ = run_cli("verify", "--kind", "sqs", str(path))
+    code, _ = run_cli("verify", str(path))
     assert code == 2
 
 
@@ -90,7 +97,7 @@ def run_cli_process(*argv):
 def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     path = tmp_path / "bad.design"
     path.write_text(header + "POINTS 0 1 2 3\n0 1 2 3\n")
-    proc = run_cli_process("verify", "--kind", "sqs", str(path))
+    proc = run_cli_process("verify", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(rf"error: line {line}: [^\n]+\n", proc.stderr), proc.stderr
@@ -101,7 +108,7 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, command, capsys):
     design = tmp_path / "sqs8.design"
     run_cli("gen", "sqs8", "--out", str(design))
     argv = {
-        "verify": ["verify", "--kind", "sqs", str(design)],
+        "verify": ["verify", str(design)],
         "construct": ["construct", str(tmp_path / "none.star"), str(tmp_path / "out")],
     }[command]
     with pytest.raises(SystemExit) as err:
@@ -124,7 +131,7 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
 
 
 def test_missing_file_exits_2(tmp_path):
-    code, _ = run_cli("verify", "--kind", "sqs", str(tmp_path / "nope.design"))
+    code, _ = run_cli("verify", str(tmp_path / "nope.design"))
     assert code == 2
 
 
@@ -134,7 +141,7 @@ def test_gen_sqs22_with_certificate_and_rdsqs_verify(tmp_path):
     assert code == 0
     res = tmp_path / "sqs22.res"
     assert res.exists()
-    code, out = run_cli("verify", "--kind", "rdsqs", str(design), str(res))
+    code, out = run_cli("verify", str(design), str(res))
     assert code == 0
     assert out.count("PASS") == 24  # steiner + coverage + 22 points
 
@@ -143,9 +150,9 @@ def test_jobs_flag_does_not_change_output(tmp_path):
     design = tmp_path / "rdgdd24.design"
     run_cli("gen", "rdgdd24", "--out", str(design))
     res = tmp_path / "rdgdd24.res"
-    code1, out1 = run_cli("verify", "--kind", "rdgdd", str(design), str(res))
+    code1, out1 = run_cli("verify", str(design), str(res))
     code2, out2 = run_cli(
-        "verify", "--kind", "rdgdd", str(design), str(res), "--jobs", "2"
+        "verify", str(design), str(res), "--jobs", "2"
     )
     assert (code1, out1) == (code2, out2) == (0, out1)
 
@@ -170,7 +177,7 @@ def test_derive_on_a_gdd_writes_the_derived_gdd(tmp_path):
     assert isinstance(sub, Gdd) and sub.design.kind == "GDD"
     assert sub.design.v == 21 and len(sub.design.blocks) == 63
     assert sub.type_multiset == (3,) * 7
-    code, out = run_cli("verify", "--kind", "gdd", str(out_file))
+    code, out = run_cli("verify", str(out_file))
     assert code == 0 and out.startswith("PASS")
 
 
@@ -228,7 +235,7 @@ def test_star_verify_roundtrip(tmp_path):
     assert code == 0
     star = tmp_path / "sqs28.star"
     assert star.exists()
-    code, out = run_cli("verify", "--kind", "star", str(design), str(star))
+    code, out = run_cli("verify", str(design), str(star))
     assert code == 0
     assert "PASS star certificate" in out
 
@@ -239,7 +246,7 @@ def test_star_verify_expands_the_shipped_seed_file(tmp_path):
     run_cli("gen", "sqs28", "--out", str(design))
     star = tmp_path / "seeds.star"
     star.write_text(read_data("sqs28_star.star"))
-    code, out = run_cli("verify", "--kind", "star", str(design), str(star))
+    code, out = run_cli("verify", str(design), str(star))
     assert code == 0
     assert "PASS star certificate {'points': 28, 'blocks': 819}" in out
 
@@ -269,6 +276,27 @@ def test_construct_and_report(tmp_path):
     assert code == 0
     assert "PASS every point resolved 112/112" in out
 
+
+
+def test_report_needs_every_point_once(tmp_path):
+    # a report directory of SQS(22) resolutions, one file per point; a
+    # second copy of one point must not stand in for a missing point
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    run_cli("gen", "sqs22", "--out", str(out_dir / "design.design"))
+    d = catalog.sqs22()
+    sections = parse_resolution((out_dir / "design.res").read_text(), d)
+    (out_dir / "design.res").unlink()
+    for point, classes in sections.items():
+        text = emit_resolution(d, {point: classes})
+        (out_dir / f"point_{point}.res").write_text(text)
+    code, out = run_cli("report", str(out_dir))
+    assert code == 0 and out.splitlines()[-1] == "PASS every point resolved 22/22"
+    assert "PASS derived resolution at 7 classes=10" in out
+    (out_dir / "point_7.res").write_text((out_dir / "point_8.res").read_text())
+    code, out = run_cli("report", str(out_dir))
+    assert code == 1 and out.splitlines()[-1] == "FAIL every point resolved 22/22"
+    assert out.count("PASS derived resolution at 8 ") == 2
 
 def test_gen_unknown_name_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
@@ -300,7 +328,7 @@ def test_malformed_point_label_exits_2_with_one_line(tmp_path, command, point):
 def test_non_canonical_points_label_fails_on_its_line(tmp_path, label):
     path = tmp_path / "bad.design"
     path.write_text(f"KIND SQS\nT 3\nK 4\nPOINTS {label} 1 2 3\n{label} 1 2 3\n")
-    proc = run_cli_process("verify", "--kind", "sqs", str(path))
+    proc = run_cli_process("verify", str(path))
     _one_error_line(proc, re.escape(f"line 4: malformed point label {label!r}"))
 
 
@@ -314,7 +342,7 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, command):
     out_dir.mkdir()
     (out_dir / "design.design").write_bytes(bad.read_bytes())
     argv = {
-        "verify": ["verify", "--kind", "sqs", str(bad)],
+        "verify": ["verify", str(bad)],
         "derive": ["derive", str(bad), "inf_0", "--out", str(tmp_path / "d.design")],
         "construct": ["construct", str(bad), str(tmp_path / "built")],
         "resolve": ["resolve", str(bad)],
@@ -324,3 +352,204 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, command):
     proc = run_cli_process(*argv)
     _one_error_line(proc, re.escape(f"{named}: not UTF-8 text"))
     assert proc.stdout == ""
+
+
+# sha256 of every file `gen <name> --out <name>.design` writes, for all
+# seven catalog names
+GEN_SHA256 = {
+    "rdgdd24.design": "000e2ff90a36c73a56e204f2aaa0417ea6e3d9bc01baa8ca88bba0634d0d6f75",
+    "rdgdd24.res": "cbecb524164fd7658d48e12072382c0b20b642cac476f7fc8f7d9609e24cf33c",
+    "rdgdd42.design": "ada38be7ab049aeb25d3b2a80f0d0e9c7af75e6618f26b865234f35e7a6820d3",
+    "rdgdd42.res": "21f4098cccd97a678f5757629e8bfd35d1806370f06bfb9972275d74ab2a44c2",
+    "sqs14.design": "f2673a6f86847350f4d3b3e4386893b5d8e63a80a598d397d272256357aa712a",
+    "sqs16.design": "a7b516b4673248cc028abc1b91c23f53013da42f7a29a81b56f6cda66841ea26",
+    "sqs22.design": "22f893503a4f01a8175b668301b1b3da77cd128c680fa3c2372d5ba8ae9af82b",
+    "sqs22.res": "d4333e838a59a5fd82b21eae559d81ed87c813c781333c6ca657e2250bcbaf3a",
+    "sqs28.design": "5c2dfd7090318a09ecb30b1965d0282c9d1d061ca334fa1c6aeaf3037b869397",
+    "sqs28.star": "27e3223673122f5f9f6308a83fe30ee8c6cd828c05bcbfa7146a4b9a7218e3f9",
+    "sqs8.design": "f25776975912f442843e66ae84c70aee6c82d463a4401c565d54d1a77936b340",
+}
+
+
+def test_gen_output_is_pinned_for_every_catalog_name(tmp_path):
+    for name in sorted(catalog.GENERATORS):
+        code, _ = run_cli("gen", name, "--out", str(tmp_path / f"{name}.design"))
+        assert code == 0
+    written = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
+    }
+    assert written == GEN_SHA256
+
+
+def test_verify_on_a_directory_exits_2_naming_it(tmp_path):
+    proc = run_cli_process("verify", str(tmp_path))
+    _one_error_line(proc, rf"\[Errno \d+\] Is a directory: {re.escape(repr(str(tmp_path)))}")
+
+
+def test_unreadable_input_exits_2_naming_it(tmp_path):
+    # root reads any file, so the child drops to an unprivileged uid once
+    # the package is imported
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    design.chmod(0)
+    code = (
+        "import os, sys\n"
+        "from quadsys.cli import main\n"
+        "if os.geteuid() == 0:\n"
+        "    os.setgid(65534)\n"
+        "    os.setuid(65534)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", str(design)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    _one_error_line(proc, rf"\[Errno \d+\] Permission denied: {re.escape(repr(str(design)))}")
+
+
+def test_construct_into_an_existing_file_exits_2_naming_it(tmp_path):
+    star = tmp_path / "seeds.star"
+    star.write_text(read_data("sqs28_star.star"))
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    proc = run_cli_process("construct", str(star), str(out))
+    _one_error_line(proc, rf"\[Errno \d+\] File exists: {re.escape(repr(str(out)))}")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("text", ["KIND SQS\n", "POINT inf_0\nCLASS\n0 1 3\n"],
+                         ids=["design as certificate", "no KIND line"])
+def test_certificate_without_res_or_star_kind_exits_2(tmp_path, text):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    proc = run_cli_process("verify", str(design), str(cert))
+    _one_error_line(proc, re.escape(f"{cert}: a certificate needs a KIND RES or KIND STAR"))
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# certificate negative controls: mutated resolution and star files
+
+
+def _sections(lines, header):
+    """(start, end) line ranges of the sections opened by ``header`` lines;
+    a section ends at the next structural line that is not a block."""
+    starts = [i for i, line in enumerate(lines) if line == header]
+    out = []
+    for s in starts:
+        e = s + 1
+        while e < len(lines) and lines[e].split()[0] not in (
+            "POINT", "CLASS", "GROUP", "COMMON", "SPECIAL"
+        ):
+            e += 1
+        out.append((s, e))
+    return out
+
+
+def _point_of(lines, i):
+    return next(lines[j].split()[1] for j in range(i, -1, -1) if lines[j].startswith("POINT "))
+
+
+def _group_of(lines, i):
+    return next(j for j in range(i, -1, -1) if lines[j].startswith("COMMON "))
+
+
+def _swap_block(lines, rng):
+    classes = _sections(lines, "CLASS")
+    while True:
+        (a0, a1), (b0, b1) = rng.sample(classes, 2)
+        point = _point_of(lines, a0)
+        if point != _point_of(lines, b0):
+            continue
+        i, j = rng.randrange(a0 + 1, a1), rng.randrange(b0 + 1, b1)
+        if lines[i] != lines[j]:
+            lines[i], lines[j] = lines[j], lines[i]
+            return point
+
+
+def _drop_class(lines, rng):
+    s, e = rng.choice(_sections(lines, "CLASS"))
+    point = _point_of(lines, s)
+    del lines[s:e]
+    return point
+
+
+def _duplicate_class(lines, rng):
+    s, e = rng.choice(_sections(lines, "CLASS"))
+    lines[e:e] = lines[s:e]
+    return _point_of(lines, s)
+
+
+def _copy_class_over_another(lines, rng):
+    """Drop one class of a star point and duplicate another in its place:
+    the star format fixes three classes per group, so this is how a class
+    goes missing or doubles without the parser rejecting the file."""
+    classes = _sections(lines, "CLASS")
+    while True:
+        (a0, a1), (b0, b1) = rng.sample(classes, 2)
+        point = _point_of(lines, a0)
+        if point == _point_of(lines, b0) and lines[a0:a1] != lines[b0:b1]:
+            lines[b0:b1] = lines[a0:a1]
+            return point
+
+
+def _corrupt_common(lines, rng):
+    commons = [i for i, line in enumerate(lines) if line.startswith("COMMON ")]
+    while True:
+        i, j = rng.sample(commons, 2)
+        point = _point_of(lines, i)
+        if point == _point_of(lines, j):
+            lines[i] = lines[j]
+            return point
+
+
+def _swap_classes_across_groups(lines, rng):
+    classes = _sections(lines, "CLASS")
+    while True:
+        (a0, a1), (b0, b1) = sorted(rng.sample(classes, 2))
+        point = _point_of(lines, a0)
+        if point == _point_of(lines, b0) and _group_of(lines, a0) != _group_of(lines, b0):
+            lines[b0:b1], lines[a0:a1] = lines[a0:a1], lines[b0:b1]
+            return point
+
+
+CERT_MUTATIONS = {
+    "res": (_swap_block, _drop_class, _duplicate_class),
+    "star": (_swap_block, _copy_class_over_another, _corrupt_common,
+             _swap_classes_across_groups),
+}
+
+
+@pytest.mark.parametrize("cert_name,kind", [
+    ("sqs22.res", "res"), ("rdgdd24.res", "res"), ("sqs28.star", "star"),
+    ("seeds.star", "star"),
+])
+def test_verify_catches_every_certificate_mutation_at_its_point(
+    tmp_path, capsys, cert_name, kind
+):
+    name = "sqs28" if kind == "star" else cert_name.split(".")[0]
+    design = tmp_path / f"{name}.design"
+    run_cli("gen", name, "--out", str(design))
+    if cert_name == "seeds.star":
+        (tmp_path / cert_name).write_text(read_data("sqs28_star.star"))
+    text = (tmp_path / cert_name).read_text()
+    rng = random.Random(0)
+    bad = tmp_path / f"bad_{cert_name}"
+    for mutate in CERT_MUTATIONS[kind]:
+        for _ in range(2):
+            lines = text.splitlines()
+            point = mutate(lines, rng)
+            bad.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            code, out = run_cli("verify", str(design), str(bad))
+            err = capsys.readouterr().err
+            named = (
+                f"FAIL derived resolution at {point} " in out
+                or f"('point {point}'," in err
+                or f"error: star certificate at {point} failed" in err
+            )
+            assert code == 1 and named, (mutate.__name__, point, out[-300:], err[:300])

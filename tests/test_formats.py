@@ -46,6 +46,16 @@ def test_parse_design_errors_carry_line_numbers():
         parse_design(good + "0 0 1 2\n")
     with pytest.raises(ParseError, match="line 2: malformed point label '1_x'"):
         parse_design("KIND SQS\nPOINTS 0 1_x 2\n")
+    gdd = emit_design(catalog.rdgdd24()).splitlines(keepends=True)
+    assert gdd[5].startswith("GROUP ")
+    first = gdd[5].split()[1]
+    gdd[5] = gdd[5].replace(f" {first} ", " 99_9 ", 1)
+    with pytest.raises(ParseError, match="line 6: unknown label '99_9' in GROUP"):
+        parse_design("".join(gdd))
+    with pytest.raises(ParseError, match="line 3: V 5 does not match 4 labels"):
+        parse_design("KIND SQS\nT 3\nV 5\nK 4\nPOINTS 0 1 2 3\n0 1 2 3\n")
+    with pytest.raises(ParseError, match="line 5: duplicate label in POINTS"):
+        parse_design("KIND SQS\nT 3\nK 4\nPOINTS 0 1\nPOINTS 2 1\n0 1 2 3\n")
 
 
 def test_parse_design_requires_headers():
@@ -68,11 +78,14 @@ def test_parse_resolution_rejects_bad_structure():
         parse_resolution("KIND\nPOINT 0\n", d)
     with pytest.raises(ParseError, match="unknown point"):
         parse_resolution("KIND RES\nPOINT zap\n", d)
-    with pytest.raises(ParseError, match="empty CLASS"):
+    with pytest.raises(ParseError, match="line 3: empty CLASS"):
         parse_resolution("KIND RES\nPOINT 0\nCLASS\nCLASS\n1 2 3\n", d)
-    with pytest.raises(ParseError, match="ragged"):
+    with pytest.raises(ParseError, match="line 5: empty CLASS"):
+        parse_resolution("KIND RES\nPOINT 0\nCLASS\n1 2 3\nCLASS\n", d)
+    with pytest.raises(ParseError, match="line 5: ragged classes at POINT 1"):
         parse_resolution(
-            "KIND RES\nPOINT 0\nCLASS\n1 2 3\nCLASS\n1 2 3\n4 5 6\n", d
+            "KIND RES\nPOINT 0\nCLASS\n1 2 3\nPOINT 1\nCLASS\n0 2 3\nCLASS\n0 2 3\n4 5 6\n",
+            d,
         )
     with pytest.raises(ParseError, match="outside a CLASS"):
         parse_resolution("KIND RES\nPOINT 0\n1 2 3\n", d)
@@ -106,8 +119,27 @@ def test_parse_star_rejects_wrong_group_arity():
     text = read_data("sqs28_star.star")
     # drop one CLASS line block: remove the last CLASS section of the file
     idx = text.rstrip().rfind("CLASS")
-    with pytest.raises(ParseError):
+    common = text[:idx].count("\n", 0, text.rfind("COMMON")) + 1
+    with pytest.raises(ParseError, match=f"line {common}: each GROUP needs exactly 3 CLASS"):
         parse_star(text[:idx], d)
+
+
+def test_parse_star_names_the_offending_header_line():
+    d = catalog.sqs28()
+    text = read_data("sqs28_star.star")
+    lines = text.splitlines(keepends=True)
+    second_point = next(i for i, line in enumerate(lines) if line == "POINT 0_1\n")
+    with pytest.raises(ParseError, match=f"line {second_point + 1}: duplicate POINT 0_0"):
+        parse_star(text.replace("POINT 0_1\n", "POINT 0_0\n"), d)
+    short = "".join(lines[:3])  # KIND, POINT, SPECIAL and one triple
+    with pytest.raises(ParseError, match="line 2: SPECIAL class needs 9 triples"):
+        parse_star(short, d)
+    first_class = lines.index("CLASS\n")
+    cut = "".join(lines[:first_class + 2] + ["CLASS\n"] * 2)
+    with pytest.raises(ParseError, match=f"line {first_class + 1}: class has 1 triples"):
+        parse_star(cut, d)
+    with pytest.raises(ParseError, match="line 2: COMMON before any POINT"):
+        parse_star("KIND STAR\nCOMMON 0_0 0_1 0_2\n", d)
 
 
 @pytest.mark.parametrize(
