@@ -13,6 +13,8 @@ byte-identical, and --jobs only changes wall time, never output.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,6 +25,7 @@ from .core import (
     DesignError,
     Gdd,
     ParameterError,
+    VerifyReport,
     derived_design,
     derived_gdd,
     verify_gdd,
@@ -132,14 +135,16 @@ def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> tuple[bool, list
     return ok, points
 
 
-def _check_coverage(obj: Design | Gdd) -> bool:
+def _check_coverage(obj: Design | Gdd) -> VerifyReport:
     """GROUP lines make a GDD, checked for cross coverage; anything else
-    is checked for Steiner coverage."""
+    is checked for Steiner coverage.  Returns the report it claimed."""
     if isinstance(obj, Gdd):
         rep = verify_gdd(obj)
-        return _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
-    rep = verify_steiner(obj)
-    return _claim("steiner coverage", rep.passed, str(rep.counts))
+        _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
+    else:
+        rep = verify_steiner(obj)
+        _claim("steiner coverage", rep.passed, str(rep.counts))
+    return rep
 
 
 def cmd_verify(args) -> int:
@@ -153,7 +158,8 @@ def cmd_verify(args) -> int:
             raise ParameterError(
                 f"{args.certificate}: a certificate needs a KIND RES or KIND STAR line"
             )
-    ok = _check_coverage(obj)
+    coverage = _check_coverage(obj)
+    ok = coverage.passed
     if cert_kind == "RES":
         sections = formats.parse_resolution(cert_text, design)
         missing = {lab.text for lab in design.labels} - set(sections)
@@ -163,7 +169,8 @@ def cmd_verify(args) -> int:
         )[0]
     elif cert_kind == "STAR":
         seeds = formats.parse_star(cert_text, design)
-        rep = verify_star(load_certificate(design, seeds))
+        steiner = None if isinstance(obj, Gdd) else coverage
+        rep = verify_star(load_certificate(design, seeds), steiner)
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
             print(rep.violations[:4], file=sys.stderr)
@@ -205,10 +212,13 @@ def cmd_construct(args) -> int:
     else:
         companion = catalog.sqs28()
     seeds = formats.parse_star(_read_text(args.star), companion)
-    asm = quadruple.checked_assembly(load_certificate(companion, seeds))
-
     out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        # the error mkdir would raise, before the proofs rather than after
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
+    asm = quadruple.checked_assembly(load_certificate(companion, seeds))
     out_dir.mkdir(parents=True, exist_ok=True)
+
     (out_dir / "design.design").write_text(
         formats.emit_design(asm.design), encoding="utf-8"
     )
@@ -261,7 +271,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     obj = _load_design(out_dir / "design.design")
     design = obj.design if isinstance(obj, Gdd) else obj
-    ok = _check_coverage(obj)
+    ok = _check_coverage(obj).passed
     passed, points = _check_sections(obj, (
         item
         for path in sorted(out_dir.glob("point_*.res"))

@@ -166,13 +166,18 @@ def load_certificate(d: Design, seeds: dict[str, StarPointCertificate]) -> StarC
     return expand_certificate(d, by_id, Shift(1, 7), order=7)
 
 
-def verify_star(cert: StarCertificate) -> VerifyReport:
-    """Full certificate check: SQS + admissibility + every point."""
+def verify_star(cert: StarCertificate, steiner: VerifyReport | None = None) -> VerifyReport:
+    """Full certificate check: SQS + admissibility + every point.
+
+    ``steiner`` is a ``verify_steiner`` report of ``cert.design`` already in
+    hand; without one the design is checked here.
+    """
     rep = VerifyReport()
     d = cert.design
     if d.v % 3 != 1 or not admissible("SQS", d.v):
         rep.flag("order not admissible for a star certificate", d.v)
-    steiner = verify_steiner(d)
+    if steiner is None:
+        steiner = verify_steiner(d)
     if not steiner.passed:
         rep.flag("underlying design is not Steiner", steiner.violations[:1])
     missing = set(range(d.v)) - set(cert.per_point)

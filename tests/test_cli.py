@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsys import Gdd, catalog
+from quadsys import DesignError, Gdd, catalog, verify_steiner
 from quadsys.cli import main
 from quadsys.formats import (
     emit_design,
@@ -251,14 +252,42 @@ def test_star_verify_expands_the_shipped_seed_file(tmp_path):
     assert "PASS star certificate {'points': 28, 'blocks': 819}" in out
 
 
-def test_construct_and_report(tmp_path):
+def test_verify_with_a_star_certificate_proves_steiner_coverage_once(tmp_path, monkeypatch):
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
-    out_dir = tmp_path / "out"
+    calls = []
+
+    def counted(d, *args, **kwargs):
+        calls.append(d.v)
+        return verify_steiner(d, *args, **kwargs)
+
+    monkeypatch.setattr("quadsys.cli.verify_steiner", counted)
+    monkeypatch.setattr("quadsys.star.verify_steiner", counted)
+    code, out = run_cli("verify", str(design), str(tmp_path / "sqs28.star"))
+    assert code == 0 and calls == [28]
+    assert out == (
+        "PASS steiner coverage {'expected_blocks': 819, 'blocks': 819}\n"
+        "PASS star certificate {'points': 28, 'blocks': 819}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def construct_out(tmp_path_factory):
+    """`gen sqs28` + `construct sqs28.star --design sqs28.design --jobs 2`,
+    built once for the tests that read it; (exit code, output directory)."""
+    tmp = tmp_path_factory.mktemp("construct")
+    design = tmp / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    out_dir = tmp / "out"
     code, _ = run_cli(
-        "construct", str(tmp_path / "sqs28.star"), str(out_dir),
+        "construct", str(tmp / "sqs28.star"), str(out_dir),
         "--design", str(design), "--jobs", "2",
     )
+    return code, out_dir
+
+
+def test_construct_and_report(construct_out):
+    code, out_dir = construct_out
     assert code == 0
     assert (out_dir / "design.design").exists()
     assert len(list(out_dir.glob("point_*.res"))) == 112
@@ -276,6 +305,20 @@ def test_construct_and_report(tmp_path):
     assert code == 0
     assert "PASS every point resolved 112/112" in out
 
+
+def test_report_names_the_point_of_a_corrupted_resolution_file(construct_out, tmp_path):
+    out_dir = tmp_path / "out"
+    shutil.copytree(construct_out[1], out_dir)
+    path = sorted(out_dir.glob("point_*.res"))[40]
+    lines = path.read_text().splitlines()
+    point = _swap_block(lines, random.Random(0))
+    assert path.name == f"point_{point}.res"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("report", str(out_dir))
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL derived resolution at {point} ")
+    assert out.splitlines()[-1] == "PASS every point resolved 112/112"
 
 
 def test_report_needs_every_point_once(tmp_path):
@@ -409,7 +452,7 @@ def test_unreadable_input_exits_2_naming_it(tmp_path):
     _one_error_line(proc, rf"\[Errno \d+\] Permission denied: {re.escape(repr(str(design)))}")
 
 
-def test_construct_into_an_existing_file_exits_2_naming_it(tmp_path):
+def test_construct_into_an_existing_file_exits_2_naming_it(tmp_path, monkeypatch, capsys):
     star = tmp_path / "seeds.star"
     star.write_text(read_data("sqs28_star.star"))
     out = tmp_path / "out"
@@ -417,6 +460,28 @@ def test_construct_into_an_existing_file_exits_2_naming_it(tmp_path):
     proc = run_cli_process("construct", str(star), str(out))
     _one_error_line(proc, rf"\[Errno \d+\] File exists: {re.escape(repr(str(out)))}")
     assert out.read_text() == "not a directory\n"
+    # the path is rejected before the certificate is expanded or assembled
+    proofs = []
+    monkeypatch.setattr("quadsys.cli.load_certificate", lambda *a: proofs.append("load"))
+    monkeypatch.setattr("quadsys.quadruple.checked_assembly", lambda *a: proofs.append("assembly"))
+    assert main(["construct", str(star), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] File exists: {re.escape(repr(str(out)))}\n", err)
+    assert proofs == []
+
+
+def test_construct_whose_assembly_fails_writes_no_output_directory(tmp_path, monkeypatch, capsys):
+    star = tmp_path / "seeds.star"
+    star.write_text(read_data("sqs28_star.star"))
+
+    def failing_assembly(cert):
+        raise DesignError("assembled blocks are not a Steiner system")
+
+    monkeypatch.setattr("quadsys.quadruple.checked_assembly", failing_assembly)
+    out = tmp_path / "out"
+    assert main(["construct", str(star), str(out)]) == 1
+    assert capsys.readouterr().err == "error: assembled blocks are not a Steiner system\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["KIND SQS\n", "POINT inf_0\nCLASS\n0 1 3\n"],
@@ -525,8 +590,8 @@ CERT_MUTATIONS = {
 
 
 @pytest.mark.parametrize("cert_name,kind", [
-    ("sqs22.res", "res"), ("rdgdd24.res", "res"), ("sqs28.star", "star"),
-    ("seeds.star", "star"),
+    ("sqs22.res", "res"), ("rdgdd24.res", "res"), ("rdgdd42.res", "res"),
+    ("sqs28.star", "star"), ("seeds.star", "star"),
 ])
 def test_verify_catches_every_certificate_mutation_at_its_point(
     tmp_path, capsys, cert_name, kind

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -14,6 +15,7 @@ from quadsys import (
     Shift,
     admissible,
     catalog,
+    core,
     derived_design,
     derived_frame,
     derived_gdd,
@@ -26,6 +28,8 @@ from quadsys import (
 )
 from quadsys.core import (
     MAX_WITNESSES,
+    _coverage,
+    _mismatches,
     VerifyReport,
     is_partition,
     parse_label,
@@ -154,6 +158,219 @@ def test_deleted_block_uncovers_its_own_triples():
     rep = verify_steiner(mutated)
     witnesses = {w for kind, w in rep.violations if "0 times" in kind}
     assert witnesses == set(itertools.combinations(gone, 3))
+
+
+# The previous coverage kernel and coverage verifiers, kept as written, as
+# the reference for the unrolled kernel, the skipped group scan and the
+# integer mismatch walk.
+
+
+def reference_coverage(blocks, t, v):
+    counts = bytearray(math.comb(v, t))
+    tabs = [[math.comb(p, j + 1) for p in range(v)] for j in range(t)]
+    if t == 3:
+        t1, t2, t3 = tabs
+        for b in blocks:
+            for x, y, z in itertools.combinations(b, 3):
+                r = t1[x] + t2[y] + t3[z]
+                if counts[r] < 255:
+                    counts[r] += 1
+    elif t == 2:
+        t1, t2 = tabs
+        for b in blocks:
+            for x, y in itertools.combinations(b, 2):
+                r = t1[x] + t2[y]
+                if counts[r] < 255:
+                    counts[r] += 1
+    else:
+        for b in blocks:
+            for sub in itertools.combinations(b, t):
+                r = sum(tab[p] for tab, p in zip(tabs, sub))
+                if counts[r] < 255:
+                    counts[r] += 1
+    return counts
+
+
+def reference_verify_steiner(d, witness_limit=MAX_WITNESSES):
+    rep = VerifyReport(_limit=witness_limit)
+    counts = reference_coverage(d.blocks, d.t, d.v)
+    if len(d.sizes) == 1:
+        (k,) = d.sizes
+        expect, exact = expected_block_count(d.t, k, d.v)
+        rep.counts["expected_blocks"] = expect if exact else -1
+    rep.counts["blocks"] = len(d.blocks)
+    if counts != b"\x01" * len(counts):
+        for r, c in enumerate(counts):
+            if c != 1:
+                rep.flag("covered %d times" % c, subset_unrank(r, d.t))
+                if len(rep.violations) >= rep._limit:
+                    break
+    return rep
+
+
+@lru_cache(maxsize=16)
+def reference_expected_cross_coverage(v, t, groups):
+    gof = [0] * v
+    for gi, cell in enumerate(groups):
+        for p in cell:
+            gof[p] = gi
+    expected = bytearray(math.comb(v, t))
+    for sub in itertools.combinations(range(v), t):
+        if len({gof[p] for p in sub}) == t:
+            expected[subset_rank(sub)] = 1
+    return bytes(expected)
+
+
+def reference_verify_gdd(g, witness_limit=MAX_WITNESSES):
+    d = g.design
+    rep = VerifyReport(_limit=witness_limit)
+    rep.counts["blocks"] = len(d.blocks)
+    gof = g.group_of
+    for b in d.blocks:
+        hit = [gof[p] for p in b]
+        if len(set(hit)) != len(hit):
+            rep.flag("block meets a group twice", b)
+    expected = reference_expected_cross_coverage(d.v, d.t, g.groups)
+    counts = reference_coverage(d.blocks, d.t, d.v)
+    if counts != expected:
+        for r, (c, e) in enumerate(zip(counts, expected)):
+            if c != e:
+                kind = (
+                    "cross set covered %d times" % c if e else "non-cross set covered"
+                )
+                rep.flag(kind, subset_unrank(r, d.t))
+                if len(rep.violations) >= rep._limit:
+                    break
+    rep.counts["groups"] = len(g.groups)
+    return rep
+
+
+def _with_blocks(obj, blocks):
+    d = obj.design if isinstance(obj, Gdd) else obj
+    design = Design(d.t, d.sizes, d.labels, tuple(blocks), d.kind)
+    return Gdd(design=design, groups=obj.groups) if isinstance(obj, Gdd) else design
+
+
+def _random_blocks(rng, v, n, sizes):
+    return [tuple(sorted(rng.sample(range(v), rng.choice(sizes)))) for _ in range(n)]
+
+
+def _coverage_corpus(rng):
+    """Seeded (what, design or GDD) pairs for the coverage differential."""
+    for name in sorted(catalog.GENERATORS):
+        obj = catalog.GENERATORS[name]()
+        d = obj.design if isinstance(obj, Gdd) else obj
+        yield name, obj
+        n = len(d.blocks)
+        for i in range(n) if n <= 140 else sorted(rng.sample(range(n), 8)):
+            yield f"{name} delete {i}", _with_blocks(obj, d.blocks[:i] + d.blocks[i + 1:])
+            yield f"{name} double {i}", _with_blocks(obj, d.blocks + (d.blocks[i],))
+    # a block repeated past the 255 cap of a count
+    sqs8 = catalog.sqs8()
+    yield "sqs8 + 300 copies", _with_blocks(sqs8, sqs8.blocks + sqs8.blocks[:1] * 300)
+    for name in ("rdgdd24", "rdgdd42"):
+        g = catalog.GENERATORS[name]()
+        d = g.design
+        yield f"{name} + 256 copies", _with_blocks(g, d.blocks + d.blocks[-1:] * 256)
+        for _ in range(4):
+            # swap a point of a block for one in the group of another of its points
+            i = rng.randrange(len(d.blocks))
+            b = d.blocks[i]
+            q = rng.choice([p for p in g.groups[g.group_of[b[0]]] if p not in b])
+            bad = tuple(sorted((q, b[0]) + b[2:]))
+            yield f"{name} block {i} meets a group twice", _with_blocks(
+                g, d.blocks[:i] + (bad,) + d.blocks[i + 1:]
+            )
+        cell = g.groups[rng.randrange(len(g.groups))]
+        yield f"{name} + a pair inside a group", _with_blocks(g, d.blocks + (cell[:2],))
+        pair = tuple(sorted((g.groups[0][0], g.groups[1][0])))
+        yield f"{name} + a transversal pair", _with_blocks(g, d.blocks + (pair,))
+        yield f"{name} + a point", _with_blocks(g, d.blocks + ((0,),))
+    # small random designs and GDDs, blocks shorter than t among them
+    for case in range(240):
+        t = (2, 3, 4)[case % 3]
+        v = rng.randint(t + 1, 11)
+        blocks = _random_blocks(rng, v, rng.randint(0, 40), range(1, min(v, 6) + 1))
+        if case % 7 == 0:
+            blocks += blocks[:1] * rng.randint(250, 260)
+        sizes = frozenset(rng.sample(range(t, v + 1), rng.randint(1, 2)))
+        design = Design(t, sizes, plain_labels(v), tuple(blocks))
+        yield f"random t={t} v={v}", design
+        points = rng.sample(range(v), v)
+        cuts = sorted(rng.sample(range(1, v), rng.randint(t - 1, v - 1)))
+        groups = tuple(
+            tuple(sorted(points[a:b])) for a, b in zip([0] + cuts, cuts + [v])
+        )
+        yield f"random GDD t={t} v={v}", Gdd(design=design, groups=groups)
+    # t = 1, as `derive` leaves a t = 2 design: every 1-set is a cross set,
+    # so only the group scan sees a block inside a group
+    design = Design(1, frozenset({2}), plain_labels(4), ((0, 1), (2, 3)))
+    yield "t=1 blocks inside groups", Gdd(design=design, groups=((0, 1), (2, 3)))
+    for case in range(40):
+        v = rng.randint(2, 9)
+        blocks = _random_blocks(rng, v, rng.randint(0, 12), range(1, min(v, 4) + 1))
+        design = Design(1, frozenset({1, 2}), plain_labels(v), tuple(blocks))
+        yield f"random t=1 v={v}", design
+        cut = rng.randint(1, v - 1)
+        groups = (tuple(range(cut)), tuple(range(cut, v)))
+        yield f"random GDD t=1 v={v}", Gdd(design=design, groups=groups)
+
+
+def test_coverage_verifiers_match_the_previous_kernel(monkeypatch):
+    seen = Counter()
+    for i, (what, obj) in enumerate(_coverage_corpus(random.Random(0))):
+        d = obj.design if isinstance(obj, Gdd) else obj
+        if isinstance(obj, Gdd):
+            check, reference = verify_gdd, reference_verify_gdd
+        else:
+            check, reference = verify_steiner, reference_verify_steiner
+        cover = reference_coverage(d.blocks, d.t, d.v)
+        assert _coverage(d.blocks, d.t, d.v) == cover, what
+        # the bytearray counts that designs past LIST_COUNTS_MAX t-sets take
+        with monkeypatch.context() as m:
+            m.setattr(core, "LIST_COUNTS_MAX", 0)
+            assert _coverage(d.blocks, d.t, d.v) == cover, (what, "bytearray")
+        for limit in (1 + i % 2, MAX_WITNESSES):
+            got, want = check(obj, witness_limit=limit), reference(obj, witness_limit=limit)
+            assert (got.passed, got.violations, got.counts) == (
+                want.passed, want.violations, want.counts
+            ), (what, limit)
+        kinds = {kind for kind, _ in want.violations}
+        seen["passed"] += want.passed
+        seen["meets a group twice"] += "block meets a group twice" in kinds
+        seen["capped at 255"] += any("255 times" in kind for kind in kinds)
+        seen["short block"] += any(len(b) < d.t for b in d.blocks)
+        seen["at the witness limit"] += len(want.violations) == MAX_WITNESSES
+        seen["t=1 meets a group twice"] += d.t == 1 and "block meets a group twice" in kinds
+    # every path of the kernel and of the verifiers was taken
+    assert seen["passed"] >= 7
+    paths = ("meets a group twice", "capped at 255", "short block", "at the witness limit",
+             "t=1 meets a group twice")
+    for path in paths:
+        assert seen[path] >= 10, (path, seen)
+
+
+def test_mismatches_lists_every_differing_rank_across_runs():
+    rng = random.Random(1)
+    run = core.MISMATCH_RUN
+    edges = [run - 1, run, run + 1, 2 * run - 1, 2 * run]
+    for n in (0, 1, 5, 300, run, 2 * run + 3):
+        expected = bytes(rng.choice((0, 1)) for _ in range(n))
+        counts = bytearray(expected)
+        picks = [r for r in edges if r < n] + rng.sample(range(n), min(n, rng.randint(0, 9)))
+        for r in picks:
+            counts[r] = expected[r] ^ rng.choice((1, 2, 254, 255))
+        want = [r for r in range(n) if counts[r] != expected[r]]
+        assert list(_mismatches(bytes(counts), expected)) == want, n
+
+
+def test_verify_gdd_rejects_groups_that_are_not_a_partition():
+    g = catalog.rdgdd24()
+    first, second, *rest = g.groups
+    with pytest.raises(ParameterError, match="in two groups"):
+        verify_gdd(Gdd(design=g.design, groups=(first, second + first[:1], *rest)))
+    with pytest.raises(ParameterError, match="do not cover"):
+        verify_gdd(Gdd(design=g.design, groups=(second, *rest)))
 
 
 def test_make_design_rejects_malformed_blocks():
