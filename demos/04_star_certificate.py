@@ -6,7 +6,8 @@ derived triples, then partitions the multiset M (distinguished triples
 three times, all other derived triples twice) into 27 parallel classes
 grouped in threes, each group sharing its distinguished triple.  Seeds
 for four points ship as data; the other 24 points come from the cyclic
-symmetry and everything is re-verified after translation.
+symmetry.  Expansion proves nothing: the expanded certificate is proved
+once, by verify_star, before the catalog hands it out.
 """
 
 from collections import Counter

@@ -68,7 +68,6 @@ from .star import (
     StarCertificate,
     StarGroup,
     StarPointCertificate,
-    expand_certificate,
     load_certificate,
     verify_star,
     verify_star_point,

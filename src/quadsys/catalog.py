@@ -35,7 +35,7 @@ from .core import (
     verify_gdd,
     verify_resolution,
 )
-from .star import StarCertificate, load_certificate
+from .star import StarCertificate, load_certificate, verify_star
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +408,11 @@ def sqs22_resolutions() -> dict[str, Resolution]:
 
 @lru_cache(maxsize=None)
 def sqs28_star() -> StarCertificate:
-    """The full 28-point star certificate, expanded from the 4 seed points."""
+    """The full 28-point star certificate, expanded from 4 seeds and proven."""
     d = sqs28()
-    seeds = formats.parse_star(formats.read_data("sqs28_star.star"), d)
-    return load_certificate(d, seeds)
+    cert = load_certificate(d, formats.parse_star(formats.read_data("sqs28_star.star"), d))
+    verify_star(cert).require("star certificate")
+    return cert
 
 
 GENERATORS = {

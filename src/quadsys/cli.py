@@ -124,13 +124,16 @@ def _map_jobs(jobs: int, func, items, init_obj):
 
 def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> tuple[bool, list[str]]:
     """One claim per (point, classes) section: the derived resolution at
-    the point, framed as ``obj`` frames it, passes ``verify_resolution``.
+    the point, framed as ``obj`` frames it, or at ``formats.WHOLE`` the
+    resolution of the design itself, passes ``verify_resolution``.
 
     Returns whether every claim passed and the points claimed, in order.
     """
     ok, points = True, []
     for point, passed, detail in _map_jobs(jobs, _verify_res_section, items, obj):
-        ok &= _claim(f"derived resolution at {point}", passed, detail)
+        whole = point == formats.WHOLE
+        name = "resolution of the design" if whole else f"derived resolution at {point}"
+        ok &= _claim(name, passed, detail)
         points.append(point)
     return ok, points
 
@@ -150,27 +153,36 @@ def _check_coverage(obj: Design | Gdd) -> VerifyReport:
 def cmd_verify(args) -> int:
     obj = _load_design(args.design)
     design = obj.design if isinstance(obj, Gdd) else obj
-    cert_kind = None
+    # the whole certificate is read before the first proof, so one that
+    # fails to parse or to expand leaves stdout empty
+    sections = star = None
     if args.certificate:
         cert_text = _read_text(args.certificate)
         cert_kind = formats.file_kind(cert_text)
-        if cert_kind not in ("RES", "STAR"):
+        if cert_kind == "RES":
+            sections = formats.parse_resolution(cert_text, design)
+        elif cert_kind == "STAR":
+            star = load_certificate(design, formats.parse_star(cert_text, design))
+        else:
             raise ParameterError(
                 f"{args.certificate}: a certificate needs a KIND RES or KIND STAR line"
             )
     coverage = _check_coverage(obj)
     ok = coverage.passed
-    if cert_kind == "RES":
-        sections = formats.parse_resolution(cert_text, design)
-        missing = {lab.text for lab in design.labels} - set(sections)
-        ok &= _claim("resolutions cover every point", not missing, f"points={len(sections)}")
-        ok &= _check_sections(
-            obj, sorted(sections.items(), key=lambda kv: design.point(kv[0])), args.jobs
-        )[0]
-    elif cert_kind == "STAR":
-        seeds = formats.parse_star(cert_text, design)
+    if sections is not None:
+        # a WHOLE section claims the design resolves; point sections claim
+        # that every derived design does, so they must cover every point
+        points = set(sections) - {formats.WHOLE}
+        if points:
+            missing = {lab.text for lab in design.labels} - points
+            ok &= _claim("resolutions cover every point", not missing, f"points={len(points)}")
+        items = sorted(
+            sections.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
+        )
+        ok &= _check_sections(obj, items, args.jobs)[0]
+    elif star is not None:
         steiner = None if isinstance(obj, Gdd) else coverage
-        rep = verify_star(load_certificate(design, seeds), steiner)
+        rep = verify_star(star, steiner)
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
             print(rep.violations[:4], file=sys.stderr)
@@ -258,7 +270,7 @@ def cmd_resolve(args) -> int:
     outcome = resolver.find_resolution(blocks, ground, budget=args.budget)
     _say(f"{outcome.status.upper()} {what} nodes={outcome.nodes}")
     if outcome.found and args.out:
-        key = args.point if args.point is not None else "*"
+        key = args.point if args.point is not None else formats.WHOLE
         _write(Path(args.out), formats.emit_resolution(design, {key: outcome.resolution.classes}))
     return OK if outcome.status in ("found", "none") else FAIL
 

@@ -442,15 +442,18 @@ def _expected_cross_coverage(
     v: int, t: int, groups: tuple[tuple[int, ...], ...]
 ) -> tuple[bytes, int]:
     """1 at the rank of every t-set meeting t distinct groups, else 0; and
-    the little-endian integer with 0xff at the rank of every other t-set."""
-    gof = [0] * v
-    for gi, cell in enumerate(groups):
-        for p in cell:
-            gof[p] = gi
-    expected = bytearray(math.comb(v, t))
-    for sub in itertools.combinations(range(v), t):
-        if len({gof[p] for p in sub}) == t:
-            expected[subset_rank(sub)] = 1
+    the little-endian integer with 0xff at the rank of every other t-set.
+
+    Starts from all ones and zeroes only the t-sets holding two points of
+    one group, each reached from every such pair it holds, so the work
+    follows the non-cross t-sets rather than all C(v, t).
+    """
+    expected = bytearray(b"\x01") * math.comb(v, t)
+    for cell in groups if t >= 2 else ():  # a smaller t-set holds no pair
+        for pair in itertools.combinations(cell, 2):
+            rest = [p for p in range(v) if p not in pair]
+            for others in itertools.combinations(rest, t - 2):
+                expected[subset_rank(sorted(pair + others))] = 0
     non_cross = expected.translate(bytes.maketrans(b"\x00\x01", b"\xff\x00"))
     return bytes(expected), int.from_bytes(non_cross, "little")
 

@@ -34,6 +34,8 @@ from .star import StarGroup, StarPointCertificate
 
 _KEYWORDS = {"KIND", "T", "V", "K", "POINTS", "GROUP", "POINT", "CLASS", "SPECIAL", "COMMON"}
 _DESIGN_KINDS = {"SQS", "STS", "GDD", "TD", "RAW"}
+# the POINT label of a resolution of the design itself, not of a derived design
+WHOLE = "*"
 
 
 class ParseError(DesignError):
@@ -192,7 +194,7 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
             if len(tok) != 2:
                 raise ParseError("POINT takes exactly one label", no)
             _close_class(cls, cls_line)
-            if tok[1] not in index and tok[1] != "*":
+            if tok[1] not in index and tok[1] != WHOLE:
                 raise ParseError(f"unknown point label {tok[1]!r}", no)
             if tok[1] in sections:
                 raise ParseError(f"duplicate POINT {tok[1]}", no)
@@ -246,10 +248,14 @@ def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ..
 def resolution_for_point(
     obj: Design | Gdd, x, classes: tuple[tuple[Block, ...], ...]
 ) -> Resolution:
-    """A Resolution object for the derived design at x, in parent ids.
+    """A Resolution object for the derived design at x, in parent ids; at
+    x = ``WHOLE``, for the design itself (every point, every block).
 
     For a GDD the whole group of x leaves the ground set.
     """
+    if x == WHOLE:
+        d = obj.design if isinstance(obj, Gdd) else obj
+        return Resolution(ground=tuple(range(d.v)), classes=classes, target=d.blocks)
     ground, target = derived_frame(obj, x)
     return Resolution(ground=ground, classes=classes, target=target)
 

@@ -1,4 +1,4 @@
-"""Star certificates: per-point resolution data for the doubling input.
+"""Star certificates: per-point resolution data for the quadrupling input.
 
 A star certificate for an SQS(v) with v = 1 (mod 3) fixes, at every point
 x, a distinguished parallel class P'_x of derived triples plus a partition
@@ -121,49 +121,34 @@ def translate_star_point(
     )
 
 
-def expand_certificate(
-    d: Design,
-    seeds: dict[int, StarPointCertificate],
-    action: Shift,
-    order: int,
-) -> StarCertificate:
-    """Spread seed certificates over the whole point set by a cyclic action.
-
-    Every translated certificate is re-verified; shipped data is never
-    trusted past parse time.
-    """
-    per_point: dict[int, StarPointCertificate] = {}
-    for seed in seeds.values():
-        cert = seed
-        for j in range(order):
-            if cert.point in per_point:
-                raise DataIntegrityError(
-                    f"point {d.labels[cert.point].text} covered twice by expansion"
-                )
-            verify_star_point(d, cert).require(
-                f"star certificate at {d.labels[cert.point].text}"
-            )
-            per_point[cert.point] = cert
-            if j + 1 < order:
-                cert = translate_star_point(d, cert, action)
-    if len(per_point) != d.v:
-        raise DataIntegrityError(
-            f"expansion covers {len(per_point)} of {d.v} points"
-        )
-    return StarCertificate(design=d, per_point=per_point)
-
-
 def load_certificate(d: Design, seeds: dict[str, StarPointCertificate]) -> StarCertificate:
-    """The full certificate a star file stands for.
+    """The full certificate a star file stands for.  Nothing is proved here:
+    ``verify_star`` is the proof.
 
-    Seeds that cover every point are taken as given; fewer seeds are spread
-    by +1 mod 7 on the first label coordinate, the action of the shipped
-    seeds, with every translate re-verified.
+    Seeds that cover every point are taken as given.  Fewer seeds are each
+    carried round their orbit under +1 mod 7 on the first label coordinate,
+    the action of the shipped seeds, until the orbit returns to the seed's
+    point.
     """
     by_id = {c.point: c for c in seeds.values()}
     if len(by_id) == d.v:
         return StarCertificate(design=d, per_point=by_id)
-    return expand_certificate(d, by_id, Shift(1, 7), order=7)
+    action = Shift(1, 7)
+    per_point: dict[int, StarPointCertificate] = {}
+    for seed in by_id.values():
+        cert = seed
+        while True:
+            if cert.point in per_point:
+                raise DataIntegrityError(
+                    f"point {d.labels[cert.point].text} covered twice by expansion"
+                )
+            per_point[cert.point] = cert
+            cert = translate_star_point(d, cert, action)
+            if cert.point == seed.point:
+                break
+    if len(per_point) != d.v:
+        raise DataIntegrityError(f"expansion covers {len(per_point)} of {d.v} points")
+    return StarCertificate(design=d, per_point=per_point)
 
 
 def verify_star(cert: StarCertificate, steiner: VerifyReport | None = None) -> VerifyReport:

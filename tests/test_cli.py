@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from quadsys import DesignError, Gdd, catalog, verify_steiner
+from quadsys import DesignError, Gdd, catalog, verify_star_point, verify_steiner
 from quadsys.cli import main
 from quadsys.formats import (
     emit_design,
     emit_resolution,
+    emit_star,
     parse_design,
     parse_resolution,
+    parse_star,
     read_data,
 )
 
@@ -221,6 +223,27 @@ def test_resolve_whole_design_none(tmp_path):
     assert out.startswith("NONE")
 
 
+def test_resolve_out_of_the_whole_design_verifies(tmp_path):
+    # without --point, resolve writes a POINT * section: a resolution of
+    # the design itself, which verify checks with one claim line
+    design = tmp_path / "sqs16.design"
+    run_cli("gen", "sqs16", "--out", str(design))
+    sts15 = tmp_path / "sts15.design"
+    run_cli("derive", str(design), "0", "--out", str(sts15))
+    res = tmp_path / "w.res"
+    code, out = run_cli("resolve", str(sts15), "--out", str(res))
+    assert code == 0 and out.startswith("FOUND design")
+    code, out = run_cli("verify", str(sts15), str(res))
+    assert code == 0
+    assert out.splitlines()[1:] == ["PASS resolution of the design classes=7"]
+    lines = res.read_text().splitlines()
+    assert _swap_block(lines, random.Random(0)) == "*"
+    res.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("verify", str(sts15), str(res))
+    assert code == 1
+    assert out.splitlines()[1].startswith("FAIL resolution of the design classes=7 ")
+
+
 def test_resolve_sqs8_itself_finds_the_plane_pairing(tmp_path):
     # complements of blocks are blocks, so the 14 blocks pair into 7 classes
     design = tmp_path / "sqs8.design"
@@ -252,6 +275,20 @@ def test_star_verify_expands_the_shipped_seed_file(tmp_path):
     assert "PASS star certificate {'points': 28, 'blocks': 819}" in out
 
 
+def test_star_seeds_that_cover_part_of_the_points_exit_1(tmp_path, capsys):
+    # 0_0 and 0_1 spread to the 14 points i_0 and i_1; the rest have no seed
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    d = catalog.sqs28()
+    seeds = parse_star(read_data("sqs28_star.star"), d)
+    star = tmp_path / "two.star"
+    star.write_text(emit_star(d, {p: seeds[p] for p in ("0_0", "0_1")}))
+    capsys.readouterr()
+    code, out = run_cli("verify", str(design), str(star))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: expansion covers 14 of 28 points\n"
+
+
 def test_verify_with_a_star_certificate_proves_steiner_coverage_once(tmp_path, monkeypatch):
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
@@ -271,23 +308,49 @@ def test_verify_with_a_star_certificate_proves_steiner_coverage_once(tmp_path, m
     )
 
 
+def _counting_star_point_proofs(monkeypatch):
+    """The points ``verify_star_point`` is called on from now on."""
+    points = []
+
+    def counted(d, cert):
+        points.append(cert.point)
+        return verify_star_point(d, cert)
+
+    monkeypatch.setattr("quadsys.star.verify_star_point", counted)
+    return points
+
+
+def test_verify_and_construct_prove_each_star_point_once(tmp_path, monkeypatch, construct_out):
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    seeds = tmp_path / "seeds.star"
+    seeds.write_text(read_data("sqs28_star.star"))
+    points = _counting_star_point_proofs(monkeypatch)
+    code, _ = run_cli("verify", str(design), str(seeds))
+    assert code == 0 and sorted(points) == list(range(28))
+    assert sorted(construct_out[2]) == list(range(28))
+
+
 @pytest.fixture(scope="module")
 def construct_out(tmp_path_factory):
     """`gen sqs28` + `construct sqs28.star --design sqs28.design --jobs 2`,
-    built once for the tests that read it; (exit code, output directory)."""
+    built once for the tests that read it; (exit code, output directory,
+    the points construct proved a star certificate at)."""
     tmp = tmp_path_factory.mktemp("construct")
     design = tmp / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
     out_dir = tmp / "out"
-    code, _ = run_cli(
-        "construct", str(tmp / "sqs28.star"), str(out_dir),
-        "--design", str(design), "--jobs", "2",
-    )
-    return code, out_dir
+    with pytest.MonkeyPatch.context() as m:
+        points = _counting_star_point_proofs(m)
+        code, _ = run_cli(
+            "construct", str(tmp / "sqs28.star"), str(out_dir),
+            "--design", str(design), "--jobs", "2",
+        )
+    return code, out_dir, points
 
 
 def test_construct_and_report(construct_out):
-    code, out_dir = construct_out
+    code, out_dir, _ = construct_out
     assert code == 0
     assert (out_dir / "design.design").exists()
     assert len(list(out_dir.glob("point_*.res"))) == 112
@@ -484,15 +547,24 @@ def test_construct_whose_assembly_fails_writes_no_output_directory(tmp_path, mon
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["KIND SQS\n", "POINT inf_0\nCLASS\n0 1 3\n"],
-                         ids=["design as certificate", "no KIND line"])
-def test_certificate_without_res_or_star_kind_exits_2(tmp_path, text):
-    design = tmp_path / "sqs8.design"
-    run_cli("gen", "sqs8", "--out", str(design))
+NO_KIND = "{cert}: a certificate needs a KIND RES or KIND STAR"
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("sqs8", "KIND SQS\n", NO_KIND),
+    ("sqs8", "POINT inf_0\nCLASS\n0 1 3\n", NO_KIND),
+    ("sqs16", read_data("sqs28_star.star"), "line 2: unknown point label '0_0'"),
+    ("sqs16", read_data("sqs22_derived.res"), "line 2: unknown point label 'inf_0'"),
+], ids=["design as certificate", "no KIND line", "star file of another design",
+        "resolution file of another design"])
+def test_certificate_without_res_or_star_kind_exits_2(tmp_path, name, text, message):
+    # the certificate is read whole before the first proof: stdout stays empty
+    design = tmp_path / f"{name}.design"
+    run_cli("gen", name, "--out", str(design))
     cert = tmp_path / "cert.txt"
     cert.write_text(text)
     proc = run_cli_process("verify", str(design), str(cert))
-    _one_error_line(proc, re.escape(f"{cert}: a certificate needs a KIND RES or KIND STAR"))
+    _one_error_line(proc, re.escape(message.format(cert=cert)))
     assert proc.stdout == ""
 
 

@@ -314,6 +314,11 @@ def _coverage_corpus(rng):
         cut = rng.randint(1, v - 1)
         groups = (tuple(range(cut)), tuple(range(cut, v)))
         yield f"random GDD t=1 v={v}", Gdd(design=design, groups=groups)
+    # one group holding every point: no t-set is a cross set
+    for t in (1, 2, 3, 4):
+        blocks = _random_blocks(rng, 9, rng.randint(0, 6), range(1, 6))
+        design = Design(t, frozenset({t, t + 1}), plain_labels(9), tuple(blocks))
+        yield f"single group t={t}", Gdd(design=design, groups=(tuple(range(9)),))
 
 
 def test_coverage_verifiers_match_the_previous_kernel(monkeypatch):
@@ -326,6 +331,9 @@ def test_coverage_verifiers_match_the_previous_kernel(monkeypatch):
             check, reference = verify_steiner, reference_verify_steiner
         cover = reference_coverage(d.blocks, d.t, d.v)
         assert _coverage(d.blocks, d.t, d.v) == cover, what
+        if isinstance(obj, Gdd):
+            expected = reference_expected_cross_coverage(d.v, d.t, obj.groups)
+            assert core._expected_cross_coverage(d.v, d.t, obj.groups)[0] == expected, what
         # the bytearray counts that designs past LIST_COUNTS_MAX t-sets take
         with monkeypatch.context() as m:
             m.setattr(core, "LIST_COUNTS_MAX", 0)

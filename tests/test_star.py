@@ -10,7 +10,7 @@ from quadsys import (
     StarGroup,
     StarPointCertificate,
     catalog,
-    expand_certificate,
+    load_certificate,
     verify_star,
     verify_star_point,
 )
@@ -79,11 +79,10 @@ def test_expand_covers_every_point_once(star28):
 
 
 def test_expand_rejects_duplicate_seeds(d28, seeds):
-    by_id = {c.point: c for c in seeds.values()}
-    extra = translate_star_point(d28, seeds["0_0"], Shift(1, 7))
-    by_id[extra.point] = extra
-    with pytest.raises(DataIntegrityError):
-        expand_certificate(d28, by_id, Shift(1, 7), order=7)
+    # 1_0 lies on the orbit of 0_0, so expansion reaches it twice
+    extra = dict(seeds, **{"1_0": translate_star_point(d28, seeds["0_0"], Shift(1, 7))})
+    with pytest.raises(DataIntegrityError, match="point 1_0 covered twice by expansion"):
+        load_certificate(d28, extra)
 
 
 def test_full_star_certificate_verifies(star28):
