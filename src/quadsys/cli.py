@@ -8,6 +8,10 @@ Exit codes: 0 all checks passed, 1 a verification failed (witnesses go to
 stderr), 2 usage, parse or OS errors (one ``error:`` line on stderr).  All
 outputs are deterministic: repeated invocations on the same inputs are
 byte-identical, and --jobs only changes wall time, never output.
+
+``construct`` writes each point's resolution file as soon as it is proved,
+and ``report`` reads one point file at a time.  The process pool is
+imported only for --jobs > 1.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import argparse
 import errno
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import catalog, formats, quadruple, resolver
@@ -113,13 +116,19 @@ def _verify_res_section(item) -> tuple[str, bool, str]:
 
 
 def _map_jobs(jobs: int, func, items, init_obj):
+    """``func`` over ``items`` in order, each result yielded as it arrives;
+    with more than one job, in a process pool whose workers hold
+    ``init_obj``."""
     if jobs <= 1:
         _pool_init(init_obj)
-        return [func(item) for item in items]
+        yield from map(func, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_pool_init, initargs=(init_obj,)
     ) as pool:
-        return list(pool.map(func, items))
+        yield from pool.map(func, items)
 
 
 def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> tuple[bool, list[str]]:
@@ -234,23 +243,22 @@ def cmd_construct(args) -> int:
     (out_dir / "design.design").write_text(
         formats.emit_design(asm.design), encoding="utf-8"
     )
-    results = _map_jobs(args.jobs, _point_job, range(asm.design.v), asm)
     manifest = [
         f"design blocks={len(asm.design.blocks)} v={asm.design.v}",
         "steiner PASS",
     ]
-    ok = True
-    for p, passed, n_classes, text in results:
+    resolved = 0
+    for p, passed, n_classes, text in _map_jobs(args.jobs, _point_job, range(asm.design.v), asm):
         label = asm.design.labels[p].text
         (out_dir / f"point_{label}.res").write_text(text, encoding="utf-8")
         manifest.append(
             f"point {label} classes={n_classes} {'PASS' if passed else 'FAIL'}"
         )
-        ok &= passed
-    manifest.append(f"resolved_points {sum(passed for _, passed, _, _ in results)}/{asm.design.v}")
+        resolved += passed
+    manifest.append(f"resolved_points {resolved}/{asm.design.v}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     _say(f"wrote {out_dir}/design.design, {asm.design.v} resolution files, manifest.txt")
-    return OK if ok else FAIL
+    return OK if resolved == asm.design.v else FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ coordinate system.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -78,14 +79,24 @@ def file_kind(text: str) -> str | None:
 
 
 def parse_design(text: str) -> Design | Gdd:
+    """The design (or, with GROUP lines, the GDD) a design file states.
+
+    Each block line is mapped to a tuple of point ids as it is read, through
+    a label index that grows at every POINTS line; only a line that names a
+    label of a later POINTS line is kept as tokens, and is resolved once the
+    whole file is read.  Header lines may come in any order, so the
+    per-block checks (unknown label, repeated point, size in K) run after
+    the header checks, in file order: the first failing line is the one
+    reported, its number found by reading the text again.
+    """
     kind = None
     t = None
     v = v_line = None
     sizes: list[int] = []
     labels: list[Label] = []
+    index: dict[str, int] = {}
     groups: list[tuple[int, tuple[str, ...]]] = []
-    blocks: list[tuple[str, ...]] = []
-    block_lines: list[int] = []
+    blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
     for no, tok in _tokenized(text):
         key = tok[0]
         if key == "KIND":
@@ -108,30 +119,32 @@ def parse_design(text: str) -> Design | Gdd:
                     raise ParseError(f"malformed point label {x!r}", no) from None
             if len(set(labels)) != len(labels):
                 raise ParseError("duplicate label in POINTS", no)
+            for lab in labels[len(index):]:
+                index[lab.text] = len(index)
         elif key == "GROUP":
             groups.append((no, tuple(tok[1:])))
         elif key in _KEYWORDS:
             raise ParseError(f"{key} not valid in a design file", no)
         else:
-            blocks.append(tuple(tok))
-            block_lines.append(no)
+            try:
+                blocks.append(tuple(map(index.__getitem__, tok)))
+            except KeyError:
+                blocks.append(tok)
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
         raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
-    index = {lab.text: i for i, lab in enumerate(labels)}
-    id_blocks = []
-    for tok, no in zip(blocks, block_lines):
-        try:
-            ids = tuple(index[x] for x in tok)
-        except KeyError as exc:
-            raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
+    for i, ids in enumerate(blocks):
+        if isinstance(ids, list):
+            try:
+                ids = blocks[i] = tuple(map(index.__getitem__, ids))
+            except KeyError as exc:
+                raise ParseError(f"unknown label {exc.args[0]!r}", _block_line(text, i)) from None
         if len(set(ids)) != len(ids):
-            raise ParseError("repeated point in block", no)
+            raise ParseError("repeated point in block", _block_line(text, i))
         if len(ids) not in sizes:
-            raise ParseError(f"block size {len(ids)} not in K={sizes}", no)
-        id_blocks.append(ids)
-    design = make_design(t=t, sizes=sizes, labels=labels, blocks=id_blocks, kind=kind)
+            raise ParseError(f"block size {len(ids)} not in K={sizes}", _block_line(text, i))
+    design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
     if not groups:
         return design
     cells = []
@@ -141,6 +154,14 @@ def parse_design(text: str) -> Design | Gdd:
         except KeyError as exc:
             raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", no) from None
     return Gdd(design=design, groups=tuple(sorted(cells)))
+
+
+def _block_line(text: str, i: int) -> int:
+    """The line number of block line ``i`` (counted from 0) of a design file
+    whose other lines are all headers.  It is looked up only when a block is
+    rejected, so a parse keeps no line number per block."""
+    numbers = (no for no, tok in _tokenized(text) if tok[0] not in _KEYWORDS)
+    return next(islice(numbers, i, None))
 
 
 def _label_texts(design: Design) -> list[str]:

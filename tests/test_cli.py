@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsys import DesignError, Gdd, catalog, verify_star_point, verify_steiner
+from quadsys import DesignError, Gdd, catalog, cli, verify_star_point, verify_steiner
 from quadsys.cli import main
 from quadsys.formats import (
     emit_design,
@@ -349,6 +349,37 @@ def construct_out(tmp_path_factory):
     return code, out_dir, points
 
 
+def test_construct_writes_each_point_file_as_it_is_proved(tmp_path, monkeypatch):
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    out_dir = tmp_path / "out"
+    on_disk = []
+    point_job = cli._point_job
+
+    def counting_job(p):
+        on_disk.append(len(list(out_dir.glob("point_*.res"))))
+        return point_job(p)
+
+    monkeypatch.setattr(cli, "_point_job", counting_job)
+    code, _ = run_cli(
+        "construct", str(tmp_path / "sqs28.star"), str(out_dir),
+        "--design", str(design), "--jobs", "1",
+    )
+    assert code == 0
+    assert on_disk == list(range(112))
+    assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadsys.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
 def test_construct_and_report(construct_out):
     code, out_dir, _ = construct_out
     assert code == 0
@@ -494,12 +525,13 @@ def test_verify_on_a_directory_exits_2_naming_it(tmp_path):
 
 def test_unreadable_input_exits_2_naming_it(tmp_path):
     # root reads any file, so the child drops to an unprivileged uid once
-    # the package is imported
+    # the package is imported; the interpreter's own library may be
+    # unreadable to that uid, so argparse's lazy import of locale comes first
     design = tmp_path / "sqs8.design"
     run_cli("gen", "sqs8", "--out", str(design))
     design.chmod(0)
     code = (
-        "import os, sys\n"
+        "import locale, os, sys\n"
         "from quadsys.cli import main\n"
         "if os.geteuid() == 0:\n"
         "    os.setgid(65534)\n"

@@ -1,8 +1,17 @@
+import random
+import tracemalloc
+
 import pytest
 
 from quadsys import Gdd, catalog
+from quadsys.core import make_design, parse_label
 from quadsys.formats import (
+    _DESIGN_KINDS,
+    _KEYWORDS,
     ParseError,
+    _int,
+    _tokenized,
+    _value,
     emit_design,
     emit_resolution,
     emit_star,
@@ -61,6 +70,185 @@ def test_parse_design_errors_carry_line_numbers():
 def test_parse_design_requires_headers():
     with pytest.raises(ParseError):
         parse_design("0 1 2\n")
+
+
+def test_parse_design_holds_little_beyond_the_design(assembly112):
+    # blocks become id tuples as they are read, so the peak stays near the
+    # size of the Design itself rather than of every block's label tokens
+    text = emit_design(assembly112.design)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        design = parse_design(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.blocks == assembly112.design.blocks
+    assert peak - base <= 3 * (kept - base)
+
+
+def reference_parse_design(text):
+    """The parser that read every block line as label tokens and mapped
+    them to ids only once the whole file was read (reference)."""
+    kind = None
+    t = None
+    v = v_line = None
+    sizes = []
+    labels = []
+    groups = []
+    blocks = []
+    block_lines = []
+    for no, tok in _tokenized(text):
+        key = tok[0]
+        if key == "KIND":
+            kind = _value(tok, no)
+            if kind not in _DESIGN_KINDS:
+                raise ParseError(f"unknown design kind {kind!r}", no)
+        elif key == "T":
+            t = _int(_value(tok, no), key, no)
+        elif key == "V":
+            v, v_line = _int(_value(tok, no), key, no), no
+        elif key == "K":
+            if len(tok) < 2:
+                raise ParseError("K needs at least one block size", no)
+            sizes = [_int(x, key, no) for x in tok[1:]]
+        elif key == "POINTS":
+            for x in tok[1:]:
+                try:
+                    labels.append(parse_label(x))
+                except ValueError:
+                    raise ParseError(f"malformed point label {x!r}", no) from None
+            if len(set(labels)) != len(labels):
+                raise ParseError("duplicate label in POINTS", no)
+        elif key == "GROUP":
+            groups.append((no, tuple(tok[1:])))
+        elif key in _KEYWORDS:
+            raise ParseError(f"{key} not valid in a design file", no)
+        else:
+            blocks.append(tuple(tok))
+            block_lines.append(no)
+    if kind is None or t is None or not sizes or not labels:
+        raise ParseError("missing KIND, T, K, or POINTS header", 1)
+    if v is not None and v != len(labels):
+        raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
+    index = {lab.text: i for i, lab in enumerate(labels)}
+    id_blocks = []
+    for tok, no in zip(blocks, block_lines):
+        try:
+            ids = tuple(index[x] for x in tok)
+        except KeyError as exc:
+            raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
+        if len(set(ids)) != len(ids):
+            raise ParseError("repeated point in block", no)
+        if len(ids) not in sizes:
+            raise ParseError(f"block size {len(ids)} not in K={sizes}", no)
+        id_blocks.append(ids)
+    design = make_design(t=t, sizes=sizes, labels=labels, blocks=id_blocks, kind=kind)
+    if not groups:
+        return design
+    cells = []
+    for no, cell in groups:
+        try:
+            cells.append(tuple(sorted(index[x] for x in cell)))
+        except KeyError as exc:
+            raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", no) from None
+    return Gdd(design=design, groups=tuple(sorted(cells)))
+
+
+def _outcome(parse, text):
+    """The parsed object, or the type and message of what parsing raised."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# a replacement token: a label of the file, an unknown or malformed label,
+# a keyword, or a non-integer header value
+_ODD_TOKENS = ("99_9", "77", "07", "inf", "x", "-1", "0", "POINTS", "K", "GROUP", "CLASS", "SQS")
+
+
+def _mutant(lines, rng):
+    """1 to 3 seeded line mutations of a design file's lines; half of the
+    picks land on a header line, where order matters most."""
+    lines = list(lines)
+
+    def pick():
+        heads = [i for i, line in enumerate(lines) if line[:1].isupper()]
+        return rng.choice(heads) if heads and rng.random() < 0.5 else rng.randrange(len(lines))
+
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        op = rng.choice(("delete", "swap", "duplicate", "to_end", "corrupt", "split_points"))
+        i = pick()
+        if op == "delete":
+            del lines[i]
+        elif op == "swap":
+            j = pick()
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == "to_end":
+            lines.append(lines.pop(i))
+        elif op == "corrupt":
+            tok = lines[i].split()
+            j = rng.randrange(len(tok)) if tok else 0
+            new = rng.choice(_ODD_TOKENS + tuple(" ".join(lines).split()[:40]))
+            how = rng.choice(("replace", "drop", "add"))
+            if how == "replace" and tok:
+                tok[j] = new
+            elif how == "drop" and tok:
+                del tok[j]
+            else:
+                tok.insert(j, new)
+            lines[i] = " ".join(tok)
+        else:  # POINTS spread over two lines, the second one moved
+            at = next((k for k, line in enumerate(lines) if line.startswith("POINTS ")), None)
+            tok = lines[at].split() if at is not None else []
+            if len(tok) > 2:
+                cut = rng.randrange(2, len(tok))
+                lines[at] = " ".join(tok[:cut])
+                lines.insert(rng.randrange(at + 1, len(lines) + 1), " ".join(["POINTS"] + tok[cut:]))
+    return lines
+
+
+def test_parse_design_matches_the_reference_parser():
+    rng = random.Random(20221013)
+    bases = {name: emit_design(catalog.GENERATORS[name]()).splitlines()
+             for name in ("sqs8", "sqs14", "sqs22", "rdgdd24")}
+    sqs8 = bases["sqs8"]
+    assert sqs8[3] == "K 4" and sqs8[4].startswith("POINTS ")
+    first = sqs8[5].split()
+    # a block with a repeated point before a malformed K line: the header
+    # error is the one reported
+    repeated = sqs8[:3] + sqs8[4:5] + [f"{first[0]} {first[0]} {first[1]} {first[2]}", "K x"]
+    # blocks whose labels come from a later POINTS line
+    points = sqs8[4].split()[1:]
+    late = sqs8[:4] + ["POINTS " + " ".join(points[:4])] + sqs8[5:] + ["POINTS " + " ".join(points[4:])]
+    # an unknown GROUP label
+    rdgdd = bases["rdgdd24"]
+    group = rdgdd[:5] + [rdgdd[5].replace("0_0", "9_9")] + rdgdd[6:]
+    pinned = [
+        (repeated, (ParseError, "line 6: K value 'x' is not an integer")),
+        (late, catalog.sqs8()),
+        (group, (ParseError, "line 6: unknown label '9_9' in GROUP")),
+    ]
+    for lines, expected in pinned:
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse_design, text) == _outcome(reference_parse_design, text) == expected
+    corpus = [
+        "\n".join(_mutant(bases[name], rng)) + "\n"
+        for name in sorted(bases) for _ in range(250)
+    ]
+    outcomes = []
+    for text in corpus:
+        got, want = _outcome(parse_design, text), _outcome(reference_parse_design, text)
+        assert got == want, text
+        outcomes.append(want[1] if isinstance(want, tuple) else "parsed")
+    # the corpus reaches accepted files, every per-block error and header errors
+    for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS"):
+        assert any(needed in outcome for outcome in outcomes), needed
 
 
 def test_resolution_round_trip_is_byte_stable():
