@@ -287,15 +287,24 @@ def cmd_resolve(args) -> int:
 # report
 
 
+def _parse_file(path: Path, parse, *args):
+    """``parse`` of the text of ``path``; a file that fails to parse is
+    named in the error, beside its line number."""
+    try:
+        return parse(_read_text(path), *args)
+    except formats.ParseError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
-    obj = _load_design(out_dir / "design.design")
+    obj = _parse_file(out_dir / "design.design", formats.parse_design)
     design = obj.design if isinstance(obj, Gdd) else obj
     ok = _check_coverage(obj).passed
     passed, points = _check_sections(obj, (
         item
         for path in sorted(out_dir.glob("point_*.res"))
-        for item in formats.parse_resolution(_read_text(path), design).items()
+        for item in _parse_file(path, formats.parse_resolution, design).items()
     ))
     every = sorted(points) == sorted(lab.text for lab in design.labels)
     ok &= passed

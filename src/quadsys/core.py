@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -209,13 +210,21 @@ class Design:
             raise ParameterError(f"no point labelled {label.text}") from None
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each point id, the ascending indices of the blocks through it."""
-        inc: list[list[int]] = [[] for _ in range(self.v)]
-        for bi, b in enumerate(self.blocks):
+    def incidence(self) -> tuple[tuple[Block, ...], ...]:
+        """For each point id, the blocks through it, in block order.
+
+        The entries are the tuples of ``blocks`` themselves, not copies or
+        indices, so the table costs one pointer per (point, block) slot.
+        Each point's list becomes a tuple in place, so no second full copy
+        of the table exists while it is built.
+        """
+        inc: list = [[] for _ in range(self.v)]
+        for b in self.blocks:
             for p in b:
-                inc[p].append(bi)
-        return tuple(map(tuple, inc))
+                inc[p].append(b)
+        for p, through in enumerate(inc):
+            inc[p] = tuple(through)
+        return tuple(inc)
 
 
 def make_design(
@@ -225,15 +234,24 @@ def make_design(
     blocks: Iterable[Sequence[int]],
     kind: str = "RAW",
 ) -> Design:
-    """Canonicalize and validate raw block data into a Design."""
+    """Canonicalize and validate raw block data into a Design.
+
+    A block that is already a tuple of strictly ascending ids is kept as it
+    is, not copied (it has no repeated point); any other block is sorted
+    into a new tuple and checked for repeated points.  Every block is then
+    checked for its size in ``sizes`` and for ids in ``0..v-1``.
+    """
     labels = tuple(labels)
     sizes = frozenset(sizes)
     v = len(labels)
     canon = []
     for b in blocks:
-        cb = tuple(sorted(b))
-        if len(set(cb)) != len(cb):
-            raise ParameterError(f"repeated point in block {cb}")
+        if type(b) is tuple and all(map(operator.lt, b, b[1:])):
+            cb = b
+        else:
+            cb = tuple(sorted(b))
+            if len(set(cb)) != len(cb):
+                raise ParameterError(f"repeated point in block {cb}")
         if len(cb) not in sizes:
             raise ParameterError(f"block {cb} has size outside {sorted(sizes)}")
         if cb and (cb[0] < 0 or cb[-1] >= v):
@@ -554,8 +572,7 @@ def derived_frame(
     gone = obj.groups[obj.group_of[xid]] if isinstance(obj, Gdd) else (xid,)
     ground = tuple(p for p in range(d.v) if p not in gone)
     punctured = []
-    for bi in d.incidence[xid]:
-        b = d.blocks[bi]
+    for b in d.incidence[xid]:
         i = b.index(xid)
         punctured.append(b[:i] + b[i + 1 :])
     return ground, tuple(sorted(punctured))

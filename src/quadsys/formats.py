@@ -16,7 +16,7 @@ coordinate system.
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -45,8 +45,37 @@ class ParseError(DesignError):
         self.line = line
 
 
+# characters per piece of text split at once; a piece runs on to the
+# next "\n", so it may be longer
+_LINE_CHUNK = 1 << 16
+# block lines per piece of an emitted design joined at once
+_EMIT_CHUNK = 4096
+
+
+def _pieces(text: str):
+    r"""``text`` cut into pieces that end just after a "\n" (the last one
+    may end without it)."""
+    start, n = 0, len(text)
+    while start < n:
+        end = text.find("\n", start + _LINE_CHUNK - 1)
+        end = n if end < 0 else end + 1
+        yield text[start:end]
+        start = end
+
+
+def _numbered_lines(text: str):
+    r"""``enumerate(text.splitlines(), 1)``, split one piece at a time.
+
+    "\n" ends a line for ``str.splitlines`` whatever comes before or after
+    it, so splitting each piece gives exactly its lines, breaks and numbers,
+    while only one piece's lines are held at a time.
+    """
+    return enumerate(chain.from_iterable(map(str.splitlines, _pieces(text))), 1)
+
+
 def _tokenized(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
+    """(line number, tokens) of every line that is not blank or a comment."""
+    for no, raw in _numbered_lines(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line.split()
@@ -174,6 +203,9 @@ def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
 
 
 def emit_design(obj: Design | Gdd) -> str:
+    """The design file of ``obj``: headers, GROUP lines, then one line per
+    block.  Block lines are joined ``_EMIT_CHUNK`` at a time and the pieces
+    joined once more, so no list of every line's string is ever held."""
     gdd = obj if isinstance(obj, Gdd) else None
     design = gdd.design if gdd else obj
     names = _label_texts(design)
@@ -186,8 +218,12 @@ def emit_design(obj: Design | Gdd) -> str:
     ]
     if gdd:
         lines.extend("GROUP " + line for line in _blocks_text(names, gdd.groups))
-    lines.extend(_blocks_text(names, design.blocks))
-    return "\n".join(lines) + "\n"
+    pieces = ["\n".join(lines)]
+    blocks = design.blocks
+    for i in range(0, len(blocks), _EMIT_CHUNK):
+        pieces.append("\n".join(_blocks_text(names, blocks[i : i + _EMIT_CHUNK])))
+    pieces.append("")  # the final "\n"
+    return "\n".join(pieces)
 
 
 # ---------------------------------------------------------------------------

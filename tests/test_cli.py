@@ -415,6 +415,20 @@ def test_report_names_the_point_of_a_corrupted_resolution_file(construct_out, tm
     assert out.splitlines()[-1] == "PASS every point resolved 112/112"
 
 
+def test_report_names_the_resolution_file_that_fails_to_parse(construct_out, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    shutil.copytree(construct_out[1], out_dir)
+    path = out_dir / "point_19_0.res"
+    lines = path.read_text().splitlines()
+    tok = lines[4].split()
+    lines[4] = " ".join(["99_9"] + tok[1:])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 5: unknown label '99_9'\n"
+
+
 def test_report_needs_every_point_once(tmp_path):
     # a report directory of SQS(22) resolutions, one file per point; a
     # second copy of one point must not stand in for a missing point

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -391,6 +392,25 @@ def test_make_design_rejects_malformed_blocks():
         make_design(2, {3}, labels, [(0, 1, 7)])
 
 
+def test_make_design_keeps_a_sorted_tuple_block_and_still_checks_it():
+    labels = plain_labels(5)
+    kept, unsorted, listed = (0, 1, 2), (4, 3, 0), [1, 2, 4]
+    d = make_design(2, {3}, labels, [unsorted, listed, kept])
+    assert d.blocks == ((0, 1, 2), (0, 3, 4), (1, 2, 4))
+    assert d.blocks[0] is kept
+    assert d.blocks[1] is not unsorted and type(d.blocks[2]) is tuple
+    for bad, message in [
+        ((0, 0, 1), "repeated point"),
+        ((1, 0, 1), "repeated point"),
+        ((0, 1), "size outside"),
+        ((0, 1, 2, 3), "size outside"),
+        ((0, 1, 7), "unknown point ids"),
+        ((-1, 0, 1), "unknown point ids"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            make_design(2, {3}, labels, [kept, bad])
+
+
 # ---------------------------------------------------------------------------
 # derivation
 
@@ -439,7 +459,24 @@ def test_incidence_lists_each_block_once_per_point(name):
     obj = catalog.GENERATORS[name]()
     d = obj.design if isinstance(obj, Gdd) else obj
     for p in range(d.v):
-        assert d.incidence[p] == tuple(bi for bi, b in enumerate(d.blocks) if p in b)
+        through = tuple(b for b in d.blocks if p in b)
+        assert d.incidence[p] == through
+        assert all(got is b for got, b in zip(d.incidence[p], through))
+
+
+def test_incidence_holds_one_pointer_per_slot():
+    # a fresh Design, so the table is built here, under the tracer
+    d = catalog.rdgdd42().design
+    d = Design(d.t, d.sizes, d.labels, d.blocks, d.kind)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d.incidence
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    slots = sum(map(len, d.blocks))
+    assert kept <= 8 * slots + 1024 * d.v
 
 
 def test_derived_design_rejects_unknown_point():

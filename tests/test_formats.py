@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from quadsys import Gdd, catalog
+from quadsys import Gdd, catalog, formats
 from quadsys.core import make_design, parse_label
 from quadsys.formats import (
     _DESIGN_KINDS,
@@ -84,7 +84,47 @@ def test_parse_design_holds_little_beyond_the_design(assembly112):
     finally:
         tracemalloc.stop()
     assert design.blocks == assembly112.design.blocks
-    assert peak - base <= 3 * (kept - base)
+    assert peak - base <= 1.5 * (kept - base)
+
+
+def test_emit_design_peak_stays_near_the_text(assembly112):
+    # block lines are joined a chunk at a time: the peak is the text, its
+    # pieces and one chunk's lines, not a list of every line's string
+    text = emit_design(assembly112.design)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        again = emit_design(assembly112.design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert peak - base <= 4 * len(text)
+
+
+# every line boundary str.splitlines accepts
+SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_reader_matches_splitlines(monkeypatch):
+    rng = random.Random(20261018)
+    words = ["", "", "a", "0 1 2 3", "KIND SQS", " # note", "\t"]
+    corpus = ["", "\n", "x", "\r\n\r\n", "a\r", "\r\r\n\n", "a\rb\nc",
+              "".join(SEPARATORS), "x".join(SEPARATORS), "\n".join(SEPARATORS)]
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randrange(1, 12)):
+            parts += [rng.choice(words), rng.choice(SEPARATORS)]
+        if rng.random() < 0.5:
+            parts.pop()  # no final line break
+        corpus.append("".join(parts))
+    assert any(text.endswith("a") for text in corpus)  # no final newline
+    assert any("\n\n" in text for text in corpus)  # an empty line
+    for size in (1, 2, 3, 5):
+        monkeypatch.setattr(formats, "_LINE_CHUNK", size)
+        for text in corpus:
+            want = list(enumerate(text.splitlines(), 1))
+            assert list(formats._numbered_lines(text)) == want, (size, text)
 
 
 def reference_parse_design(text):
