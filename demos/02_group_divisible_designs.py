@@ -3,7 +3,8 @@
 
 Every block A of a master SQS is replaced by a transversal design on
 A x Z3 whose blocks {(a0,x),(a1,y),(a2,z),(a3,u)} satisfy a signed
-congruence like x+y-z-u = 0 (mod 3).  The per-block rules are chosen so
+congruence like x+y-z-u = 0 (mod 3).  Each congruence's TD(3,4,3) is
+proved once and lifted onto every block that uses it.  The per-block rules are chosen so
 that the derived design at every point of the result is resolvable; those
 resolutions ship as data files and are re-verified from scratch here.
 """

@@ -5,14 +5,17 @@ action (short orbits detected by iteration, duplicates across orbits are a
 hard error).  The two group divisible designs are built by expanding every
 block of a quadruple-system master into a transversal design on
 block x Z3, where the transversal design is cut out by a signed congruence
-on the second coordinates.  Large tabular data (derived-design
-resolutions, the 28-point base blocks and star certificate) ships as text
-files under data/ and is re-verified by the callers; nothing is trusted
-because it was checked in.
+on the second coordinates.  Each congruence's TD(3,4,3) is built and
+proved once on local points, and ``core.lift`` moves it onto every block
+it fills, as the quadrupling moves its template onto block x Z4.  Large
+tabular data (derived-design resolutions, the 28-point base blocks and
+star certificate) ships as text files under data/ and is re-verified by
+the callers; nothing is trusted because it was checked in.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,13 +32,14 @@ from .core import (
     Shift,
     TableError,
     _permutation,
+    lift,
     make_design,
     plain_labels,
     translate,
     verify_gdd,
     verify_resolution,
 )
-from .star import StarCertificate, load_certificate, verify_star
+from .star import StarCertificate, load_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -106,42 +110,41 @@ def expand_label(lab: Label, j: int) -> Label:
     raise ParameterError(f"cannot expand label kind {lab.kind!r}")
 
 
-def td343(rule: CongruenceRule) -> Gdd:
-    """The 27-block TD(3,4,3) on tuple x Z3 cut out by the congruence."""
-    if any(c not in (1, -1) for c in rule.coeffs):
+def _fibres(v: int) -> tuple[tuple[int, ...], ...]:
+    """The groups {x} x Z3 of points 3x+j."""
+    return tuple((3 * x, 3 * x + 1, 3 * x + 2) for x in range(v))
+
+
+@lru_cache(maxsize=None)
+def congruence_td(coeffs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple[Block, ...]:
+    """The 27-block TD(3,4,3) a congruence cuts out, proved once.
+
+    Local point 3k+j is the rule's k-th point in fibre j; ``lift`` moves the
+    blocks onto any block x Z3.
+    """
+    if any(c not in (1, -1) for c in coeffs):
         raise ParameterError("congruence coefficients must be +1 or -1")
-    labels = sorted(
-        (expand_label(lab, j) for lab in rule.points for j in range(3)),
-        key=Label.sort_key,
-    )
-    index = {lab: i for i, lab in enumerate(labels)}
-    c0, c1, c2, c3 = rule.coeffs
-    inv3 = {1: 1, -1: 2}[c3]  # inverse of c3 mod 3
-    blocks = []
-    for x in range(3):
-        for y in range(3):
-            for z in range(3):
-                u = (inv3 * (rule.rhs[x] - c0 * x - c1 * y - c2 * z)) % 3
-                blocks.append(
-                    (
-                        index[expand_label(rule.points[0], x)],
-                        index[expand_label(rule.points[1], y)],
-                        index[expand_label(rule.points[2], z)],
-                        index[expand_label(rule.points[3], u)],
-                    )
-                )
-    design = make_design(3, {4}, labels, blocks, kind="TD")
-    groups = tuple(
-        sorted(
-            tuple(sorted(index[expand_label(lab, j)] for j in range(3)))
-            for lab in rule.points
-        )
-    )
-    gdd = Gdd(design=design, groups=groups)
-    report = verify_gdd(gdd)
-    if not report.passed:  # unreachable for +-1 coefficients; kept as a guard
+    c0, c1, c2, c3 = coeffs
+    blocks = [
+        # c3 = +-1 is its own inverse mod 3
+        (x, 3 + y, 6 + z, 9 + c3 * (rhs[x] - c0 * x - c1 * y - c2 * z) % 3)
+        for x, y, z in itertools.product(range(3), repeat=3)
+    ]
+    labels = [Label.pair(k, j) for k in range(4) for j in range(3)]
+    td = Gdd(design=make_design(3, {4}, labels, blocks, kind="TD"), groups=_fibres(4))
+    report = verify_gdd(td)
+    if not report.passed:  # a TD iff x -> rhs[x] - c0*x is onto Z3
         raise ConstructionError(f"congruence rule is not a TD: {report.violations[:2]}")
-    return gdd
+    return td.design.blocks
+
+
+def td343(rule: CongruenceRule) -> Gdd:
+    """The rule's TD(3,4,3) on its points x Z3, ids in label order."""
+    order = sorted(rule.points, key=Label.sort_key)
+    labels = [expand_label(lab, j) for lab in order for j in range(3)]
+    td = congruence_td(rule.coeffs, rule.rhs)
+    blocks = lift(td, [order.index(p) for p in rule.points], 3)
+    return Gdd(design=make_design(3, {4}, labels, blocks, kind="TD"), groups=_fibres(4))
 
 
 def rule_for_block(
@@ -181,31 +184,22 @@ def audit_rules(
     return {b: rule_for_block(d, b, table, default) for b in d.blocks}
 
 
-def fill_gdd(master: Design, rules: dict[Block, CongruenceRule], g: int = 3) -> Gdd:
-    """Replace every master block by its transversal design on block x Zg.
+def fill_gdd(master: Design, rules: dict[Block, CongruenceRule]) -> Gdd:
+    """Replace every master block by its rule's TD(3,4,3) on block x Z3.
 
-    The result is a GDD(t, 4, g*v) of type g^v with groups {y} x Zg; its
-    defining property is certified separately by verify_gdd.
+    Point 3x+j is master point x in fibre j.  The result is a GDD(t, 4, 3v)
+    of type 3^v with groups {x} x Z3; its defining property is certified
+    separately by verify_gdd.
     """
-    labels = sorted(
-        (expand_label(lab, j) for lab in master.labels for j in range(g)),
-        key=Label.sort_key,
-    )
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels = [expand_label(lab, j) for lab in master.labels for j in range(3)]
+    index = master.label_index
     blocks: list[Block] = []
     for b in master.blocks:
-        sub = td343(rules[b])
-        sub_labels = sub.design.labels
-        for blk in sub.design.blocks:
-            blocks.append(tuple(sorted(index[sub_labels[p]] for p in blk)))
+        rule = rules[b]
+        td = congruence_td(rule.coeffs, rule.rhs)
+        blocks.extend(lift(td, [index[p] for p in rule.points], 3))
     design = make_design(master.t, {4}, labels, blocks, kind="GDD")
-    groups = tuple(
-        sorted(
-            tuple(sorted(index[expand_label(lab, j)] for j in range(g)))
-            for lab in master.labels
-        )
-    )
-    return Gdd(design=design, groups=groups)
+    return Gdd(design=design, groups=_fibres(master.v))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +405,7 @@ def sqs28_star() -> StarCertificate:
     """The full 28-point star certificate, expanded from 4 seeds and proven."""
     d = sqs28()
     cert = load_certificate(d, formats.parse_star(formats.read_data("sqs28_star.star"), d))
-    verify_star(cert).require("star certificate")
+    cert.report.require("star certificate")
     return cert
 
 

@@ -4,7 +4,9 @@ Points carry structured labels (plain integers, pairs ``a_i``, infinity
 marks ``inf_i``, or GF(16) elements) but are handled internally as dense
 integer ids ``0..v-1``.  Blocks are sorted id tuples.  A design is a block
 multiset with declared strength ``t`` and admitted block sizes ``K``; a GDD
-adds a partition of the points into groups.  Verification is exhaustive:
+adds a partition of the points into groups.  ``lift`` moves a small
+design on local points g*k+i onto block x Zg of a master, the one step
+behind every filled or quadrupled design.  Verification is exhaustive:
 every t-subset of the point set is counted, so a passing report is a proof
 of the defining property, not a spot check.
 
@@ -259,6 +261,14 @@ def make_design(
         canon.append(cb)
     canon.sort()
     return Design(t=t, sizes=sizes, labels=labels, blocks=tuple(canon), kind=kind)
+
+
+def lift(blocks: Iterable[Block], xs: Sequence[int], g: int) -> tuple[Block, ...]:
+    """Blocks on local points g*k+i (point k of a master block, fibre i)
+    moved onto xs x Zg: g*k+i -> g*xs[k]+i.  The map is increasing when xs
+    is, so sorted blocks then lift to sorted blocks."""
+    m = [g * x + i for x in xs for i in range(g)]
+    return tuple(tuple(map(m.__getitem__, b)) for b in blocks)
 
 
 def plain_labels(v: int) -> tuple[Label, ...]:
@@ -587,6 +597,8 @@ def _reindexed_derived(
     label-based lookups keep working; also returns the old -> new id map.
     """
     d = obj.design if isinstance(obj, Gdd) else obj
+    if d.t < 1:
+        raise ParameterError(f"a design of strength {d.t} has no derived design")
     ground, target = derived_frame(obj, x)
     old_to_new = {p: n for n, p in enumerate(ground)}
     design = make_design(

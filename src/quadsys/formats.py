@@ -134,6 +134,8 @@ def parse_design(text: str) -> Design | Gdd:
                 raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
             t = _int(_value(tok, no), key, no)
+            if t < 0:
+                raise ParseError(f"T {t} is negative", no)
         elif key == "V":
             v, v_line = _int(_value(tok, no), key, no), no
         elif key == "K":

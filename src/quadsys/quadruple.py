@@ -7,7 +7,9 @@ a resolvable S(2,4,16).  Inside it sit a parallel class P of four groups
 16 distinguished orbits, resolving into four TD(2,4,4) rows), and a
 remainder that coincides with the two-column blocks cut out by the
 one-factorization F1,F2,F3 of Z4.  Everything is renamed once to
-Z4 x Z4 coordinates and re-verified from scratch at template build time.
+Z4 x Z4 coordinates and re-verified from scratch at template build time;
+``core.lift`` then moves template blocks onto block x Z4, as the catalog
+moves its TD(3,4,3) onto block x Z3.
 
 For an input SQS(v) on points X, the output design on X x Z4 is
 
@@ -28,7 +30,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import gf16
 from .core import (
@@ -42,12 +44,13 @@ from .core import (
     VerifyReport,
     derived_frame,
     is_partition,
+    lift,
     make_design,
     verify_gdd,
     verify_resolution,
     verify_steiner,
 )
-from .star import StarCertificate, StarPointCertificate, verify_star
+from .star import StarCertificate, StarPointCertificate
 
 # one-factorization of Z4: F[s] is a perfect matching on {0,1,2,3}
 FACTORIZATION = (
@@ -59,7 +62,7 @@ FACTORIZATION = (
 # Base-block table of the Boolean SQS(16), one row per S(2,4,16).
 # Elements are alpha-power codes: -1 is the zero element, k >= 0 is a^k.
 # The first block of the first row generates the group parallel class; the
-# blocks flagged in _TD_BASES generate the TD(3,4,4) on those groups.
+# blocks at _TD_ROWS generate the TD(3,4,4) on those groups.
 _ROW_BASES = (
     ((-1, 0, 1, 4), (-1, 2, 3, 6), (-1, 5, 7, 13), (-1, 10, 11, 14), (-1, 8, 9, 12)),
     ((-1, 0, 2, 8), (-1, 1, 7, 14), (-1, 4, 6, 12), (-1, 3, 5, 11), (-1, 9, 10, 13)),
@@ -69,16 +72,13 @@ _ROW_BASES = (
     ((-1, 0, 11, 12), (-1, 1, 3, 9), (-1, 4, 5, 8), (-1, 6, 7, 10), (-1, 2, 13, 14)),
     ((-1, 0, 7, 9), (-1, 1, 2, 5), (-1, 4, 11, 13), (-1, 6, 8, 14), (-1, 3, 10, 12)),
 )
-# positions of the TD-generating base blocks within _ROW_BASES
-_TD_POSITIONS = ((0, 1), (0, 2), (0, 3), (0, 4)) + tuple(
-    (r, c) for r in range(1, 7) for c in (3, 4)
-)
-# rows of the TD(3,4,4) 2-resolution: each row is a resolvable TD(2,4,4)
-_TD_ROW_BASES = (
-    ((-1, 2, 3, 6), (-1, 5, 7, 13), (-1, 10, 11, 14), (-1, 8, 9, 12)),
-    ((-1, 3, 5, 11), (-1, 2, 7, 12), (-1, 9, 10, 13), (-1, 6, 8, 14)),
-    ((-1, 5, 6, 9), (-1, 7, 8, 11), (-1, 2, 13, 14), (-1, 3, 10, 12)),
-    ((-1, 3, 8, 13), (-1, 2, 9, 11), (-1, 5, 12, 14), (-1, 6, 7, 10)),
+# (row, column) positions in _ROW_BASES of the TD-generating base blocks,
+# one line per row of the TD(3,4,4) 2-resolution (a resolvable TD(2,4,4))
+_TD_ROWS = (
+    ((0, 1), (0, 2), (0, 3), (0, 4)),
+    ((1, 3), (3, 3), (1, 4), (6, 3)),
+    ((2, 3), (2, 4), (5, 4), (6, 4)),
+    ((3, 4), (4, 3), (4, 4), (5, 3)),
 )
 # renaming of GF(16) onto Z4 x Z4: row a lists the elements named a_0..a_3
 _RENAMING = (
@@ -164,27 +164,18 @@ def _punctured(rows, p: int) -> tuple[tuple[Block, ...], ...]:
     )
 
 
-def _lift(template_blocks: Iterable[Block], b4: Sequence[int]) -> tuple[Block, ...]:
-    """Template blocks (point 4a+i) moved onto b4 x Z4 (point 4*b4[a]+i).
-
-    The map is increasing when b4 is sorted, so sorted template blocks (all
-    of them are) lift to sorted blocks.
-    """
-    m = [4 * c + i for c in b4 for i in range(4)]
-    return tuple(tuple(map(m.__getitem__, tb)) for tb in template_blocks)
-
-
 @lru_cache(maxsize=None)
 def template() -> Sqs16Template:
     rename = _z_renaming()
     row_classes = tuple(_orbit_classes(row, rename) for row in _ROW_BASES)
-    td_row_classes = tuple(_orbit_classes(row, rename) for row in _TD_ROW_BASES)
+    td_row_classes = tuple(tuple(row_classes[r][c] for r, c in row) for row in _TD_ROWS)
+    td_positions = {pos for row in _TD_ROWS for pos in row}
 
     td_blocks: list[Block] = []
     two_column: list[Block] = []
     for r, row in enumerate(row_classes):
         for c, cls in enumerate(row):
-            if (r, c) in _TD_POSITIONS:
+            if (r, c) in td_positions:
                 td_blocks.extend(cls)
             elif (r, c) != (0, 0):
                 two_column.extend(cls)
@@ -207,10 +198,6 @@ def template() -> Sqs16Template:
     )
 
 
-def _z_labels() -> tuple[Label, ...]:
-    return tuple(Label.pair(a, i) for a in range(4) for i in range(4))
-
-
 @lru_cache(maxsize=None)
 def verify_template() -> VerifyReport:
     """Re-prove every structural claim the construction relies on."""
@@ -226,7 +213,7 @@ def verify_template() -> VerifyReport:
     if len(tpl.blocks) != 140:
         rep.flag("block count", len(tpl.blocks))
 
-    labels = _z_labels()
+    labels = tuple(Label.pair(a, i) for a in range(4) for i in range(4))
     columns = tuple(tuple(range(4 * a, 4 * a + 4)) for a in range(4))
     if tuple(sorted(tpl.group_blocks)) != columns:
         rep.flag("group orbit is not the four columns", tpl.group_blocks)
@@ -288,13 +275,6 @@ def verify_template() -> VerifyReport:
     return rep
 
 
-def _xor_sum(block: Iterable[int]) -> int:
-    acc = 0
-    for e in block:
-        acc ^= e
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # public pieces
 
@@ -302,11 +282,8 @@ def _xor_sum(block: Iterable[int]) -> int:
 def boolean_sqs16() -> Design:
     """The Boolean SQS(16): all zero-sum quadruples of GF(16)."""
     labels = tuple(Label.f16(b) for b in range(16))
-    blocks = [
-        b
-        for b in itertools.combinations(range(16), 4)
-        if _xor_sum(b) == 0
-    ]
+    quads = itertools.combinations(range(16), 4)
+    blocks = [b for b in quads if b[0] ^ b[1] ^ b[2] ^ b[3] == 0]
     return make_design(3, {4}, labels, blocks, kind="SQS")
 
 
@@ -318,7 +295,7 @@ def rdtd_blocks(block: Block) -> list[Block]:
     """
     if len(block) != 4:
         raise ParameterError("TD copies exist only over 4-point blocks")
-    return list(_lift(template().td_blocks, sorted(block)))
+    return list(lift(template().td_blocks, sorted(block), 4))
 
 
 def two_column_blocks(points: Iterable[int]) -> list[Block]:
@@ -353,7 +330,7 @@ def e_classes(b4: Block, x: int, i: int) -> tuple[tuple[Block, ...], ...]:
     """
     bs = sorted(b4)
     zp = 4 * bs.index(x) + i
-    return tuple(_lift(cls, bs) for cls in template().e_derived[zp])
+    return tuple(lift(cls, bs, 4) for cls in template().e_derived[zp])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +400,7 @@ class QuadrupleAssembly:
                         bb = sorted(tri + (x,))
                         zq = 4 * bb.index(x) + i
                         r_prime = r + 2 * occ[(k, l, tri)]
-                        blocks.extend(_lift(td_derived[zq][r_prime], bb))
+                        blocks.extend(lift(td_derived[zq][r_prime], bb, 4))
                     blocks.extend(e_cls[2 * l + r])
                     classes.append(tuple(sorted(blocks)))
         classes.append(tuple(sorted(final)))
@@ -434,7 +411,7 @@ def checked_assembly(cert: StarCertificate) -> QuadrupleAssembly:
     """The SQS(4v), assembled once the template and the certificate are
     proven, and proven to have strength 3 over every point triple."""
     verify_template().require("SQS(16) template")
-    verify_star(cert).require("star certificate")
+    cert.report.require("star certificate")
     asm = QuadrupleAssembly(cert)
     verify_steiner(asm.design).require(f"SQS({asm.design.v})")
     return asm

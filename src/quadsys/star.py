@@ -13,12 +13,14 @@ special class) is checked beside it.
 
 Certificates are expressed in the ids of the ambient design; classes are
 kept in certificate order because the quadrupling construction indexes
-them by (group, class) position.
+them by (group, class) position.  A certificate keeps its ``verify_star``
+report, so every caller that requires the proof shares one run of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Block,
@@ -59,6 +61,11 @@ class StarPointCertificate:
 class StarCertificate:
     design: Design
     per_point: dict[int, StarPointCertificate]
+
+    @cached_property
+    def report(self) -> VerifyReport:
+        """``verify_star`` of this certificate, run once (``per_point`` stays fixed)."""
+        return verify_star(self)
 
 
 def star_multiset(target: tuple[Block, ...], special: tuple[Block, ...]) -> tuple[Block, ...]:

@@ -2,12 +2,25 @@ import time
 
 import pytest
 
-from quadsys import catalog, construct_rdsqs_4v
+from quadsys import catalog, construct_rdsqs_4v, verify_star_point
 
 
 @pytest.fixture(scope="session")
 def star28():
     return catalog.sqs28_star()
+
+
+@pytest.fixture
+def star_point_proofs(monkeypatch):
+    """The points ``verify_star_point`` is called on during the test."""
+    points = []
+
+    def counted(d, cert):
+        points.append(cert.point)
+        return verify_star_point(d, cert)
+
+    monkeypatch.setattr("quadsys.star.verify_star_point", counted)
+    return points
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,30 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from quadsys import (
+    ConstructionError,
     DuplicateBlockError,
+    Gdd,
     Label,
     ParameterError,
     Shift,
     TableError,
     catalog,
     develop,
+    make_design,
     verify_gdd,
     verify_resolution,
     verify_steiner,
 )
+from quadsys.core import VerifyReport
 from quadsys.catalog import (
     BaseBlockSystem,
     CongruenceRule,
     audit_rules,
+    expand_label,
     fill_gdd,
     rule_table_24,
     rule_table_42,
@@ -209,6 +215,176 @@ def test_fill_gdd_of_single_block_master_is_the_td_itself():
     td = td343(rule)
     assert filled.design.blocks == td.design.blocks
     assert filled.groups == td.groups
+
+
+def _reference_td343(rule):
+    """The per-block TD(3,4,3) the catalog built before it lifted one
+    proved TD per congruence, kept as an independent reference."""
+    if any(c not in (1, -1) for c in rule.coeffs):
+        raise ParameterError("congruence coefficients must be +1 or -1")
+    labels = sorted(
+        (expand_label(lab, j) for lab in rule.points for j in range(3)),
+        key=Label.sort_key,
+    )
+    index = {lab: i for i, lab in enumerate(labels)}
+    c0, c1, c2, c3 = rule.coeffs
+    inv3 = {1: 1, -1: 2}[c3]  # inverse of c3 mod 3
+    blocks = []
+    for x in range(3):
+        for y in range(3):
+            for z in range(3):
+                u = (inv3 * (rule.rhs[x] - c0 * x - c1 * y - c2 * z)) % 3
+                blocks.append(
+                    (
+                        index[expand_label(rule.points[0], x)],
+                        index[expand_label(rule.points[1], y)],
+                        index[expand_label(rule.points[2], z)],
+                        index[expand_label(rule.points[3], u)],
+                    )
+                )
+    design = make_design(3, {4}, labels, blocks, kind="TD")
+    groups = tuple(
+        sorted(
+            tuple(sorted(index[expand_label(lab, j)] for j in range(3)))
+            for lab in rule.points
+        )
+    )
+    gdd = Gdd(design=design, groups=groups)
+    report = verify_gdd(gdd)
+    if not report.passed:
+        raise ConstructionError(f"congruence rule is not a TD: {report.violations[:2]}")
+    return gdd
+
+
+def _reference_fill_gdd(master, rules, g=3):
+    labels = sorted(
+        (expand_label(lab, j) for lab in master.labels for j in range(g)),
+        key=Label.sort_key,
+    )
+    index = {lab: i for i, lab in enumerate(labels)}
+    blocks = []
+    for b in master.blocks:
+        sub = _reference_td343(rules[b])
+        sub_labels = sub.design.labels
+        for blk in sub.design.blocks:
+            blocks.append(tuple(sorted(index[sub_labels[p]] for p in blk)))
+    design = make_design(master.t, {4}, labels, blocks, kind="GDD")
+    groups = tuple(
+        sorted(
+            tuple(sorted(index[expand_label(lab, j)] for j in range(g)))
+            for lab in master.labels
+        )
+    )
+    return Gdd(design=design, groups=groups)
+
+
+def _same_gdd(got, want):
+    assert got.design.labels == want.design.labels
+    assert got.design.blocks == want.design.blocks
+    assert got.groups == want.groups
+    assert got.design.kind == want.design.kind
+
+
+def _random_rules(master, rng, any_rhs=False):
+    """A rule per master block: its points shuffled, the 16 sign patterns in
+    turn, a random right-hand side (not reduced mod 3).  Unless ``any_rhs``,
+    x -> rhs[x] - c0*x is onto Z3, which makes the rule a TD."""
+    signs = list(itertools.product((1, -1), repeat=4))
+    rules = {}
+    for i, b in enumerate(master.blocks):
+        points = [master.labels[p] for p in b]
+        rng.shuffle(points)
+        coeffs = signs[i % 16]
+        onto = rng.sample(range(3), 3)
+        rhs = tuple(
+            onto[x] + coeffs[0] * x + 3 * rng.randrange(-1, 2) for x in range(3)
+        )
+        if any_rhs:
+            rhs = tuple(rng.randrange(-4, 7) for _ in range(3))
+        rules[b] = CongruenceRule(points=tuple(points), coeffs=coeffs, rhs=rhs)
+    return rules
+
+
+def test_lifted_fill_matches_the_per_block_reference():
+    rng = random.Random(20261018)
+    cases = [
+        (catalog.sqs8(), audit_rules(catalog.sqs8(), rule_table_24(), default=None)),
+        (
+            catalog.sqs14(),
+            audit_rules(catalog.sqs14(), rule_table_42(), default=catalog._DEFAULT_SUM0),
+        ),
+        (catalog.sqs8(), _random_rules(catalog.sqs8(), rng)),
+        (catalog.sqs14(), _random_rules(catalog.sqs14(), rng)),
+    ]
+    for master, rules in cases:
+        _same_gdd(fill_gdd(master, rules), _reference_fill_gdd(master, rules))
+        for rule in rules.values():
+            _same_gdd(td343(rule), _reference_td343(rule))
+    assert {r.coeffs for r in cases[3][1].values()} == set(
+        itertools.product((1, -1), repeat=4)
+    )
+    # a right-hand side that is not onto cuts out no TD, in both
+    failures = 0
+    for rule in _random_rules(catalog.sqs14(), rng, any_rhs=True).values():
+        try:
+            want = _reference_td343(rule)
+        except ConstructionError:
+            failures += 1
+            with pytest.raises(ConstructionError):
+                td343(rule)
+        else:
+            _same_gdd(td343(rule), want)
+    assert 0 < failures < 91
+
+
+def _clear_fill_caches():
+    for fn in (catalog.congruence_td, catalog.sqs8, catalog.sqs14,
+               catalog.rdgdd24, catalog.rdgdd42):
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["rdgdd24", "rdgdd42"])
+def test_each_congruence_td_is_proved_once(name, monkeypatch):
+    # both tables use 5 distinct congruences, over 14 and 91 master blocks
+    proofs = []
+
+    def counted(g, *args, **kwargs):
+        proofs.append(g.design.v)
+        return verify_gdd(g, *args, **kwargs)
+
+    monkeypatch.setattr("quadsys.catalog.verify_gdd", counted)
+    _clear_fill_caches()
+    try:
+        catalog.GENERATORS[name]()
+    finally:
+        _clear_fill_caches()
+    assert proofs == [12] * 5
+
+
+def test_fill_still_proves_the_td_and_checks_coefficients(monkeypatch):
+    d8 = catalog.sqs8()
+    rules = audit_rules(d8, rule_table_24(), default=None)
+    points = rules[d8.blocks[0]].points
+    bad = CongruenceRule(points=points, coeffs=(1, 1, 2, 1), rhs=(0, 0, 0))
+    with pytest.raises(ParameterError, match="must be \\+1 or -1"):
+        td343(bad)
+    with pytest.raises(ParameterError, match="must be \\+1 or -1"):
+        fill_gdd(d8, {**rules, d8.blocks[0]: bad})
+    not_onto = CongruenceRule(points=points, coeffs=(1, 1, 1, 1), rhs=(0, 1, 2))
+    with pytest.raises(ConstructionError, match="not a TD"):
+        fill_gdd(d8, {**rules, d8.blocks[0]: not_onto})
+
+    failed = VerifyReport()
+    failed.flag("forced failure", None)
+    monkeypatch.setattr("quadsys.catalog.verify_gdd", lambda g: failed)
+    _clear_fill_caches()
+    try:
+        with pytest.raises(ConstructionError, match="forced failure"):
+            fill_gdd(d8, rules)
+        with pytest.raises(ConstructionError, match="forced failure"):
+            td343(rule_table_24()[0])
+    finally:
+        _clear_fill_caches()
 
 
 # ---------------------------------------------------------------------------

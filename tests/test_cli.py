@@ -90,12 +90,13 @@ def run_cli_process(*argv):
         ("KIND\nT 3\nK 4\n", 1),
         ("KIND SQS\nT\nK 4\n", 2),
         ("KIND SQS\nT x\nK 4\n", 2),
+        ("KIND SQS\nT -1\nK 4\n", 2),
         ("KIND SQS\nT 3\nV\nK 4\n", 3),
         ("KIND SQS\nT 3\nV 4.0\nK 4\n", 3),
         ("KIND SQS\nT 3\nK\n", 3),
         ("KIND SQS\nT 3\nK 4 y\n", 3),
     ],
-    ids=["bare KIND", "bare T", "T x", "bare V", "V 4.0", "bare K", "K 4 y"],
+    ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y"],
 )
 def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     path = tmp_path / "bad.design"
@@ -182,6 +183,33 @@ def test_derive_on_a_gdd_writes_the_derived_gdd(tmp_path):
     assert sub.type_multiset == (3,) * 7
     code, out = run_cli("verify", str(out_file))
     assert code == 0 and out.startswith("PASS")
+
+
+def test_negative_strength_exits_2_in_verify_and_report(tmp_path, capsys):
+    for name in ("sqs8", "rdgdd24"):
+        path = tmp_path / f"{name}.design"
+        run_cli("gen", name, "--out", str(path))
+        path.write_text(path.read_text().replace("\nT 3\n", "\nT -1\n", 1))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: T -1 is negative\n"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    shutil.copy(tmp_path / "rdgdd24.design", out_dir / "design.design")
+    assert main(["report", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out_dir / 'design.design'}: line 2: T -1 is negative\n"
+
+
+def test_derive_of_a_strength_0_design_exits_2_writing_nothing(tmp_path, capsys):
+    path = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(path))
+    path.write_text(path.read_text().replace("\nT 3\n", "\nT 0\n", 1))
+    out_file = tmp_path / "derived.design"
+    capsys.readouterr()
+    assert main(["derive", str(path), "inf_0", "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == "error: a design of strength 0 has no derived design\n"
+    assert not out_file.exists()
 
 
 def test_resolve_found_and_exhausted(tmp_path):

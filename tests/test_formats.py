@@ -67,6 +67,17 @@ def test_parse_design_errors_carry_line_numbers():
         parse_design("KIND SQS\nT 3\nK 4\nPOINTS 0 1\nPOINTS 2 1\n0 1 2 3\n")
 
 
+def test_parse_design_rejects_a_negative_strength():
+    good = emit_design(catalog.sqs8())
+    assert good.splitlines()[1] == "T 3"
+    with pytest.raises(ParseError, match="line 2: T -1 is negative"):
+        parse_design(good.replace("T 3", "T -1", 1))
+    gdd = emit_design(catalog.rdgdd24())
+    with pytest.raises(ParseError, match="line 2: T -2 is negative"):
+        parse_design(gdd.replace("T 3", "T -2", 1))
+    assert parse_design(good.replace("T 3", "T 0", 1)).t == 0
+
+
 def test_parse_design_requires_headers():
     with pytest.raises(ParseError):
         parse_design("0 1 2\n")

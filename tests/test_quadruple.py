@@ -2,9 +2,14 @@ import itertools
 import math
 from collections import Counter
 
+import pytest
+
 from quadsys import (
+    DataIntegrityError,
     StarGroup,
     StarPointCertificate,
+    catalog,
+    construct_rdsqs_4v,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -15,6 +20,7 @@ from quadsys.quadruple import (
     QuadrupleAssembly,
     assemble_design,
     boolean_sqs16,
+    checked_assembly,
     e_classes,
     occurrence_map,
     rdtd_blocks,
@@ -225,6 +231,28 @@ def test_corrupted_certificate_fails_loudly(star28):
     # point_resolution only assembles; verify_resolution is the proof
     for p in range(4):
         assert not verify_resolution(asm.point_resolution(p)).passed, p
+
+
+def test_assembly_rejects_a_certificate_that_fails(star28):
+    pc = star28.per_point[5]
+    bad = StarPointCertificate(point=5, special=pc.special, groups=pc.groups[1:])
+    cert = StarCertificate(design=star28.design, per_point={**star28.per_point, 5: bad})
+    with pytest.raises(DataIntegrityError, match="star certificate failed"):
+        checked_assembly(cert)
+    with pytest.raises(DataIntegrityError, match="star certificate failed"):
+        construct_rdsqs_4v(cert)
+
+
+def test_library_path_proves_each_star_point_once(star_point_proofs):
+    # sqs28_star proves the certificate and construct_rdsqs_4v requires
+    # the same proof: one run at each of the 28 points, not two
+    catalog.sqs28_star.cache_clear()
+    try:
+        asm = construct_rdsqs_4v(catalog.sqs28_star())
+    finally:
+        catalog.sqs28_star.cache_clear()
+    assert asm.design.v == 112
+    assert sorted(star_point_proofs) == list(range(28))
 
 
 def test_construction_is_deterministic(star28, assembly112):

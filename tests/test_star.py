@@ -91,6 +91,28 @@ def test_full_star_certificate_verifies(star28):
     assert rep.counts == {"points": 28, "blocks": 819}
 
 
+def test_certificate_keeps_one_star_proof(d28, seeds, star_point_proofs):
+    cert = load_certificate(d28, seeds)
+    assert cert.report is cert.report and cert.report.passed
+    assert sorted(star_point_proofs) == list(range(28))
+
+
+def test_catalog_rejects_a_star_certificate_that_fails(star28, monkeypatch):
+    pc = star28.per_point[5]
+    bad = StarPointCertificate(point=5, special=pc.special, groups=pc.groups[1:])
+    per_point = {**star28.per_point, 5: bad}
+    monkeypatch.setattr(
+        "quadsys.catalog.load_certificate",
+        lambda d, seeds: StarCertificate(design=d, per_point=per_point),
+    )
+    catalog.sqs28_star.cache_clear()
+    try:
+        with pytest.raises(DataIntegrityError, match="star certificate failed"):
+            catalog.sqs28_star()
+    finally:
+        catalog.sqs28_star.cache_clear()
+
+
 def test_corrupted_common_triple_fails(d28, seeds):
     cert = seeds["0_0"]
     other = seeds["0_0"].groups[1].common
