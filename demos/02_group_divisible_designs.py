@@ -3,20 +3,22 @@
 
 Every block A of a master SQS is replaced by a transversal design on
 A x Z3 whose blocks {(a0,x),(a1,y),(a2,z),(a3,u)} satisfy a signed
-congruence like x+y-z-u = 0 (mod 3).  Each congruence's TD(3,4,3) is
-proved once and lifted onto every block that uses it.  The per-block rules are chosen so
-that the derived design at every point of the result is resolvable; those
-resolutions ship as data files and are re-verified from scratch here.
+congruence like x+y-z-u = 0 (mod 3).  ``congruence_td`` builds each
+congruence's TD(3,4,3) on local points 3k+j (the rule's k-th point in
+fibre j) and proves it once; ``fill_gdd`` lifts it onto every block that
+uses it.  The per-block rules are chosen so that the derived design at
+every point of the result is resolvable; those resolutions ship as data
+files and are re-verified from scratch here.
 """
 
 from quadsys import catalog, derived_gdd, verify_gdd, verify_resolution
-from quadsys.catalog import rule_table_24, td343
+from quadsys.catalog import congruence_td, rule_table_24
 
 rule = rule_table_24()[0]
-td = td343(rule)
-print("one congruence rule expands to a TD(3,4,3):",
-      len(td.design.blocks), "blocks on", td.design.v, "points,",
-      "verified" if verify_gdd(td).passed else "BROKEN")
+td = congruence_td(rule.coeffs, rule.rhs)
+print("one congruence rule cuts out a TD(3,4,3), proved when built:",
+      len(td), "blocks on", len({p for b in td for p in b}), "local points,",
+      "first block", td[0])
 
 for name, points in (("rdgdd24", 24), ("rdgdd42", 42)):
     g = catalog.GENERATORS[name]()

@@ -44,7 +44,6 @@ from .catalog import (
     rdgdd24_resolutions,
     rdgdd42,
     rdgdd42_resolutions,
-    rule_for_block,
     sqs8,
     sqs14,
     sqs16,
@@ -52,16 +51,11 @@ from .catalog import (
     sqs22_resolutions,
     sqs28,
     sqs28_star,
-    td343,
 )
 from .quadruple import (
     QuadrupleAssembly,
-    assemble_design,
     boolean_sqs16,
     construct_rdsqs_4v,
-    e_classes,
-    rdtd_blocks,
-    two_column_blocks,
 )
 from .resolver import SearchOutcome, confirm_rds, find_parallel_class, find_resolution
 from .star import (

@@ -5,12 +5,14 @@ action (short orbits detected by iteration, duplicates across orbits are a
 hard error).  The two group divisible designs are built by expanding every
 block of a quadruple-system master into a transversal design on
 block x Z3, where the transversal design is cut out by a signed congruence
-on the second coordinates.  Each congruence's TD(3,4,3) is built and
-proved once on local points, and ``core.lift`` moves it onto every block
-it fills, as the quadrupling moves its template onto block x Z4.  Large
-tabular data (derived-design resolutions, the 28-point base blocks and
-star certificate) ships as text files under data/ and is re-verified by
-the callers; nothing is trusted because it was checked in.
+on the second coordinates; ``audit_rules`` gives each master block its
+table row, or the default congruence on its points.  Each congruence's
+TD(3,4,3) is built and proved once on local points, and ``core.lift``
+moves it onto every block it fills, as the quadrupling moves its template
+onto block x Z4.  Large tabular data (derived-design resolutions, the
+28-point base blocks and star certificate) ships as text files under data/
+and is re-verified by the callers; nothing is trusted because it was
+checked in.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .core import (
     Resolution,
     Shift,
     TableError,
-    _permutation,
     lift,
     make_design,
+    mover,
     plain_labels,
     translate,
     verify_gdd,
@@ -61,7 +63,7 @@ class BaseBlockSystem:
 def develop(sys: BaseBlockSystem) -> Design:
     """Union of the base-block orbits, each block appearing exactly once."""
     index = {lab: i for i, lab in enumerate(sys.labels)}
-    perm = _permutation(sys.labels, index, sys.action)
+    move = mover(sys.labels, sys.action)
     seen: dict[Block, tuple[Label, ...]] = {}
     blocks: list[Block] = []
     for base in sys.base_blocks:
@@ -74,7 +76,7 @@ def develop(sys: BaseBlockSystem) -> Design:
                 )
             seen[b] = base
             blocks.append(b)
-            b = tuple(sorted(perm[p] for p in b))
+            b = move(b)
             if b == start:
                 break
     return make_design(sys.t, sys.sizes, sys.labels, blocks, kind=sys.kind)
@@ -138,50 +140,31 @@ def congruence_td(coeffs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple[Block,
     return td.design.blocks
 
 
-def td343(rule: CongruenceRule) -> Gdd:
-    """The rule's TD(3,4,3) on its points x Z3, ids in label order."""
-    order = sorted(rule.points, key=Label.sort_key)
-    labels = [expand_label(lab, j) for lab in order for j in range(3)]
-    td = congruence_td(rule.coeffs, rule.rhs)
-    blocks = lift(td, [order.index(p) for p in rule.points], 3)
-    return Gdd(design=make_design(3, {4}, labels, blocks, kind="TD"), groups=_fibres(4))
-
-
-def rule_for_block(
-    d: Design, block: Block, table: tuple[CongruenceRule, ...],
-    default: CongruenceRule | None = None,
-) -> CongruenceRule:
-    """The unique table row matching a developed block (set equality)."""
-    want = frozenset(d.labels[p] for p in block)
-    hits = [r for r in table if r.key() == want]
-    if len(hits) > 1:
-        raise TableError(f"block {block} matches {len(hits)} rows")
-    if hits:
-        return hits[0]
-    if default is not None:
-        return CongruenceRule(
-            points=tuple(d.labels[p] for p in block),
-            coeffs=default.coeffs,
-            rhs=default.rhs,
-        )
-    raise TableError(f"block {block} matches no row")
-
-
 def audit_rules(
     d: Design, table: tuple[CongruenceRule, ...], default: CongruenceRule | None
 ) -> dict[Block, CongruenceRule]:
-    """Match every block to exactly one rule; any inconsistency is an error."""
+    """The rule of every block: its table row (set equality) or else
+    ``default`` on its points; any inconsistency is an error."""
     blocks = {frozenset(d.labels[p] for p in b): b for b in d.blocks}
     if len(blocks) != len(d.blocks):
         raise TableError("design has repeated blocks")
-    used = set()
+    rows: dict[Block, CongruenceRule] = {}
     for ri, rule in enumerate(table):
-        if rule.key() not in blocks:
+        b = blocks.get(rule.key())
+        if b is None:
             raise TableError(f"row {ri} ({[l.text for l in rule.points]}) is not a block")
-        if rule.key() in used:
+        if b in rows:
             raise TableError(f"row {ri} duplicates an earlier row")
-        used.add(rule.key())
-    return {b: rule_for_block(d, b, table, default) for b in d.blocks}
+        rows[b] = rule
+    rules = {}
+    for b in d.blocks:
+        rule = rows.get(b)
+        if rule is None:
+            if default is None:
+                raise TableError(f"block {b} matches no row")
+            rule = CongruenceRule(tuple(d.labels[p] for p in b), default.coeffs, default.rhs)
+        rules[b] = rule
+    return rules
 
 
 def fill_gdd(master: Design, rules: dict[Block, CongruenceRule]) -> Gdd:
@@ -189,14 +172,15 @@ def fill_gdd(master: Design, rules: dict[Block, CongruenceRule]) -> Gdd:
 
     Point 3x+j is master point x in fibre j.  The result is a GDD(t, 4, 3v)
     of type 3^v with groups {x} x Z3; its defining property is certified
-    separately by verify_gdd.
+    separately by verify_gdd.  A right-hand side is reduced mod 3 first, so
+    equal congruences share one cached, proved TD.
     """
     labels = [expand_label(lab, j) for lab in master.labels for j in range(3)]
     index = master.label_index
     blocks: list[Block] = []
     for b in master.blocks:
         rule = rules[b]
-        td = congruence_td(rule.coeffs, rule.rhs)
+        td = congruence_td(rule.coeffs, tuple(m % 3 for m in rule.rhs))
         blocks.extend(lift(td, [index[p] for p in rule.points], 3))
     design = make_design(master.t, {4}, labels, blocks, kind="GDD")
     return Gdd(design=design, groups=_fibres(master.v))

@@ -6,7 +6,9 @@ integer ids ``0..v-1``.  Blocks are sorted id tuples.  A design is a block
 multiset with declared strength ``t`` and admitted block sizes ``K``; a GDD
 adds a partition of the points into groups.  ``lift`` moves a small
 design on local points g*k+i onto block x Zg of a master, the one step
-behind every filled or quadrupled design.  Verification is exhaustive:
+behind every filled or quadrupled design.  ``mover`` carries blocks round
+a label action, the one step behind orbit development and the translated
+resolutions and star certificates.  Verification is exhaustive:
 every t-subset of the point set is counted, so a passing report is a proof
 of the defining property, not a spot check.
 
@@ -30,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
 
@@ -72,7 +74,7 @@ class Label:
     kind "plain": the integer ``a``       -> text "a"
     kind "pair":  the pair ``(a, i)``     -> text "a_i"
     kind "inf":   infinity mark ``i``     -> text "inf_i"
-    kind "f16":   GF(16) element ``a``    -> text "0", "1" or "a^k"
+    kind "f16":   GF(16) element ``a``    -> text "a^k" (0 and 1 are plain)
     """
 
     kind: str
@@ -93,13 +95,7 @@ class Label:
 
     @staticmethod
     def f16(bits: int) -> "Label":
-        return Label("f16", bits)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        # infinity labels sort after everything else
-        if self.kind == "inf":
-            return (1, self.i, 0)
-        return (0, self.a, self.i)
+        return Label.plain(bits) if bits < 2 else Label("f16", bits)
 
     @property
     def text(self) -> str:
@@ -112,9 +108,6 @@ class Label:
         from . import gf16
 
         return gf16.text(self.a)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
 
 
 def parse_label(text: str) -> Label:
@@ -160,9 +153,6 @@ class Shift:
         if lab.kind == "inf":
             return lab
         raise ParameterError(f"shift undefined for label kind {lab.kind!r}")
-
-    def inverse(self) -> "Shift":
-        return Shift(-self.delta % self.modulus, self.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +271,6 @@ class Gdd:
 
     design: Design
     groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def type_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(len(g) for g in self.groups))
 
     @cached_property
     def group_of(self) -> tuple[int, ...]:
@@ -627,7 +613,10 @@ def derived_gdd(g: Gdd, x: Label | str | int) -> Gdd:
     return Gdd(design=design, groups=groups)
 
 
-def _permutation(labels: Sequence[Label], index: dict[Label, int], action) -> list[int]:
+def mover(labels: Sequence[Label], action) -> Callable[[Block], Block]:
+    """The map a label permutation induces on blocks of ids into ``labels``:
+    a block goes to the sorted tuple of its points' images."""
+    index = {lab: i for i, lab in enumerate(labels)}
     perm = []
     for lab in labels:
         img = action(lab)
@@ -636,33 +625,17 @@ def _permutation(labels: Sequence[Label], index: dict[Label, int], action) -> li
         perm.append(index[img])
     if len(set(perm)) != len(perm):
         raise ParameterError("action is not a bijection on the labels")
-    return perm
+    return lambda b: tuple(sorted(map(perm.__getitem__, b)))
 
 
-def translate(obj, action, labels: Sequence[Label] | None = None):
-    """Image of a design, GDD, or resolution under a label permutation."""
-    if isinstance(obj, Design):
-        perm = _permutation(obj.labels, obj.label_index, action)
-        blocks = sorted(tuple(sorted(perm[p] for p in b)) for b in obj.blocks)
-        return Design(obj.t, obj.sizes, obj.labels, tuple(blocks), obj.kind)
-    if isinstance(obj, Gdd):
-        design = translate(obj.design, action)
-        perm = _permutation(obj.design.labels, obj.design.label_index, action)
-        groups = sorted(tuple(sorted(perm[p] for p in cell)) for cell in obj.groups)
-        return Gdd(design=design, groups=tuple(groups))
-    if isinstance(obj, Resolution):
-        if labels is None:
-            raise ParameterError("translating a resolution needs the label table")
-        index = {lab: i for i, lab in enumerate(labels)}
-        perm = _permutation(labels, index, action)
-        ground = tuple(sorted(perm[p] for p in obj.ground))
-        classes = tuple(
-            tuple(sorted(tuple(sorted(perm[p] for p in b)) for b in cls))
-            for cls in obj.classes
-        )
-        target = tuple(sorted(tuple(sorted(perm[p] for p in b)) for b in obj.target))
-        return Resolution(ground=ground, classes=classes, target=target)
-    raise ParameterError(f"cannot translate {type(obj).__name__}")
+def translate(res: Resolution, action, labels: Sequence[Label]) -> Resolution:
+    """Image of a resolution in the ids of ``labels`` under a label permutation."""
+    move = mover(labels, action)
+    return Resolution(
+        ground=move(res.ground),
+        classes=tuple(tuple(sorted(map(move, cls))) for cls in res.classes),
+        target=tuple(sorted(map(move, res.target))),
+    )
 
 
 def admissible(kind: str, v: int) -> bool:

@@ -271,10 +271,7 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
         else:
             if cls is None:
                 raise ParseError("block line outside a CLASS", no)
-            try:
-                cls.append(tuple(sorted(index[x] for x in tok)))
-            except KeyError as exc:
-                raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
+            cls.append(_block_ids(index, tok, no))
     _close_class(cls, cls_line)
     if not sections:
         raise ParseError("no POINT section found", 1)
@@ -285,6 +282,14 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
             raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", no)
         out[point] = tuple(tuple(sorted(c)) for c in classes)
     return out
+
+
+def _block_ids(index: dict[str, int], tok: list[str], no: int) -> Block:
+    """The sorted ids of the labels of a certificate block line ``no``."""
+    try:
+        return tuple(sorted(map(index.__getitem__, tok)))
+    except KeyError as exc:
+        raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
 
 
 def _close_class(cls, no: int) -> None:
@@ -337,12 +342,6 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
     classes: list[tuple[int, list[Block]]] | None = None  # (CLASS line, triples)
     dest: list[Block] | None = None  # where block lines go: SPECIAL or the last CLASS
 
-    def parse_block(tok, no) -> Block:
-        try:
-            return tuple(sorted(index[x] for x in tok))
-        except KeyError as exc:
-            raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
-
     def close_group() -> None:
         nonlocal common, classes
         if common is None:
@@ -390,7 +389,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
             dest = None
         elif key == "COMMON":
             close_group()
-            common, group_line, classes, dest = parse_block(tok[1:], no), no, [], None
+            common, group_line, classes, dest = _block_ids(index, tok[1:], no), no, [], None
         elif key == "CLASS":
             if classes is None:
                 raise ParseError("CLASS before COMMON in a GROUP", no)
@@ -401,7 +400,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
         elif dest is None:
             raise ParseError("block line outside SPECIAL or CLASS", no)
         else:
-            dest.append(parse_block(tok, no))
+            dest.append(_block_ids(index, tok, no))
     close_point()
     if not points:
         raise ParseError("no POINT section found", 1)

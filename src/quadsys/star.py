@@ -29,10 +29,10 @@ from .core import (
     Resolution,
     Shift,
     VerifyReport,
-    _permutation,
     admissible,
     derived_frame,
     is_partition,
+    mover,
     verify_resolution,
     verify_steiner,
 )
@@ -110,19 +110,17 @@ def translate_star_point(
     d: Design, cert: StarPointCertificate, action: Shift
 ) -> StarPointCertificate:
     """Image of a point certificate under a label automorphism."""
-    perm = _permutation(d.labels, d.label_index, action)
-
-    def move(b: Block) -> Block:
-        return tuple(sorted(perm[p] for p in b))
+    move = mover(d.labels, action)
 
     def move_class(cls: tuple[Block, ...]) -> tuple[Block, ...]:
-        return tuple(sorted(move(b) for b in cls))
+        return tuple(sorted(map(move, cls)))
 
+    (point,) = move((cert.point,))
     return StarPointCertificate(
-        point=perm[cert.point],
-        special=tuple(sorted(move(b) for b in cert.special)),
+        point=point,
+        special=move_class(cert.special),
         groups=tuple(
-            StarGroup(common=move(g.common), classes=tuple(move_class(c) for c in g.classes))
+            StarGroup(common=move(g.common), classes=tuple(map(move_class, g.classes)))
             for g in cert.groups
         ),
     )

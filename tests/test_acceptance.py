@@ -64,7 +64,7 @@ def test_criterion_2_rdgdd24():
     t0 = time.perf_counter()
     g = catalog.rdgdd24()
     ok = len(g.design.blocks) == 378
-    ok &= g.type_multiset == (3,) * 8
+    ok &= sorted(map(len, g.groups)) == [3] * 8
     ok &= verify_gdd(g).passed
     res = catalog.rdgdd24_resolutions()
     ok &= len(res) == 24
@@ -81,7 +81,7 @@ def test_criterion_3_rdgdd42():
     t0 = time.perf_counter()
     g = catalog.rdgdd42()
     ok = len(g.design.blocks) == 2457
-    ok &= g.type_multiset == (3,) * 14
+    ok &= sorted(map(len, g.groups)) == [3] * 14
     ok &= verify_gdd(g).passed
     res = catalog.rdgdd42_resolutions()
     ok &= len(res) == 42

@@ -24,12 +24,11 @@ from quadsys.catalog import (
     BaseBlockSystem,
     CongruenceRule,
     audit_rules,
+    congruence_td,
     expand_label,
     fill_gdd,
     rule_table_24,
     rule_table_42,
-    rule_for_block,
-    td343,
 )
 
 
@@ -94,15 +93,28 @@ def test_sqs14_orbits_all_have_length_7():
 # congruence rules
 
 
+def _label_key(lab):
+    """Label order for the tests' one-block masters and references:
+    infinity labels last."""
+    return (1, lab.i, 0) if lab.kind == "inf" else (0, lab.a, lab.i)
+
+
+def _one_block_fill(rule):
+    """``fill_gdd`` of a one-block master on the rule's points, in label order:
+    the rule's TD(3,4,3), ids in label order."""
+    master = make_design(3, {4}, sorted(rule.points, key=_label_key), [(0, 1, 2, 3)])
+    return fill_gdd(master, {(0, 1, 2, 3): rule})
+
+
 def test_td343_from_constant_rule():
     rule = CongruenceRule(
         points=tuple(Label.plain(n) for n in (0, 1, 2, 5)),
         coeffs=(1, 1, 1, 1),
         rhs=(0, 0, 0),
     )
-    g = td343(rule)
+    g = _one_block_fill(rule)
     assert len(g.design.blocks) == 27
-    assert g.type_multiset == (3, 3, 3, 3)
+    assert sorted(map(len, g.groups)) == [3] * 4
     assert verify_gdd(g).passed
     for b in g.design.blocks:
         assert len({p // 3 for p in b}) == 4  # ids are grouped in threes
@@ -114,14 +126,14 @@ def test_td343_from_tabulated_rule():
         coeffs=(1, 1, -1, 1),
         rhs=(0, 2, 1),
     )
-    g = td343(rule)
+    g = _one_block_fill(rule)
     assert len(g.design.blocks) == 27
     assert verify_gdd(g).passed
 
 
 def test_td343_brute_force_cross_triple_coverage():
     rule = rule_table_24()[0]
-    g = td343(rule)
+    g = _one_block_fill(rule)
     blocks = set(g.design.blocks)
     gof = g.group_of
     cover = {
@@ -140,24 +152,30 @@ def test_rule_tables_expand_to_the_documented_row_counts():
     assert len(rule_table_42()) == 22
 
 
-def test_rule_for_block_matches_documented_rows():
+def test_audit_rules_matches_documented_rows():
     d8 = catalog.sqs8()
     block = tuple(sorted(d8.point(x) for x in ("inf_0", "2", "3", "5")))
-    rule = rule_for_block(d8, block, rule_table_24())
+    rule = audit_rules(d8, rule_table_24(), default=None)[block]
     assert [lab.text for lab in rule.points] == ["inf_0", "2", "3", "5"]
     assert rule.rhs == (0, 0, 0)
 
     d14 = catalog.sqs14()
     block = tuple(sorted(d14.point(x) for x in ("0", "2", "7", "9")))
-    rule = rule_for_block(d14, block, rule_table_42())
+    rule = audit_rules(d14, rule_table_42(), default=catalog._DEFAULT_SUM0)[block]
     assert rule.rhs == (2, 1, 0)
     assert rule.coeffs == (1, 1, 1, 1)
+    # a block with no row takes the default congruence on its own points
+    block = tuple(sorted(d14.point(x) for x in ("0", "1", "2", "3")))
+    rule = audit_rules(d14, rule_table_42(), default=catalog._DEFAULT_SUM0)[block]
+    assert [lab.text for lab in rule.points] == ["0", "1", "2", "3"]
+    assert (rule.coeffs, rule.rhs) == ((1, 1, 1, 1), (0, 0, 0))
 
 
 def test_audit_rules_matches_every_block_exactly_once():
     d8 = catalog.sqs8()
     rules = audit_rules(d8, rule_table_24(), default=None)
     assert len(rules) == 14
+    assert list(rules) == list(d8.blocks)
     d14 = catalog.sqs14()
     rules42 = audit_rules(d14, rule_table_42(), default=catalog._DEFAULT_SUM0)
     assert len(rules42) == 91
@@ -168,10 +186,27 @@ def test_audit_rules_matches_every_block_exactly_once():
     assert defaulted == 91 - 22
 
 
-def test_rule_for_block_without_default_raises_on_miss():
-    d14 = catalog.sqs14()
-    with pytest.raises(TableError):
-        rule_for_block(d14, d14.blocks[0], rule_table_24())
+def _table_error(*args):
+    with pytest.raises(TableError) as err:
+        audit_rules(*args)
+    return str(err.value)
+
+
+def test_audit_rules_without_default_raises_on_a_block_with_no_row():
+    d8 = catalog.sqs8()
+    # row 0 is the only row for the block inf_0 0 1 3
+    assert sorted(map(d8.point, rule_table_24()[0].points)) == [0, 1, 3, 7]
+    assert _table_error(d8, rule_table_24()[1:], None) == "block (0, 1, 3, 7) matches no row"
+    # with a default, the same table is complete
+    assert len(audit_rules(d8, rule_table_24()[1:], catalog._DEFAULT_SUM0)) == 14
+
+
+def test_audit_rejects_a_repeated_row_and_a_repeated_block():
+    d8 = catalog.sqs8()
+    table = rule_table_24()
+    assert _table_error(d8, table + (table[3],), None) == "row 14 duplicates an earlier row"
+    twice = make_design(3, {4}, d8.labels, d8.blocks + d8.blocks[:1])
+    assert _table_error(twice, table, None) == "design has repeated blocks"
 
 
 def test_audit_rejects_rows_that_are_not_blocks():
@@ -181,8 +216,9 @@ def test_audit_rejects_rows_that_are_not_blocks():
         coeffs=(1, 1, 1, 1),
         rhs=(0, 0, 0),
     )
-    with pytest.raises(TableError):
-        audit_rules(d8, rule_table_24() + (bogus,), default=None)
+    assert _table_error(d8, rule_table_24() + (bogus,), None) == (
+        "row 14 (['0', '1', '2', '3']) is not a block"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +228,29 @@ def test_audit_rejects_rows_that_are_not_blocks():
 def test_rdgdd24_block_count_and_verification():
     g = catalog.rdgdd24()
     assert len(g.design.blocks) == 14 * 27 == 378
-    assert g.type_multiset == (3,) * 8
+    assert sorted(map(len, g.groups)) == [3] * 8
     assert verify_gdd(g).passed
 
 
 def test_rdgdd42_block_count_and_verification():
     g = catalog.rdgdd42()
     assert len(g.design.blocks) == 91 * 27 == 2457
-    assert g.type_multiset == (3,) * 14
+    assert sorted(map(len, g.groups)) == [3] * 14
     assert verify_gdd(g).passed
 
 
 def test_fill_gdd_of_single_block_master_is_the_td_itself():
     labels = tuple(Label.plain(n) for n in range(4))
-    from quadsys import make_design
-
     master = make_design(3, {4}, labels, [(0, 1, 2, 3)], kind="RAW")
     rule = CongruenceRule(
         points=labels, coeffs=(1, 1, 1, 1), rhs=(0, 0, 0)
     )
     filled = fill_gdd(master, {(0, 1, 2, 3): rule})
-    td = td343(rule)
-    assert filled.design.blocks == td.design.blocks
-    assert filled.groups == td.groups
+    assert filled.design.blocks == congruence_td(rule.coeffs, rule.rhs)
+    assert filled.groups == tuple(tuple(range(3 * k, 3 * k + 3)) for k in range(4))
+    assert filled.design.labels == tuple(
+        Label.pair(k, j) for k in range(4) for j in range(3)
+    )
 
 
 def _reference_td343(rule):
@@ -224,7 +260,7 @@ def _reference_td343(rule):
         raise ParameterError("congruence coefficients must be +1 or -1")
     labels = sorted(
         (expand_label(lab, j) for lab in rule.points for j in range(3)),
-        key=Label.sort_key,
+        key=_label_key,
     )
     index = {lab: i for i, lab in enumerate(labels)}
     c0, c1, c2, c3 = rule.coeffs
@@ -259,7 +295,7 @@ def _reference_td343(rule):
 def _reference_fill_gdd(master, rules, g=3):
     labels = sorted(
         (expand_label(lab, j) for lab in master.labels for j in range(g)),
-        key=Label.sort_key,
+        key=_label_key,
     )
     index = {lab: i for i, lab in enumerate(labels)}
     blocks = []
@@ -282,7 +318,6 @@ def _same_gdd(got, want):
     assert got.design.labels == want.design.labels
     assert got.design.blocks == want.design.blocks
     assert got.groups == want.groups
-    assert got.design.kind == want.design.kind
 
 
 def _random_rules(master, rng, any_rhs=False):
@@ -317,9 +352,11 @@ def test_lifted_fill_matches_the_per_block_reference():
         (catalog.sqs14(), _random_rules(catalog.sqs14(), rng)),
     ]
     for master, rules in cases:
-        _same_gdd(fill_gdd(master, rules), _reference_fill_gdd(master, rules))
+        filled = fill_gdd(master, rules)
+        _same_gdd(filled, _reference_fill_gdd(master, rules))
+        assert filled.design.kind == "GDD"
         for rule in rules.values():
-            _same_gdd(td343(rule), _reference_td343(rule))
+            _same_gdd(_one_block_fill(rule), _reference_td343(rule))
     assert {r.coeffs for r in cases[3][1].values()} == set(
         itertools.product((1, -1), repeat=4)
     )
@@ -331,9 +368,9 @@ def test_lifted_fill_matches_the_per_block_reference():
         except ConstructionError:
             failures += 1
             with pytest.raises(ConstructionError):
-                td343(rule)
+                _one_block_fill(rule)
         else:
-            _same_gdd(td343(rule), want)
+            _same_gdd(_one_block_fill(rule), want)
     assert 0 < failures < 91
 
 
@@ -343,9 +380,8 @@ def _clear_fill_caches():
         fn.cache_clear()
 
 
-@pytest.mark.parametrize("name", ["rdgdd24", "rdgdd42"])
-def test_each_congruence_td_is_proved_once(name, monkeypatch):
-    # both tables use 5 distinct congruences, over 14 and 91 master blocks
+def _count_td_proofs(monkeypatch):
+    """The point count of every GDD ``catalog`` proves from now on."""
     proofs = []
 
     def counted(g, *args, **kwargs):
@@ -353,6 +389,13 @@ def test_each_congruence_td_is_proved_once(name, monkeypatch):
         return verify_gdd(g, *args, **kwargs)
 
     monkeypatch.setattr("quadsys.catalog.verify_gdd", counted)
+    return proofs
+
+
+@pytest.mark.parametrize("name", ["rdgdd24", "rdgdd42"])
+def test_each_congruence_td_is_proved_once(name, monkeypatch):
+    # both tables use 5 distinct congruences, over 14 and 91 master blocks
+    proofs = _count_td_proofs(monkeypatch)
     _clear_fill_caches()
     try:
         catalog.GENERATORS[name]()
@@ -361,13 +404,28 @@ def test_each_congruence_td_is_proved_once(name, monkeypatch):
     assert proofs == [12] * 5
 
 
+def test_an_unreduced_rhs_shares_the_reduced_td_proof(monkeypatch):
+    proofs = _count_td_proofs(monkeypatch)
+    points = tuple(Label.plain(n) for n in range(4))
+    _clear_fill_caches()
+    try:
+        fills = [
+            _one_block_fill(CongruenceRule(points=points, coeffs=(1, 1, 1, 1), rhs=rhs))
+            for rhs in ((0, 0, 0), (3, 3, 3))
+        ]
+    finally:
+        _clear_fill_caches()
+    assert fills[0].design.blocks == fills[1].design.blocks
+    assert proofs == [12]
+
+
 def test_fill_still_proves_the_td_and_checks_coefficients(monkeypatch):
     d8 = catalog.sqs8()
     rules = audit_rules(d8, rule_table_24(), default=None)
     points = rules[d8.blocks[0]].points
     bad = CongruenceRule(points=points, coeffs=(1, 1, 2, 1), rhs=(0, 0, 0))
     with pytest.raises(ParameterError, match="must be \\+1 or -1"):
-        td343(bad)
+        congruence_td(bad.coeffs, bad.rhs)
     with pytest.raises(ParameterError, match="must be \\+1 or -1"):
         fill_gdd(d8, {**rules, d8.blocks[0]: bad})
     not_onto = CongruenceRule(points=points, coeffs=(1, 1, 1, 1), rhs=(0, 1, 2))
@@ -382,7 +440,7 @@ def test_fill_still_proves_the_td_and_checks_coefficients(monkeypatch):
         with pytest.raises(ConstructionError, match="forced failure"):
             fill_gdd(d8, rules)
         with pytest.raises(ConstructionError, match="forced failure"):
-            td343(rule_table_24()[0])
+            congruence_td(rule_table_24()[0].coeffs, rule_table_24()[0].rhs)
     finally:
         _clear_fill_caches()
 

@@ -33,6 +33,7 @@ from quadsys.core import (
     _mismatches,
     VerifyReport,
     is_partition,
+    mover,
     parse_label,
     plain_labels,
     subset_rank,
@@ -111,18 +112,20 @@ def test_design_point_rejects_a_malformed_label_as_a_parameter_error():
             d.point(text)
 
 
-def test_label_sort_order_puts_infinity_last():
-    labs = [Label.inf(0), Label.pair(0, 1), Label.plain(5), Label.pair(4, 0)]
-    ordered = sorted(labs, key=Label.sort_key)
-    assert ordered[-1] == Label.inf(0)
-    assert ordered[0] in (Label.pair(0, 1),)
+def test_a_gf16_label_has_one_identity():
+    # 0 and 1 print as plain integers, so they are the plain labels
+    assert Label.f16(0) == Label.plain(0) and Label.f16(1) == Label.plain(1)
+    for bits in range(16):
+        assert parse_label(Label.f16(bits).text) == Label.f16(bits)
+    d = catalog.sqs16()
+    assert (d.point("0"), d.point("1"), d.point("a^1")) == (0, 1, 2)
 
 
 def test_shift_action_fixes_infinity():
     s = Shift(3, 7)
     assert s(Label.pair(5, 2)) == Label.pair(1, 2)
     assert s(Label.inf(1)) == Label.inf(1)
-    assert s.inverse()(s(Label.plain(4))) == Label.plain(4)
+    assert Shift(4, 7)(s(Label.plain(4))) == Label.plain(4)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +491,12 @@ def test_derived_gdd_drops_whole_group():
     g = catalog.rdgdd24()
     sub = derived_gdd(g, "inf_0")
     assert sub.design.v == 21
-    assert sub.type_multiset == (3,) * 7
+    assert sorted(map(len, sub.groups)) == [3] * 7
     assert len(sub.design.blocks) == 63  # 9 shipped classes x 7 triples
     assert verify_gdd(sub).passed
     sub42 = derived_gdd(catalog.rdgdd42(), "0_0")
     assert sub42.design.v == 39
-    assert sub42.type_multiset == (3,) * 13
+    assert sorted(map(len, sub42.groups)) == [3] * 13
     assert len(sub42.design.blocks) == 18 * 13
     assert verify_gdd(sub42).passed
 
@@ -652,11 +655,12 @@ def test_verify_resolution_matches_the_counter_reference():
 
 def test_translate_design_by_automorphism_preserves_verdict():
     d = catalog.sqs22()
-    img = translate(d, Shift(5, 21))
+    there, back = mover(d.labels, Shift(5, 21)), mover(d.labels, Shift(16, 21))
+    img = make_design(3, {4}, d.labels, map(there, d.blocks))
     assert verify_steiner(img).passed
-    assert img.blocks != d.blocks or d.blocks == img.blocks  # canonical either way
-    back = translate(img, Shift(5, 21).inverse())
-    assert back.blocks == d.blocks
+    assert img.blocks == d.blocks  # +5 mod 21 is an automorphism of the cyclic SQS(22)
+    assert [back(there(b)) for b in d.blocks] == list(d.blocks)
+    assert there(d.blocks[0]) != d.blocks[0]
 
 
 def test_translate_resolution_moves_derived_point():
@@ -669,13 +673,17 @@ def test_translate_resolution_moves_derived_point():
 
 def test_translate_by_zero_is_identity():
     d = catalog.sqs22()
-    assert translate(d, Shift(0, 21)).blocks == d.blocks
+    res0 = catalog.sqs22_resolutions()["0"]
+    assert translate(res0, Shift(0, 21), labels=d.labels) == res0
 
 
 def test_translate_rejects_non_bijection():
     d = catalog.sqs8()
-    with pytest.raises(ParameterError):
-        translate(d, Shift(1, 6))  # 6 is not the point modulus
+    res = Resolution(ground=tuple(range(d.v)), classes=(), target=())
+    with pytest.raises(ParameterError, match="not a bijection"):
+        translate(res, Shift(1, 6), labels=d.labels)  # 6 is not the point modulus
+    with pytest.raises(ParameterError, match="outside the point set"):
+        mover(d.labels, Shift(1, 8))
 
 
 # ---------------------------------------------------------------------------
