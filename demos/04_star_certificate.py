@@ -4,10 +4,10 @@
 At every point x the certificate fixes a distinguished parallel class of
 derived triples, then partitions the multiset M (distinguished triples
 three times, all other derived triples twice) into 27 parallel classes
-grouped in threes, each group sharing its distinguished triple.  Seeds
-for four points ship as data; the other 24 points come from the cyclic
-symmetry.  Expansion proves nothing: the expanded certificate is proved
-once, by verify_star, before the catalog hands it out.
+grouped in threes, each group sharing its distinguished triple.  The
+certificate of every point ships as data, and nothing is trusted because
+it was checked in: the certificate is proved once, by verify_star, before
+the catalog hands it out.
 """
 
 from collections import Counter
@@ -19,7 +19,7 @@ d = catalog.sqs28()
 print("28-point system:", len(d.blocks), "blocks from 117 base blocks x 7 shifts")
 
 cert = catalog.sqs28_star()
-print("certificate points:", len(cert.per_point), "(4 seeds + 24 translates)")
+print("certificate points:", len(cert.per_point), "(every point of the shipped file)")
 
 x = d.point("0_0")
 pc = cert.per_point[x]

@@ -29,7 +29,6 @@ from .core import (
     derived_gdd,
     expected_block_count,
     make_design,
-    translate,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -62,7 +61,6 @@ from .star import (
     StarCertificate,
     StarGroup,
     StarPointCertificate,
-    load_certificate,
     verify_star,
     verify_star_point,
 )

@@ -10,9 +10,9 @@ table row, or the default congruence on its points.  Each congruence's
 TD(3,4,3) is built and proved once on local points, and ``core.lift``
 moves it onto every block it fills, as the quadrupling moves its template
 onto block x Z4.  Large tabular data (derived-design resolutions, the
-28-point base blocks and star certificate) ships as text files under data/
-and is re-verified by the callers; nothing is trusted because it was
-checked in.
+28-point base blocks and star certificate) ships as text files under data/,
+one section for every point, and is re-verified by the callers; nothing is
+trusted because it was checked in.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from .core import (
     make_design,
     mover,
     plain_labels,
-    translate,
     verify_gdd,
     verify_resolution,
 )
-from .star import StarCertificate, load_certificate
+from .star import StarCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +375,15 @@ def rdgdd42_resolutions() -> dict[str, Resolution]:
 
 @lru_cache(maxsize=None)
 def sqs22_resolutions() -> dict[str, Resolution]:
-    """Listed resolutions at inf_0 and 0, the other 20 points by +p mod 21."""
-    d = sqs22()
-    out = _framed("sqs22")
-    for p in range(1, 21):
-        out[str(p)] = translate(out["0"], Shift(p, 21), labels=d.labels)
-    return _verified(out)
+    return _verified(_framed("sqs22"))
 
 
 @lru_cache(maxsize=None)
 def sqs28_star() -> StarCertificate:
-    """The full 28-point star certificate, expanded from 4 seeds and proven."""
+    """The shipped 28-point star certificate, proven."""
     d = sqs28()
-    cert = load_certificate(d, formats.parse_star(formats.read_data("sqs28_star.star"), d))
+    points = formats.parse_star(formats.read_data("sqs28_star.star"), d)
+    cert = StarCertificate(d, {c.point: c for c in points.values()})
     cert.report.require("star certificate")
     return cert
 

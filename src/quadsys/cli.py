@@ -35,7 +35,7 @@ from .core import (
     verify_resolution,
     verify_steiner,
 )
-from .star import load_certificate, verify_star
+from .star import StarCertificate, verify_star
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
     obj = _load_design(args.design)
     design = obj.design if isinstance(obj, Gdd) else obj
     # the whole certificate is read before the first proof, so one that
-    # fails to parse or to expand leaves stdout empty
+    # fails to parse leaves stdout empty
     sections = star = None
     if args.certificate:
         cert_text = _read_text(args.certificate)
@@ -171,7 +171,8 @@ def cmd_verify(args) -> int:
         if cert_kind == "RES":
             sections = formats.parse_resolution(cert_text, design)
         elif cert_kind == "STAR":
-            star = load_certificate(design, formats.parse_star(cert_text, design))
+            points = formats.parse_star(cert_text, design)
+            star = StarCertificate(design, {c.point: c for c in points.values()})
         else:
             raise ParameterError(
                 f"{args.certificate}: a certificate needs a KIND RES or KIND STAR line"
@@ -232,12 +233,13 @@ def cmd_construct(args) -> int:
             raise DesignError("the star companion must be a plain design")
     else:
         companion = catalog.sqs28()
-    seeds = formats.parse_star(_read_text(args.star), companion)
+    points = formats.parse_star(_read_text(args.star), companion)
     out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
         # the error mkdir would raise, before the proofs rather than after
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
-    asm = quadruple.checked_assembly(load_certificate(companion, seeds))
+    star = StarCertificate(companion, {c.point: c for c in points.values()})
+    asm = quadruple.checked_assembly(star)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "design.design").write_text(

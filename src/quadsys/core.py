@@ -7,10 +7,9 @@ multiset with declared strength ``t`` and admitted block sizes ``K``; a GDD
 adds a partition of the points into groups.  ``lift`` moves a small
 design on local points g*k+i onto block x Zg of a master, the one step
 behind every filled or quadrupled design.  ``mover`` carries blocks round
-a label action, the one step behind orbit development and the translated
-resolutions and star certificates.  Verification is exhaustive:
-every t-subset of the point set is counted, so a passing report is a proof
-of the defining property, not a spot check.
+a label action, the one step behind orbit development.  Verification is
+exhaustive: every t-subset of the point set is counted, so a passing report
+is a proof of the defining property, not a spot check.
 
 The coverage kernel counts the t-subsets of every block by colex rank,
 with an unrolled path for blocks of size 4 at t = 3, into a list for up to
@@ -56,7 +55,7 @@ class TableError(DesignError):
 
 
 class DataIntegrityError(DesignError):
-    """Shipped or translated certificate data failed re-verification."""
+    """Shipped or supplied certificate data failed re-verification."""
 
 
 class ConstructionError(DesignError):
@@ -441,8 +440,9 @@ def verify_steiner(d: Design, witness_limit: int = MAX_WITNESSES) -> VerifyRepor
     counts = _coverage(d.blocks, d.t, d.v)
     if len(d.sizes) == 1:
         (k,) = d.sizes
-        expect, exact = expected_block_count(d.t, k, d.v)
-        rep.counts["expected_blocks"] = expect if exact else -1
+        if 1 <= d.t <= k <= d.v:  # else there is no S(t, k, v) to count blocks of
+            expect, exact = expected_block_count(d.t, k, d.v)
+            rep.counts["expected_blocks"] = expect if exact else -1
     rep.counts["blocks"] = len(d.blocks)
     for r in _mismatches(counts, b"\x01" * len(counts)):
         rep.flag("covered %d times" % counts[r], subset_unrank(r, d.t))
@@ -551,7 +551,7 @@ def verify_resolution(r: Resolution, witness_limit: int = MAX_WITNESSES) -> Veri
 
 
 # ---------------------------------------------------------------------------
-# derivation and translation
+# derivation and label actions
 
 
 def derived_frame(
@@ -626,16 +626,6 @@ def mover(labels: Sequence[Label], action) -> Callable[[Block], Block]:
     if len(set(perm)) != len(perm):
         raise ParameterError("action is not a bijection on the labels")
     return lambda b: tuple(sorted(map(perm.__getitem__, b)))
-
-
-def translate(res: Resolution, action, labels: Sequence[Label]) -> Resolution:
-    """Image of a resolution in the ids of ``labels`` under a label permutation."""
-    move = mover(labels, action)
-    return Resolution(
-        ground=move(res.ground),
-        classes=tuple(tuple(sorted(map(move, cls))) for cls in res.classes),
-        target=tuple(sorted(map(move, res.target))),
-    )
 
 
 def admissible(kind: str, v: int) -> bool:

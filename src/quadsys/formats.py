@@ -9,8 +9,8 @@ byte-for-byte.
 
 Resolutions and star certificates for the derived design at a point are
 expressed in the ids of the parent design (the punctured point simply does
-not occur); this keeps file labels, translation, and verification in one
-coordinate system.
+not occur); this keeps file labels and verification in one coordinate
+system.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def parse_design(text: str) -> Design | Gdd:
     reported, its number found by reading the text again.
     """
     kind = None
-    t = None
+    t = t_line = None
     v = v_line = None
     sizes: list[int] = []
     labels: list[Label] = []
@@ -133,7 +133,7 @@ def parse_design(text: str) -> Design | Gdd:
             if kind not in _DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
-            t = _int(_value(tok, no), key, no)
+            t, t_line = _int(_value(tok, no), key, no), no
             if t < 0:
                 raise ParseError(f"T {t} is negative", no)
         elif key == "V":
@@ -165,6 +165,8 @@ def parse_design(text: str) -> Design | Gdd:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
         raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
+    if t > max(sizes):
+        raise ParseError(f"T {t} is above every block size in K={sizes}", t_line)
     for i, ids in enumerate(blocks):
         if isinstance(ids, list):
             try:
@@ -329,7 +331,7 @@ def resolution_for_point(
 
 
 def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
-    """Seed star-point certificates keyed by point label text."""
+    """Star-point certificates keyed by point label text, in file order."""
     index = {lab.text: i for i, lab in enumerate(companion.labels)}
     n_class = (companion.v - 1) // 3
 
@@ -370,9 +372,13 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
     for no, tok in _tokenized(text):
         key = tok[0]
-        if key in ("SPECIAL", "GROUP", "COMMON") and point is None:
+        if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
+            if dest is None:
+                raise ParseError("block line outside SPECIAL or CLASS", no)
+            dest.append(_block_ids(index, tok, no))
+        elif key in ("SPECIAL", "GROUP", "COMMON") and point is None:
             raise ParseError(f"{key} before any POINT", no)
-        if key == "KIND":
+        elif key == "KIND":
             if _value(tok, no) != "STAR":
                 raise ParseError(f"expected KIND STAR, got {tok[1]!r}", no)
         elif key == "POINT":
@@ -395,12 +401,8 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
                 raise ParseError("CLASS before COMMON in a GROUP", no)
             dest = []
             classes.append((no, dest))
-        elif key in _KEYWORDS:
-            raise ParseError(f"{key} not valid in a star file", no)
-        elif dest is None:
-            raise ParseError("block line outside SPECIAL or CLASS", no)
         else:
-            dest.append(_block_ids(index, tok, no))
+            raise ParseError(f"{key} not valid in a star file", no)
     close_point()
     if not points:
         raise ParseError("no POINT section found", 1)

@@ -13,7 +13,9 @@ special class) is checked beside it.
 
 Certificates are expressed in the ids of the ambient design; classes are
 kept in certificate order because the quadrupling construction indexes
-them by (group, class) position.  A certificate keeps its ``verify_star``
+them by (group, class) position.  A star file lists every point: the
+certificate is the file's point certificates as read, and a point the file
+leaves out fails ``verify_star``.  A certificate keeps its ``verify_star``
 report, so every caller that requires the proof shares one run of it.
 """
 
@@ -24,15 +26,12 @@ from functools import cached_property
 
 from .core import (
     Block,
-    DataIntegrityError,
     Design,
     Resolution,
-    Shift,
     VerifyReport,
     admissible,
     derived_frame,
     is_partition,
-    mover,
     verify_resolution,
     verify_steiner,
 )
@@ -106,56 +105,6 @@ def verify_star_point(d: Design, cert: StarPointCertificate) -> VerifyReport:
     return rep
 
 
-def translate_star_point(
-    d: Design, cert: StarPointCertificate, action: Shift
-) -> StarPointCertificate:
-    """Image of a point certificate under a label automorphism."""
-    move = mover(d.labels, action)
-
-    def move_class(cls: tuple[Block, ...]) -> tuple[Block, ...]:
-        return tuple(sorted(map(move, cls)))
-
-    (point,) = move((cert.point,))
-    return StarPointCertificate(
-        point=point,
-        special=move_class(cert.special),
-        groups=tuple(
-            StarGroup(common=move(g.common), classes=tuple(map(move_class, g.classes)))
-            for g in cert.groups
-        ),
-    )
-
-
-def load_certificate(d: Design, seeds: dict[str, StarPointCertificate]) -> StarCertificate:
-    """The full certificate a star file stands for.  Nothing is proved here:
-    ``verify_star`` is the proof.
-
-    Seeds that cover every point are taken as given.  Fewer seeds are each
-    carried round their orbit under +1 mod 7 on the first label coordinate,
-    the action of the shipped seeds, until the orbit returns to the seed's
-    point.
-    """
-    by_id = {c.point: c for c in seeds.values()}
-    if len(by_id) == d.v:
-        return StarCertificate(design=d, per_point=by_id)
-    action = Shift(1, 7)
-    per_point: dict[int, StarPointCertificate] = {}
-    for seed in by_id.values():
-        cert = seed
-        while True:
-            if cert.point in per_point:
-                raise DataIntegrityError(
-                    f"point {d.labels[cert.point].text} covered twice by expansion"
-                )
-            per_point[cert.point] = cert
-            cert = translate_star_point(d, cert, action)
-            if cert.point == seed.point:
-                break
-    if len(per_point) != d.v:
-        raise DataIntegrityError(f"expansion covers {len(per_point)} of {d.v} points")
-    return StarCertificate(design=d, per_point=per_point)
-
-
 def verify_star(cert: StarCertificate, steiner: VerifyReport | None = None) -> VerifyReport:
     """Full certificate check: SQS + admissibility + every point.
 
@@ -172,7 +121,7 @@ def verify_star(cert: StarCertificate, steiner: VerifyReport | None = None) -> V
         rep.flag("underlying design is not Steiner", steiner.violations[:1])
     missing = set(range(d.v)) - set(cert.per_point)
     for p in sorted(missing):
-        rep.flag("point without certificate", p)
+        rep.flag("point without certificate", d.labels[p].text)
     for p, pc in sorted(cert.per_point.items()):
         if not 0 <= p < d.v:
             rep.flag("certificate for a point outside the design", p)

@@ -1,9 +1,12 @@
 """Every function, method and class in ``src/quadsys`` has a caller outside
 the tests: the package itself, the demos or the bench.  Code that only its
-own unit tests reach is dead weight and should go."""
+own unit tests reach is dead weight and should go.  Likewise every file in
+``src/quadsys/data`` is read by a catalog loader."""
 
 import ast
 from pathlib import Path
+
+from quadsys import catalog, formats
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadsys"
@@ -51,3 +54,20 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
     used = _references(package + others)
     unused = sorted(f"{file}: {name}" for file, name in _definitions(package) if name not in used)
     assert unused == []
+
+
+def test_every_shipped_data_file_is_read_by_a_catalog_loader(monkeypatch):
+    read = []
+    read_data = formats.read_data
+
+    def recording(name):
+        read.append(name)
+        return read_data(name)
+
+    monkeypatch.setattr(formats, "read_data", recording)
+    loaders = [*catalog.GENERATORS.values(), *catalog.RESOLUTIONS.values(), catalog.sqs28_star]
+    for load in loaders:
+        load.cache_clear()
+    for load in loaders:
+        load()
+    assert set(read) == {path.name for path in (PACKAGE / "data").iterdir()}

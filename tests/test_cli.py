@@ -212,6 +212,31 @@ def test_derive_of_a_strength_0_design_exits_2_writing_nothing(tmp_path, capsys)
     assert not out_file.exists()
 
 
+def test_strength_above_every_block_size_exits_2_and_strength_0_fails_verify(tmp_path, capsys):
+    path = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(path))
+    text = path.read_text()
+    path.write_text(text.replace("\nT 3\n", "\nT 5\n", 1))
+    message = "line 2: T 5 is above every block size in K=[4]\n"
+    out_file = tmp_path / "derived.design"
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}")
+    assert main(["derive", str(path), "inf_0", "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not out_file.exists()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    shutil.copy(path, out_dir / "design.design")
+    assert main(["report", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {out_dir / 'design.design'}: {message}"
+    # strength 0 parses (derive of a strength-1 design writes it), and no
+    # block count is asked of an S(0, 4, 8): the coverage check fails
+    path.write_text(text.replace("\nT 3\n", "\nT 0\n", 1))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("FAIL steiner coverage {'blocks': 14}\n", "")
+
+
 def test_resolve_found_and_exhausted(tmp_path):
     design = tmp_path / "sqs22.design"
     run_cli("gen", "sqs22", "--out", str(design))
@@ -293,7 +318,7 @@ def test_star_verify_roundtrip(tmp_path):
 
 
 def test_star_verify_expands_the_shipped_seed_file(tmp_path):
-    # the 4-seed file construct builds from must verify the same way
+    # the shipped file construct builds from must verify the same way
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
     star = tmp_path / "seeds.star"
@@ -304,17 +329,28 @@ def test_star_verify_expands_the_shipped_seed_file(tmp_path):
 
 
 def test_star_seeds_that_cover_part_of_the_points_exit_1(tmp_path, capsys):
-    # 0_0 and 0_1 spread to the 14 points i_0 and i_1; the rest have no seed
+    # a file of the four seeds 0_0..0_3 is not carried round any orbit:
+    # the other 24 points have no certificate
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
     d = catalog.sqs28()
-    seeds = parse_star(read_data("sqs28_star.star"), d)
-    star = tmp_path / "two.star"
-    star.write_text(emit_star(d, {p: seeds[p] for p in ("0_0", "0_1")}))
+    shipped = parse_star(read_data("sqs28_star.star"), d)
+    star = tmp_path / "seeds.star"
+    star.write_text(emit_star(d, {p: shipped[p] for p in ("0_0", "0_1", "0_2", "0_3")}))
     capsys.readouterr()
     code, out = run_cli("verify", str(design), str(star))
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == "error: expansion covers 14 of 28 points\n"
+    assert code == 1
+    assert out.splitlines()[1] == "FAIL star certificate {'points': 4, 'blocks': 819}"
+    missing = [lab.text for lab in d.labels[4:8]]
+    assert capsys.readouterr().err == (
+        str([("point without certificate", p) for p in missing]) + "\n"
+    )
+    out_dir = tmp_path / "out"
+    proc = run_cli_process("construct", str(star), str(out_dir), "--design", str(design))
+    assert proc.returncode == 1 and proc.stdout == "" and not out_dir.exists()
+    assert "Traceback" not in proc.stderr
+    first = re.escape("error: star certificate failed: [('point without certificate', '1_0'),")
+    assert re.fullmatch(first + r"[^\n]*\n", proc.stderr), proc.stderr
 
 
 def test_verify_with_a_star_certificate_proves_steiner_coverage_once(tmp_path, monkeypatch):
@@ -597,9 +633,9 @@ def test_construct_into_an_existing_file_exits_2_naming_it(tmp_path, monkeypatch
     proc = run_cli_process("construct", str(star), str(out))
     _one_error_line(proc, rf"\[Errno \d+\] File exists: {re.escape(repr(str(out)))}")
     assert out.read_text() == "not a directory\n"
-    # the path is rejected before the certificate is expanded or assembled
+    # the path is rejected before the certificate is built or assembled
     proofs = []
-    monkeypatch.setattr("quadsys.cli.load_certificate", lambda *a: proofs.append("load"))
+    monkeypatch.setattr("quadsys.cli.StarCertificate", lambda *a: proofs.append("load"))
     monkeypatch.setattr("quadsys.quadruple.checked_assembly", lambda *a: proofs.append("assembly"))
     assert main(["construct", str(star), str(out)]) == 2
     err = capsys.readouterr().err
@@ -628,7 +664,7 @@ NO_KIND = "{cert}: a certificate needs a KIND RES or KIND STAR"
     ("sqs8", "KIND SQS\n", NO_KIND),
     ("sqs8", "POINT inf_0\nCLASS\n0 1 3\n", NO_KIND),
     ("sqs16", read_data("sqs28_star.star"), "line 2: unknown point label '0_0'"),
-    ("sqs16", read_data("sqs22_derived.res"), "line 2: unknown point label 'inf_0'"),
+    ("sqs16", read_data("sqs22_derived.res"), "line 4: unknown label '5'"),
 ], ids=["design as certificate", "no KIND line", "star file of another design",
         "resolution file of another design"])
 def test_certificate_without_res_or_star_kind_exits_2(tmp_path, name, text, message):

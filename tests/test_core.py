@@ -22,7 +22,6 @@ from quadsys import (
     derived_gdd,
     expected_block_count,
     make_design,
-    translate,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -650,7 +649,7 @@ def test_verify_resolution_matches_the_counter_reference():
 
 
 # ---------------------------------------------------------------------------
-# translation
+# label actions
 
 
 def test_translate_design_by_automorphism_preserves_verdict():
@@ -663,25 +662,10 @@ def test_translate_design_by_automorphism_preserves_verdict():
     assert there(d.blocks[0]) != d.blocks[0]
 
 
-def test_translate_resolution_moves_derived_point():
-    d = catalog.sqs22()
-    res0 = catalog.sqs22_resolutions()["0"]
-    img = translate(res0, Shift(1, 21), labels=d.labels)
-    assert verify_resolution(img).passed
-    assert d.point("0") not in img.ground or d.point("1") not in img.ground
-
-
-def test_translate_by_zero_is_identity():
-    d = catalog.sqs22()
-    res0 = catalog.sqs22_resolutions()["0"]
-    assert translate(res0, Shift(0, 21), labels=d.labels) == res0
-
-
 def test_translate_rejects_non_bijection():
     d = catalog.sqs8()
-    res = Resolution(ground=tuple(range(d.v)), classes=(), target=())
     with pytest.raises(ParameterError, match="not a bijection"):
-        translate(res, Shift(1, 6), labels=d.labels)  # 6 is not the point modulus
+        mover(d.labels, Shift(1, 6))  # 6 is not the point modulus
     with pytest.raises(ParameterError, match="outside the point set"):
         mover(d.labels, Shift(1, 8))
 
