@@ -34,7 +34,6 @@ from .core import (
     verify_steiner,
 )
 from .catalog import (
-    BaseBlockSystem,
     CongruenceRule,
     GENERATORS,
     develop,

@@ -1,8 +1,9 @@
 """Generators for the concrete designs shipped with the package.
 
 Small quadruple systems are developed from base blocks under a cyclic
-action (short orbits detected by iteration, duplicates across orbits are a
-hard error).  The two group divisible designs are built by expanding every
+label action by ``develop``, which always builds an SQS: t = 3, K = {4}
+(short orbits detected by iteration, duplicates across orbits are a hard
+error).  The two group divisible designs are built by expanding every
 block of a quadruple-system master into a transversal design on
 block x Z3, where the transversal design is cut out by a signed congruence
 on the second coordinates; ``audit_rules`` gives each master block its
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import formats, quadruple
 from .core import (
@@ -47,25 +49,16 @@ from .star import StarCertificate
 # orbit development
 
 
-@dataclass(frozen=True)
-class BaseBlockSystem:
-    """Base blocks plus the cyclic label action that develops them."""
-
-    t: int
-    sizes: frozenset[int]
-    labels: tuple[Label, ...]
-    base_blocks: tuple[tuple[Label, ...], ...]
-    action: Shift
-    kind: str = "SQS"
-
-
-def develop(sys: BaseBlockSystem) -> Design:
-    """Union of the base-block orbits, each block appearing exactly once."""
-    index = {lab: i for i, lab in enumerate(sys.labels)}
-    move = mover(sys.labels, sys.action)
+def develop(
+    labels: Sequence[Label], bases: Sequence[tuple[Label, ...]], action: Shift
+) -> Design:
+    """The SQS on ``labels`` whose blocks are the orbits of ``bases`` under
+    ``action``, each block appearing exactly once."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    move = mover(labels, action)
     seen: dict[Block, tuple[Label, ...]] = {}
     blocks: list[Block] = []
-    for base in sys.base_blocks:
+    for base in bases:
         start = tuple(sorted(index[lab] for lab in base))
         b = start
         while True:
@@ -78,7 +71,7 @@ def develop(sys: BaseBlockSystem) -> Design:
             b = move(b)
             if b == start:
                 break
-    return make_design(sys.t, sys.sizes, sys.labels, blocks, kind=sys.kind)
+    return make_design(3, {4}, labels, blocks, kind="SQS")
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +90,6 @@ class CongruenceRule:
     points: tuple[Label, ...]
     coeffs: tuple[int, int, int, int]
     rhs: tuple[int, int, int]
-
-    def key(self) -> frozenset[Label]:
-        return frozenset(self.points)
 
 
 def expand_label(lab: Label, j: int) -> Label:
@@ -149,7 +139,7 @@ def audit_rules(
         raise TableError("design has repeated blocks")
     rows: dict[Block, CongruenceRule] = {}
     for ri, rule in enumerate(table):
-        b = blocks.get(rule.key())
+        b = blocks.get(frozenset(rule.points))
         if b is None:
             raise TableError(f"row {ri} ({[l.text for l in rule.points]}) is not a block")
         if b in rows:
@@ -189,21 +179,14 @@ def fill_gdd(master: Design, rules: dict[Block, CongruenceRule]) -> Gdd:
 # the shipped designs
 
 
-def _plain(*ns: int) -> tuple[Label, ...]:
-    return tuple(Label.plain(n) for n in ns)
-
-
 _INF = Label.inf(0)
 
 
 @lru_cache(maxsize=None)
 def sqs8() -> Design:
-    labels = plain_labels(7) + (_INF,)
-    bases = (
-        (_INF, Label.plain(0), Label.plain(1), Label.plain(3)),
-        _plain(0, 1, 2, 5),
-    )
-    return develop(BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(1, 7)))
+    labels = plain_labels(range(7)) + (_INF,)
+    bases = ((_INF, *plain_labels((0, 1, 3))), plain_labels((0, 1, 2, 5)))
+    return develop(labels, bases, Shift(1, 7))
 
 
 _SQS14_BASES = (
@@ -215,9 +198,8 @@ _SQS14_BASES = (
 
 @lru_cache(maxsize=None)
 def sqs14() -> Design:
-    labels = plain_labels(14)
-    bases = tuple(_plain(*b) for b in _SQS14_BASES)
-    return develop(BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(2, 14)))
+    bases = tuple(map(plain_labels, _SQS14_BASES))
+    return develop(plain_labels(range(14)), bases, Shift(2, 14))
 
 
 _SQS22_BASES = (
@@ -230,11 +212,11 @@ _SQS22_BASES = (
 
 @lru_cache(maxsize=None)
 def sqs22() -> Design:
-    labels = plain_labels(21) + (_INF,)
+    labels = plain_labels(range(21)) + (_INF,)
     bases = tuple(
         tuple(_INF if n is None else Label.plain(n) for n in b) for b in _SQS22_BASES
     )
-    return develop(BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(1, 21)))
+    return develop(labels, bases, Shift(1, 21))
 
 
 @lru_cache(maxsize=None)
@@ -248,9 +230,7 @@ def sqs28() -> Design:
     raw = formats.parse_design(formats.read_data("sqs28_base.blocks"))
     assert isinstance(raw, Design)
     bases = tuple(tuple(raw.labels[p] for p in b) for b in raw.blocks)
-    return develop(
-        BaseBlockSystem(3, frozenset({4}), raw.labels, bases, Shift(1, 7))
-    )
+    return develop(raw.labels, bases, Shift(1, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +242,25 @@ def _rule(points, coeffs, rhs) -> CongruenceRule:
     return CongruenceRule(points=tuple(points), coeffs=tuple(coeffs), rhs=rhs)
 
 
-def _p(n: int) -> Label:
-    return Label.plain(n)
-
-
 @lru_cache(maxsize=None)
 def rule_table_24() -> tuple[CongruenceRule, ...]:
     rows = []
     for i in (0, 1):
-        rows.append(_rule((_INF, _p(i), _p(1 + i), _p(3 + i)), (1, 1, 1, 1), (0, 2, 1)))
+        rows.append(_rule((_INF, *plain_labels((i, 1 + i, 3 + i))), (1, 1, 1, 1), (0, 2, 1)))
     for i in (2, 3, 4, 5, 6):
         rows.append(
-            _rule((_INF, _p(i), _p((1 + i) % 7), _p((3 + i) % 7)), (1, 1, 1, 1), 0)
+            _rule((_INF, *plain_labels((d + i) % 7 for d in (0, 1, 3))), (1, 1, 1, 1), 0)
         )
     for i in (0, 2, 6):
         rows.append(
-            _rule(
-                (_p(i), _p((1 + i) % 7), _p((2 + i) % 7), _p((5 + i) % 7)),
-                (1, 1, -1, -1),
-                0,
-            )
+            _rule(plain_labels((d + i) % 7 for d in (0, 1, 2, 5)), (1, 1, -1, -1), 0)
         )
     for i in (1, 3):
         rows.append(
-            _rule(
-                (_p(i), _p((1 + i) % 7), _p((2 + i) % 7), _p((5 + i) % 7)),
-                (1, 1, 1, 1),
-                0,
-            )
+            _rule(plain_labels((d + i) % 7 for d in (0, 1, 2, 5)), (1, 1, 1, 1), 0)
         )
-    rows.append(_rule((_p(4), _p(5), _p(6), _p(2)), (1, 1, -1, 1), (0, 2, 1)))
-    rows.append(_rule((_p(5), _p(6), _p(0), _p(3)), (1, 1, -1, 1), 0))
+    rows.append(_rule(plain_labels((4, 5, 6, 2)), (1, 1, -1, 1), (0, 2, 1)))
+    rows.append(_rule(plain_labels((5, 6, 0, 3)), (1, 1, -1, 1), 0))
     return tuple(rows)
 
 
@@ -314,13 +282,13 @@ _TABLE_42_DIFF_2 = (
 def rule_table_42() -> tuple[CongruenceRule, ...]:
     rows = []
     for tup in _TABLE_42_SUM_102:
-        rows.append(_rule(_plain(*tup), (1, 1, 1, 1), (1, 0, 2)))
+        rows.append(_rule(plain_labels(tup), (1, 1, 1, 1), (1, 0, 2)))
     for tup in _TABLE_42_SUM_210:
-        rows.append(_rule(_plain(*tup), (1, 1, 1, 1), (2, 1, 0)))
+        rows.append(_rule(plain_labels(tup), (1, 1, 1, 1), (2, 1, 0)))
     for tup in _TABLE_42_DIFF_1:
-        rows.append(_rule(_plain(*tup), (1, 1, 1, -1), 1))
+        rows.append(_rule(plain_labels(tup), (1, 1, 1, -1), 1))
     for tup in _TABLE_42_DIFF_2:
-        rows.append(_rule(_plain(*tup), (1, 1, 1, -1), 2))
+        rows.append(_rule(plain_labels(tup), (1, 1, 1, -1), 2))
     return tuple(rows)
 
 

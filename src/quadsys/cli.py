@@ -2,12 +2,17 @@
 
 ``verify`` reads what to prove from its inputs: GROUP lines mean GDD cross
 coverage, none mean Steiner coverage, and a certificate's KIND line picks
-its check (RES: every point's section, STAR: the star certificate).
+its check (RES: every section, STAR: the star certificate).  ``verify`` on
+a RES file and ``report`` make the same claims through ``_check_sections``:
+one per section, then ``every point resolved k/v`` unless the only
+sections are ``POINT *``.
 
-Exit codes: 0 all checks passed, 1 a verification failed (witnesses go to
-stderr), 2 usage, parse or OS errors (one ``error:`` line on stderr).  All
-outputs are deterministic: repeated invocations on the same inputs are
-byte-identical, and --jobs only changes wall time, never output.
+Every input file is read by ``_parse_file``, so a parse error names its
+file: ``error: FILE: line N: ...``.  Exit codes: 0 all checks passed, 1 a
+verification failed (witnesses go to stderr), 2 usage, parse or OS errors
+(one ``error:`` line on stderr).  All outputs are deterministic: repeated
+invocations on the same inputs are byte-identical, and --jobs only changes
+wall time, never output.
 
 ``construct`` writes each point's resolution file as soon as it is proved,
 and ``report`` reads one point file at a time.  The process pool is
@@ -49,18 +54,16 @@ def _claim(name: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
-def _read_text(path) -> str:
-    """An input file's text; a file that is not UTF-8 is a usage error."""
+def _parse_file(path, parse, *args):
+    """``parse`` of the text of the input file ``path``.  A file that is
+    not UTF-8 or fails to parse is a usage error that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except UnicodeDecodeError as exc:
-        raise ParameterError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
-        ) from None
-
-
-def _load_design(path) -> Design | Gdd:
-    return formats.parse_design(_read_text(path))
+        detail = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+    except (formats.ParseError, ParameterError) as exc:
+        detail = str(exc)
+    raise ParameterError(f"{path}: {detail}")
 
 
 def _write(path: Path, text: str) -> None:
@@ -131,20 +134,26 @@ def _map_jobs(jobs: int, func, items, init_obj):
         yield from pool.map(func, items)
 
 
-def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> tuple[bool, list[str]]:
+def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> bool:
     """One claim per (point, classes) section: the derived resolution at
     the point, framed as ``obj`` frames it, or at ``formats.WHOLE`` the
-    resolution of the design itself, passes ``verify_resolution``.
-
-    Returns whether every claim passed and the points claimed, in order.
+    resolution of the design itself, passes ``verify_resolution``.  Then,
+    unless every section is a WHOLE one, the claim that each point has
+    exactly one section.  Returns whether every claim passed.
     """
-    ok, points = True, []
+    ok, points, whole = True, [], False
     for point, passed, detail in _map_jobs(jobs, _verify_res_section, items, obj):
-        whole = point == formats.WHOLE
-        name = "resolution of the design" if whole else f"derived resolution at {point}"
-        ok &= _claim(name, passed, detail)
-        points.append(point)
-    return ok, points
+        if point == formats.WHOLE:
+            ok &= _claim("resolution of the design", passed, detail)
+            whole = True
+        else:
+            ok &= _claim(f"derived resolution at {point}", passed, detail)
+            points.append(point)
+    if points or not whole:
+        labels = (obj.design if isinstance(obj, Gdd) else obj).labels
+        every = sorted(points) == sorted(lab.text for lab in labels)
+        ok &= _claim("every point resolved", every, f"{len(points)}/{len(labels)}")
+    return ok
 
 
 def _check_coverage(obj: Design | Gdd) -> VerifyReport:
@@ -159,38 +168,32 @@ def _check_coverage(obj: Design | Gdd) -> VerifyReport:
     return rep
 
 
+def _parse_certificate(text: str, design: Design):
+    """(kind, what ``formats`` parses of a KIND RES or KIND STAR file)."""
+    kind = formats.file_kind(text)
+    parse = {"RES": formats.parse_resolution, "STAR": formats.parse_star}.get(kind)
+    if parse is None:
+        raise ParameterError("a certificate needs a KIND RES or KIND STAR line")
+    return kind, parse(text, design)
+
+
 def cmd_verify(args) -> int:
-    obj = _load_design(args.design)
+    obj = _parse_file(args.design, formats.parse_design)
     design = obj.design if isinstance(obj, Gdd) else obj
     # the whole certificate is read before the first proof, so one that
     # fails to parse leaves stdout empty
-    sections = star = None
+    kind = None
     if args.certificate:
-        cert_text = _read_text(args.certificate)
-        cert_kind = formats.file_kind(cert_text)
-        if cert_kind == "RES":
-            sections = formats.parse_resolution(cert_text, design)
-        elif cert_kind == "STAR":
-            points = formats.parse_star(cert_text, design)
-            star = StarCertificate(design, {c.point: c for c in points.values()})
-        else:
-            raise ParameterError(
-                f"{args.certificate}: a certificate needs a KIND RES or KIND STAR line"
-            )
+        kind, parsed = _parse_file(args.certificate, _parse_certificate, design)
     coverage = _check_coverage(obj)
     ok = coverage.passed
-    if sections is not None:
-        # a WHOLE section claims the design resolves; point sections claim
-        # that every derived design does, so they must cover every point
-        points = set(sections) - {formats.WHOLE}
-        if points:
-            missing = {lab.text for lab in design.labels} - points
-            ok &= _claim("resolutions cover every point", not missing, f"points={len(points)}")
+    if kind == "RES":
         items = sorted(
-            sections.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
+            parsed.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
         )
-        ok &= _check_sections(obj, items, args.jobs)[0]
-    elif star is not None:
+        ok &= _check_sections(obj, items, args.jobs)
+    elif kind == "STAR":
+        star = StarCertificate(design, {c.point: c for c in parsed.values()})
         steiner = None if isinstance(obj, Gdd) else coverage
         rep = verify_star(star, steiner)
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
@@ -204,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    obj = _load_design(args.design)
+    obj = _parse_file(args.design, formats.parse_design)
     if isinstance(obj, Gdd):
         sub = derived_gdd(obj, args.point)
     else:
@@ -228,12 +231,12 @@ def _point_job(p: int) -> tuple[int, bool, int, str]:
 
 def cmd_construct(args) -> int:
     if args.design:
-        companion = _load_design(args.design)
+        companion = _parse_file(args.design, formats.parse_design)
         if isinstance(companion, Gdd):
             raise DesignError("the star companion must be a plain design")
     else:
         companion = catalog.sqs28()
-    points = formats.parse_star(_read_text(args.star), companion)
+    points = _parse_file(args.star, formats.parse_star, companion)
     out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
         # the error mkdir would raise, before the proofs rather than after
@@ -268,7 +271,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    obj = _load_design(args.design)
+    obj = _parse_file(args.design, formats.parse_design)
     design = obj.design if isinstance(obj, Gdd) else obj
     if args.point is not None:
         blocks, ground = resolver.derived_instance(obj, args.point)
@@ -289,28 +292,16 @@ def cmd_resolve(args) -> int:
 # report
 
 
-def _parse_file(path: Path, parse, *args):
-    """``parse`` of the text of ``path``; a file that fails to parse is
-    named in the error, beside its line number."""
-    try:
-        return parse(_read_text(path), *args)
-    except formats.ParseError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-
-
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     obj = _parse_file(out_dir / "design.design", formats.parse_design)
     design = obj.design if isinstance(obj, Gdd) else obj
     ok = _check_coverage(obj).passed
-    passed, points = _check_sections(obj, (
+    ok &= _check_sections(obj, (
         item
         for path in sorted(out_dir.glob("point_*.res"))
         for item in _parse_file(path, formats.parse_resolution, design).items()
     ))
-    every = sorted(points) == sorted(lab.text for lab in design.labels)
-    ok &= passed
-    ok &= _claim("every point resolved", every, f"{len(points)}/{design.v}")
     return OK if ok else FAIL
 
 

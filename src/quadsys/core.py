@@ -260,8 +260,8 @@ def lift(blocks: Iterable[Block], xs: Sequence[int], g: int) -> tuple[Block, ...
     return tuple(tuple(map(m.__getitem__, b)) for b in blocks)
 
 
-def plain_labels(v: int) -> tuple[Label, ...]:
-    return tuple(Label.plain(n) for n in range(v))
+def plain_labels(ns: Iterable[int]) -> tuple[Label, ...]:
+    return tuple(map(Label.plain, ns))
 
 
 @dataclass(frozen=True)
@@ -305,22 +305,22 @@ class VerifyReport:
 
     ``violations`` holds at most ``MAX_WITNESSES`` (kind, witness) pairs so
     badly corrupt inputs cannot blow up memory; ``counts`` carries observed
-    vs expected block tallies for quick reporting.
+    vs expected block tallies for quick reporting.  ``require(label)``
+    raises ``DataIntegrityError`` naming ``label`` unless ``passed``.
     """
 
     passed: bool = True
     violations: list[tuple[str, object]] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
-    _limit: int = MAX_WITNESSES
 
     def flag(self, kind: str, witness: object) -> None:
         self.passed = False
-        if len(self.violations) < self._limit:
+        if len(self.violations) < MAX_WITNESSES:
             self.violations.append((kind, witness))
 
-    def require(self, label: str = "") -> "VerifyReport":
+    def require(self, label: str) -> "VerifyReport":
         if not self.passed:
-            raise DataIntegrityError(f"{label or 'check'} failed: {self.violations[:4]}")
+            raise DataIntegrityError(f"{label} failed: {self.violations[:4]}")
         return self
 
 
@@ -434,9 +434,9 @@ def _mismatches(counts: bytes, expected: bytes) -> Iterator[int]:
 # verifiers
 
 
-def verify_steiner(d: Design, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
+def verify_steiner(d: Design) -> VerifyReport:
     """Check that every t-subset of points lies in exactly one block."""
-    rep = VerifyReport(_limit=witness_limit)
+    rep = VerifyReport()
     counts = _coverage(d.blocks, d.t, d.v)
     if len(d.sizes) == 1:
         (k,) = d.sizes
@@ -446,7 +446,7 @@ def verify_steiner(d: Design, witness_limit: int = MAX_WITNESSES) -> VerifyRepor
     rep.counts["blocks"] = len(d.blocks)
     for r in _mismatches(counts, b"\x01" * len(counts)):
         rep.flag("covered %d times" % counts[r], subset_unrank(r, d.t))
-        if len(rep.violations) >= rep._limit:
+        if len(rep.violations) >= MAX_WITNESSES:
             break
     return rep
 
@@ -472,7 +472,7 @@ def _expected_cross_coverage(
     return bytes(expected), int.from_bytes(non_cross, "little")
 
 
-def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
+def verify_gdd(g: Gdd) -> VerifyReport:
     """Check the block/group intersection rule and exact cross coverage.
 
     At t >= 2, a block (sorted, distinct points) of at least t points that
@@ -482,7 +482,7 @@ def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
     its witnesses before the coverage witnesses.
     """
     d = g.design
-    rep = VerifyReport(_limit=witness_limit)
+    rep = VerifyReport()
     rep.counts["blocks"] = len(d.blocks)
     gof = g.group_of  # raises ParameterError unless the groups partition the points
     expected, non_cross = _expected_cross_coverage(d.v, d.t, g.groups)
@@ -497,7 +497,7 @@ def verify_gdd(g: Gdd, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
         c = counts[r]
         kind = "cross set covered %d times" % c if expected[r] else "non-cross set covered"
         rep.flag(kind, subset_unrank(r, d.t))
-        if len(rep.violations) >= rep._limit:
+        if len(rep.violations) >= MAX_WITNESSES:
             break
     rep.counts["groups"] = len(g.groups)
     return rep
@@ -522,14 +522,14 @@ def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, o
     return ("point uncovered", next(iter(want - seen)))
 
 
-def verify_resolution(r: Resolution, witness_limit: int = MAX_WITNESSES) -> VerifyReport:
+def verify_resolution(r: Resolution) -> VerifyReport:
     """Each class partitions the ground set; classes exhaust the target.
 
     The classes exhaust the target iff the multiset union of their blocks
     equals the target multiset, decided by sorting both; the tallies are
     built only to name the over-used and the missing block.
     """
-    rep = VerifyReport(_limit=witness_limit)
+    rep = VerifyReport()
     rep.counts["classes"] = len(r.classes)
     rep.counts["blocks"] = len(r.target)
     for ci, cls in enumerate(r.classes):

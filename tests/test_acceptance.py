@@ -24,7 +24,6 @@ from quadsys import (
     verify_star,
     verify_steiner,
 )
-from quadsys.catalog import BaseBlockSystem
 from quadsys.core import Label
 from quadsys.resolver import confirm_rds, derived_instance, find_resolution
 
@@ -35,20 +34,21 @@ def report(n, passed, summary):
 
 
 def fresh_sqs8():
+    """The labels, base blocks and action that develop into the SQS(8)."""
     labels = tuple(Label.plain(i) for i in range(7)) + (Label.inf(0),)
     bases = (
         (Label.inf(0), Label.plain(0), Label.plain(1), Label.plain(3)),
         tuple(Label.plain(n) for n in (0, 1, 2, 5)),
     )
-    return BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(1, 7))
+    return labels, bases, Shift(1, 7)
 
 
 def test_criterion_1_sqs8():
     sys8 = fresh_sqs8()
     best = min(
-        _timed(lambda: verify_steiner(develop(sys8)))[1] for _ in range(5)
+        _timed(lambda: verify_steiner(develop(*sys8)))[1] for _ in range(5)
     )
-    d = develop(sys8)
+    d = develop(*sys8)
     rep = verify_steiner(d)
     ok = len(d.blocks) == 14 and rep.passed and best < 1e-3
     report(1, ok, f"SQS(8) 14 blocks, exact cover, {best * 1e6:.0f} us")

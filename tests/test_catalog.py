@@ -21,7 +21,6 @@ from quadsys import (
 )
 from quadsys.core import VerifyReport, mover
 from quadsys.catalog import (
-    BaseBlockSystem,
     CongruenceRule,
     audit_rules,
     congruence_td,
@@ -54,9 +53,7 @@ def test_catalog_systems_develop_and_verify(name, v, blocks):
 def test_short_orbit_of_0_7_14_infinity_has_length_7():
     labels = tuple(Label.plain(n) for n in range(21)) + (Label.inf(0),)
     base = (Label.plain(0), Label.plain(7), Label.plain(14), Label.inf(0))
-    d = develop(
-        BaseBlockSystem(3, frozenset({4}), labels, (base,), Shift(1, 21), kind="RAW")
-    )
+    d = develop(labels, (base,), Shift(1, 21))
     assert len(d.blocks) == 7
 
 
@@ -67,7 +64,7 @@ def test_develop_rejects_overlapping_orbits():
         tuple(Label.plain(n) for n in (1, 2, 3, 6)),  # same orbit, shifted
     )
     with pytest.raises(DuplicateBlockError):
-        develop(BaseBlockSystem(3, frozenset({4}), labels, bases, Shift(1, 7), kind="RAW"))
+        develop(labels, bases, Shift(1, 7))
 
 
 @pytest.mark.parametrize(
@@ -81,7 +78,7 @@ def test_develop_rejects_actions_that_do_not_permute_the_labels(action, message)
     labels = tuple(Label.plain(n) for n in range(8))
     bases = (tuple(Label.plain(n) for n in (0, 1, 2, 5)),)
     with pytest.raises(ParameterError, match=message):
-        develop(BaseBlockSystem(3, frozenset({4}), labels, bases, action, kind="RAW"))
+        develop(labels, bases, action)
 
 
 def test_sqs14_orbits_all_have_length_7():
@@ -179,9 +176,9 @@ def test_audit_rules_matches_every_block_exactly_once():
     d14 = catalog.sqs14()
     rules42 = audit_rules(d14, rule_table_42(), default=catalog._DEFAULT_SUM0)
     assert len(rules42) == 91
-    explicit = {r.key() for r in rule_table_42()}
+    explicit = {frozenset(r.points) for r in rule_table_42()}
     defaulted = sum(
-        1 for b, r in rules42.items() if r.key() not in explicit
+        1 for b, r in rules42.items() if frozenset(r.points) not in explicit
     )
     assert defaulted == 91 - 22
 

@@ -104,7 +104,8 @@ def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     proc = run_cli_process("verify", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert re.fullmatch(rf"error: line {line}: [^\n]+\n", proc.stderr), proc.stderr
+    stderr = re.escape(f"error: {path}: line {line}: ")
+    assert re.fullmatch(stderr + r"[^\n]+\n", proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("command", ["verify", "construct"])
@@ -192,7 +193,7 @@ def test_negative_strength_exits_2_in_verify_and_report(tmp_path, capsys):
         path.write_text(path.read_text().replace("\nT 3\n", "\nT -1\n", 1))
         capsys.readouterr()
         assert main(["verify", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 2: T -1 is negative\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: T -1 is negative\n"
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     shutil.copy(tmp_path / "rdgdd24.design", out_dir / "design.design")
@@ -221,9 +222,9 @@ def test_strength_above_every_block_size_exits_2_and_strength_0_fails_verify(tmp
     out_file = tmp_path / "derived.design"
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}")
     assert main(["derive", str(path), "inf_0", "--out", str(out_file)]) == 2
-    assert capsys.readouterr().err == f"error: {message}"
+    assert capsys.readouterr().err == f"error: {path}: {message}"
     assert not out_file.exists()
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -314,18 +315,10 @@ def test_star_verify_roundtrip(tmp_path):
     assert star.exists()
     code, out = run_cli("verify", str(design), str(star))
     assert code == 0
-    assert "PASS star certificate" in out
-
-
-def test_star_verify_expands_the_shipped_seed_file(tmp_path):
-    # the shipped file construct builds from must verify the same way
-    design = tmp_path / "sqs28.design"
-    run_cli("gen", "sqs28", "--out", str(design))
-    star = tmp_path / "seeds.star"
-    star.write_text(read_data("sqs28_star.star"))
-    code, out = run_cli("verify", str(design), str(star))
-    assert code == 0
-    assert "PASS star certificate {'points': 28, 'blocks': 819}" in out
+    assert "PASS star certificate {'points': 28, 'blocks': 819}\n" in out
+    # the shipped file construct builds from is the file verified here
+    shipped = read_data("sqs28_star.star").encode()
+    assert hashlib.sha256(shipped).hexdigest() == GEN_SHA256["sqs28.star"]
 
 
 def test_star_seeds_that_cover_part_of_the_points_exit_1(tmp_path, capsys):
@@ -512,6 +505,66 @@ def test_report_needs_every_point_once(tmp_path):
     code, out = run_cli("report", str(out_dir))
     assert code == 1 and out.splitlines()[-1] == "FAIL every point resolved 22/22"
     assert out.count("PASS derived resolution at 8 ") == 2
+    for path in out_dir.glob("point_*.res"):
+        path.unlink()
+    code, out = run_cli("report", str(out_dir))
+    assert code == 1 and out.splitlines()[-1] == "FAIL every point resolved 0/22"
+
+
+def test_verify_needs_a_section_at_every_point(tmp_path):
+    design = tmp_path / "sqs22.design"
+    run_cli("gen", "sqs22", "--out", str(design))
+    res = tmp_path / "sqs22.res"
+    lines = res.read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("POINT ")]
+    del lines[starts[7]:starts[8]]
+    res.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("verify", str(design), str(res))
+    assert code == 1 and out.splitlines()[-1] == "FAIL every point resolved 21/22"
+    assert out.count("PASS") == 22  # steiner + the 21 sections left
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A directory holding what `gen sqs22` and `gen sqs28` write."""
+    tmp = tmp_path_factory.mktemp("gen")
+    for name in ("sqs22", "sqs28"):
+        run_cli("gen", name, "--out", str(tmp / f"{name}.design"))
+    return tmp
+
+
+@pytest.mark.parametrize("case", [
+    "verify design", "verify RES", "verify STAR", "derive", "construct star",
+    "construct --design", "resolve", "report design", "report point file",
+])
+def test_a_parse_error_names_its_file_in_every_subcommand(generated, tmp_path, capsys, case):
+    gen, out = generated, tmp_path / "out"
+    source, bad_name, argv = {
+        "verify design": ("sqs22.design", "bad.design", ["verify", "BAD"]),
+        "verify RES": ("sqs22.res", "bad.res", ["verify", gen / "sqs22.design", "BAD"]),
+        "verify STAR": ("sqs28.star", "bad.star", ["verify", gen / "sqs28.design", "BAD"]),
+        "derive": ("sqs22.design", "bad.design", ["derive", "BAD", "inf_0", "--out", out]),
+        "construct star": (
+            "sqs28.star", "bad.star", ["construct", "BAD", out, "--design", gen / "sqs28.design"]
+        ),
+        "construct --design": (
+            "sqs28.design", "bad.design", ["construct", gen / "sqs28.star", out, "--design", "BAD"]
+        ),
+        "resolve": ("sqs22.design", "bad.design", ["resolve", "BAD"]),
+        "report design": ("sqs22.design", "design.design", ["report", tmp_path]),
+        "report point file": ("sqs22.res", "point_0.res", ["report", tmp_path]),
+    }[case]
+    if case == "report point file":
+        shutil.copy(gen / "sqs22.design", tmp_path / "design.design")
+    bad = tmp_path / bad_name
+    lines = (gen / source).read_text().splitlines()
+    lines[-1] = " ".join(["99_9"] + lines[-1].split()[1:])  # a block line in every format
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([str(bad) if arg == "BAD" else str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {len(lines)}: unknown label '99_9'\n"
+    assert not out.exists()
+
 
 def test_gen_unknown_name_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
@@ -544,7 +597,7 @@ def test_non_canonical_points_label_fails_on_its_line(tmp_path, label):
     path = tmp_path / "bad.design"
     path.write_text(f"KIND SQS\nT 3\nK 4\nPOINTS {label} 1 2 3\n{label} 1 2 3\n")
     proc = run_cli_process("verify", str(path))
-    _one_error_line(proc, re.escape(f"line 4: malformed point label {label!r}"))
+    _one_error_line(proc, re.escape(f"{path}: line 4: malformed point label {label!r}"))
 
 
 @pytest.mark.parametrize("command", ["verify", "derive", "construct", "resolve", "report"])
@@ -663,8 +716,8 @@ NO_KIND = "{cert}: a certificate needs a KIND RES or KIND STAR"
 @pytest.mark.parametrize("name,text,message", [
     ("sqs8", "KIND SQS\n", NO_KIND),
     ("sqs8", "POINT inf_0\nCLASS\n0 1 3\n", NO_KIND),
-    ("sqs16", read_data("sqs28_star.star"), "line 2: unknown point label '0_0'"),
-    ("sqs16", read_data("sqs22_derived.res"), "line 4: unknown label '5'"),
+    ("sqs16", read_data("sqs28_star.star"), "{cert}: line 2: unknown point label '0_0'"),
+    ("sqs16", read_data("sqs22_derived.res"), "{cert}: line 4: unknown label '5'"),
 ], ids=["design as certificate", "no KIND line", "star file of another design",
         "resolution file of another design"])
 def test_certificate_without_res_or_star_kind_exits_2(tmp_path, name, text, message):
@@ -773,7 +826,7 @@ CERT_MUTATIONS = {
 
 @pytest.mark.parametrize("cert_name,kind", [
     ("sqs22.res", "res"), ("rdgdd24.res", "res"), ("rdgdd42.res", "res"),
-    ("sqs28.star", "star"), ("seeds.star", "star"),
+    ("sqs28.star", "star"),
 ])
 def test_verify_catches_every_certificate_mutation_at_its_point(
     tmp_path, capsys, cert_name, kind
@@ -781,8 +834,6 @@ def test_verify_catches_every_certificate_mutation_at_its_point(
     name = "sqs28" if kind == "star" else cert_name.split(".")[0]
     design = tmp_path / f"{name}.design"
     run_cli("gen", name, "--out", str(design))
-    if cert_name == "seeds.star":
-        (tmp_path / cert_name).write_text(read_data("sqs28_star.star"))
     text = (tmp_path / cert_name).read_text()
     rng = random.Random(0)
     bad = tmp_path / f"bad_{cert_name}"
