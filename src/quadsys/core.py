@@ -202,13 +202,9 @@ class Design:
 
     @cached_property
     def incidence(self) -> tuple[tuple[Block, ...], ...]:
-        """For each point id, the blocks through it, in block order.
-
-        The entries are the tuples of ``blocks`` themselves, not copies or
-        indices, so the table costs one pointer per (point, block) slot.
-        Each point's list becomes a tuple in place, so no second full copy
-        of the table exists while it is built.
-        """
+        """For each point id, the blocks through it, in block order: the
+        tuples of ``blocks`` themselves, one pointer per (point, block) slot.
+        Each point's list becomes a tuple in place, so no second copy is held."""
         inc: list = [[] for _ in range(self.v)]
         for b in self.blocks:
             for p in b:
@@ -559,7 +555,8 @@ def derived_frame(
 ) -> tuple[tuple[int, ...], tuple[Block, ...]]:
     """(ground, target) of the derived design at x, in parent ids.
 
-    ``target`` is the sorted multiset of blocks through x with x removed;
+    ``target`` is the sorted multiset of blocks through x with x removed,
+    cut out of each block at x's position and sorted in place once;
     ``ground`` is every point but x or, for a GDD, every point outside the
     group of x.
     """
@@ -567,11 +564,9 @@ def derived_frame(
     xid = d.point(x)
     gone = obj.groups[obj.group_of[xid]] if isinstance(obj, Gdd) else (xid,)
     ground = tuple(p for p in range(d.v) if p not in gone)
-    punctured = []
-    for b in d.incidence[xid]:
-        i = b.index(xid)
-        punctured.append(b[:i] + b[i + 1 :])
-    return ground, tuple(sorted(punctured))
+    punctured = [b[:i] + b[i + 1 :] for b in d.incidence[xid] for i in (b.index(xid),)]
+    punctured.sort()
+    return ground, tuple(punctured)
 
 
 def _reindexed_derived(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     Block,
@@ -26,6 +26,7 @@ from .core import (
     DesignError,
     Gdd,
     Label,
+    ParameterError,
     Resolution,
     derived_frame,
     make_design,
@@ -64,21 +65,21 @@ def _pieces(text: str):
 
 
 def _numbered_lines(text: str):
-    r"""``enumerate(text.splitlines(), 1)``, split one piece at a time.
-
-    "\n" ends a line for ``str.splitlines`` whatever comes before or after
-    it, so splitting each piece gives exactly its lines, breaks and numbers,
-    while only one piece's lines are held at a time.
-    """
+    r"""``enumerate(text.splitlines(), 1)``, split one piece at a time: "\n"
+    ends a line for ``str.splitlines`` whatever surrounds it, so each piece
+    splits into exactly its own lines, and only one piece's are held."""
     return enumerate(chain.from_iterable(map(str.splitlines, _pieces(text))), 1)
 
 
 def _tokenized(text: str):
-    """(line number, tokens) of every line that is not blank or a comment."""
+    """(line number, ``raw.split("#", 1)[0].split()``) of every line that is
+    not blank or a comment; only a line holding a '#' is cut."""
     for no, raw in _numbered_lines(text):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line.split()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tok = raw.split()
+        if tok:
+            yield no, tok
 
 
 def _value(tok: list[str], no: int) -> str:
@@ -112,11 +113,11 @@ def parse_design(text: str) -> Design | Gdd:
 
     Each block line is mapped to a tuple of point ids as it is read, through
     a label index that grows at every POINTS line; only a line that names a
-    label of a later POINTS line is kept as tokens, and is resolved once the
-    whole file is read.  Header lines may come in any order, so the
-    per-block checks (unknown label, repeated point, size in K) run after
-    the header checks, in file order: the first failing line is the one
-    reported, its number found by reading the text again.
+    label of a later POINTS line is kept as tokens, its position noted, and
+    is resolved once the whole file is read.  Header lines may come in any
+    order, so the header checks run first; ``make_design`` then checks each
+    block once.  Only when a block is rejected are the blocks walked in file
+    order to name the first failing line, found by reading the text again.
     """
     kind = None
     t = t_line = None
@@ -124,11 +125,19 @@ def parse_design(text: str) -> Design | Gdd:
     sizes: list[int] = []
     labels: list[Label] = []
     index: dict[str, int] = {}
+    ids = index.__getitem__
     groups: list[tuple[int, tuple[str, ...]]] = []
     blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
+    late: list[int] = []  # positions in blocks of the token lists
     for no, tok in _tokenized(text):
         key = tok[0]
-        if key == "KIND":
+        if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
+            try:
+                blocks.append(tuple(map(ids, tok)))
+            except KeyError:
+                late.append(len(blocks))
+                blocks.append(tok)
+        elif key == "KIND":
             kind = _value(tok, no)
             if kind not in _DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
@@ -154,30 +163,30 @@ def parse_design(text: str) -> Design | Gdd:
                 index[lab.text] = len(index)
         elif key == "GROUP":
             groups.append((no, tuple(tok[1:])))
-        elif key in _KEYWORDS:
-            raise ParseError(f"{key} not valid in a design file", no)
         else:
-            try:
-                blocks.append(tuple(map(index.__getitem__, tok)))
-            except KeyError:
-                blocks.append(tok)
+            raise ParseError(f"{key} not valid in a design file", no)
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
         raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
     if t > max(sizes):
         raise ParseError(f"T {t} is above every block size in K={sizes}", t_line)
-    for i, ids in enumerate(blocks):
-        if isinstance(ids, list):
-            try:
-                ids = blocks[i] = tuple(map(index.__getitem__, ids))
-            except KeyError as exc:
-                raise ParseError(f"unknown label {exc.args[0]!r}", _block_line(text, i)) from None
-        if len(set(ids)) != len(ids):
-            raise ParseError("repeated point in block", _block_line(text, i))
-        if len(ids) not in sizes:
-            raise ParseError(f"block size {len(ids)} not in K={sizes}", _block_line(text, i))
-    design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
+    try:
+        for i in late:
+            blocks[i] = tuple(map(ids, blocks[i]))
+        design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
+    except (KeyError, ParameterError):  # name the first failing line in file order
+        for i, b in enumerate(blocks):
+            if isinstance(b, list):
+                try:
+                    b = tuple(map(ids, b))
+                except KeyError as exc:
+                    raise ParseError(f"unknown label {exc.args[0]!r}", _block_line(text, i)) from None
+            if len(set(b)) != len(b):
+                raise ParseError("repeated point in block", _block_line(text, i)) from None
+            if len(b) not in sizes:
+                raise ParseError(f"block size {len(b)} not in K={sizes}", _block_line(text, i)) from None
+        raise
     if not groups:
         return design
     cells = []
@@ -197,11 +206,6 @@ def _block_line(text: str, i: int) -> int:
     return next(islice(numbers, i, None))
 
 
-def _label_texts(design: Design) -> list[str]:
-    """Label text of every point id; build once per emitted file."""
-    return [lab.text for lab in design.labels]
-
-
 def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
     return [" ".join(map(names.__getitem__, b)) for b in blocks]
 
@@ -212,7 +216,7 @@ def emit_design(obj: Design | Gdd) -> str:
     joined once more, so no list of every line's string is ever held."""
     gdd = obj if isinstance(obj, Gdd) else None
     design = gdd.design if gdd else obj
-    names = _label_texts(design)
+    names = [lab.text for lab in design.labels]
     lines = [
         f"KIND {design.kind}",
         f"T {design.t}",
@@ -242,13 +246,18 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
     labels must resolve and classes within a point must not be ragged.
     """
     index = {lab.text: i for i, lab in enumerate(companion.labels)}
+    ids = index.__getitem__
     sections: dict[str, tuple[int, list[list[Block]]]] = {}  # POINT line, classes
     current: list[list[Block]] | None = None
     cls: list[Block] | None = None
     cls_line = 0
     for no, tok in _tokenized(text):
         key = tok[0]
-        if key == "KIND":
+        if key not in _KEYWORDS:
+            if cls is None:
+                raise ParseError("block line outside a CLASS", no)
+            cls.append(_block_ids(ids, tok, no))
+        elif key == "KIND":
             if _value(tok, no) != "RES":
                 raise ParseError(f"expected KIND RES, got {tok[1]!r}", no)
         elif key == "POINT":
@@ -268,12 +277,8 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
             _close_class(cls, cls_line)
             cls, cls_line = [], no
             current.append(cls)
-        elif key in _KEYWORDS:
-            raise ParseError(f"{key} not valid in a resolution file", no)
         else:
-            if cls is None:
-                raise ParseError("block line outside a CLASS", no)
-            cls.append(_block_ids(index, tok, no))
+            raise ParseError(f"{key} not valid in a resolution file", no)
     _close_class(cls, cls_line)
     if not sections:
         raise ParseError("no POINT section found", 1)
@@ -282,14 +287,17 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
         arities = {len(c) for c in classes}
         if len(arities) > 1:
             raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", no)
-        out[point] = tuple(tuple(sorted(c)) for c in classes)
+        for c in classes:
+            c.sort()
+        out[point] = tuple(map(tuple, classes))
     return out
 
 
-def _block_ids(index: dict[str, int], tok: list[str], no: int) -> Block:
-    """The sorted ids of the labels of a certificate block line ``no``."""
+def _block_ids(ids: Callable[[str], int], tok: list[str], no: int) -> Block:
+    """The sorted ids of the labels of a certificate block line ``no``;
+    ``ids`` maps a label text to its id."""
     try:
-        return tuple(sorted(map(index.__getitem__, tok)))
+        return tuple(sorted(map(ids, tok)))
     except KeyError as exc:
         raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
 
@@ -301,7 +309,7 @@ def _close_class(cls, no: int) -> None:
 
 
 def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
-    names = _label_texts(companion)
+    names = [lab.text for lab in companion.labels]
     lines = ["KIND RES"]
     for point, classes in sections.items():
         lines.append(f"POINT {point}")
@@ -333,6 +341,7 @@ def resolution_for_point(
 def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
     """Star-point certificates keyed by point label text, in file order."""
     index = {lab.text: i for i, lab in enumerate(companion.labels)}
+    ids = index.__getitem__
     n_class = (companion.v - 1) // 3
 
     points: dict[str, StarPointCertificate] = {}
@@ -375,7 +384,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
             if dest is None:
                 raise ParseError("block line outside SPECIAL or CLASS", no)
-            dest.append(_block_ids(index, tok, no))
+            dest.append(_block_ids(ids, tok, no))
         elif key in ("SPECIAL", "GROUP", "COMMON") and point is None:
             raise ParseError(f"{key} before any POINT", no)
         elif key == "KIND":
@@ -395,7 +404,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
             dest = None
         elif key == "COMMON":
             close_group()
-            common, group_line, classes, dest = _block_ids(index, tok[1:], no), no, [], None
+            common, group_line, classes, dest = _block_ids(ids, tok[1:], no), no, [], None
         elif key == "CLASS":
             if classes is None:
                 raise ParseError("CLASS before COMMON in a GROUP", no)
@@ -410,7 +419,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
 
 def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:
-    names = _label_texts(companion)
+    names = [lab.text for lab in companion.labels]
     lines = ["KIND STAR"]
     for point, cert in certs.items():
         lines.append(f"POINT {point}")

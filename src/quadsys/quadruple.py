@@ -378,7 +378,9 @@ class QuadrupleAssembly:
         return self._occ[x]
 
     def point_resolution(self, p: int) -> Resolution:
-        """The 2v-1 classes of the derived design at point p, unproved."""
+        """The 2v-1 classes of the derived design at point p, unproved.
+        Certificate class l of a group gives classes 2l and 2l+1, fed by TD
+        rows 2o and 2o+1 of each triple (o its occurrence): one ``lift``."""
         x, i = divmod(p, 4)
         pc = self.cert.per_point[x]
         occ = self._occ_for(x)
@@ -392,18 +394,24 @@ class QuadrupleAssembly:
             e_cls = e_classes(grp.common + (x,), x, i)
             final.extend(b for b in e_cls[6] if b != degenerate)
             for l, cls in enumerate(grp.classes):
-                for r in (0, 1):
-                    blocks: list[Block] = []
-                    for tri in cls:
-                        if tri == grp.common:
-                            continue
-                        bb = sorted(tri + (x,))
-                        zq = 4 * bb.index(x) + i
-                        r_prime = r + 2 * occ[(k, l, tri)]
-                        blocks.extend(lift(td_derived[zq][r_prime], bb, 4))
+                first: list[Block] = []
+                second: list[Block] = []
+                for tri in cls:
+                    if tri == grp.common:
+                        continue
+                    bb = sorted(tri + (x,))
+                    rows = td_derived[4 * bb.index(x) + i]
+                    o = 2 * occ[(k, l, tri)]
+                    both = lift(rows[o] + rows[o + 1], bb, 4)
+                    n = len(rows[o])
+                    first.extend(both[:n])
+                    second.extend(both[n:])
+                for r, blocks in enumerate((first, second)):
                     blocks.extend(e_cls[2 * l + r])
-                    classes.append(tuple(sorted(blocks)))
-        classes.append(tuple(sorted(final)))
+                    blocks.sort()
+                    classes.append(tuple(blocks))
+        final.sort()
+        classes.append(tuple(final))
         return Resolution(ground=ground, classes=tuple(classes), target=target)
 
 

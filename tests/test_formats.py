@@ -151,6 +151,42 @@ def test_line_reader_matches_splitlines(monkeypatch):
             assert list(formats._numbered_lines(text)) == want, (size, text)
 
 
+def _noisy(text, rng):
+    """``text`` with every line break drawn from SEPARATORS, blank and
+    comment-only lines mixed in, and comments after tokens, some glued to
+    the last one (``1_0#x``)."""
+    parts = []
+    for line in text.splitlines():
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            parts += [rng.choice(("", "  ", "\t", "# note", "  #", "#POINT 0")), rng.choice(SEPARATORS)]
+        line = rng.choice(("", "", " ", "\t")) + line
+        tail = rng.choice(("", "", "", " ", " # a comment", "#x", "##", " \t#"))
+        parts += [line + tail, rng.choice(SEPARATORS)]
+    return "".join(parts)
+
+
+def _reference_lines(text):
+    """The tokens of every line under the reference semantics, one line of
+    single-space-joined tokens each."""
+    lines = (" ".join(raw.split("#", 1)[0].split()) for raw in text.splitlines())
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [formats._LINE_CHUNK, 7])
+def test_certificate_readers_match_the_reference_tokens(monkeypatch, chunk):
+    monkeypatch.setattr(formats, "_LINE_CHUNK", chunk)
+    rng = random.Random(20261019)
+    cases = [(parse_resolution, read_data("sqs22_derived.res"), catalog.sqs22()),
+             (parse_star, read_data("sqs28_star.star"), catalog.sqs28())]
+    for parse, text, companion in cases:
+        want = parse(text, companion)
+        noisy = _noisy(text, rng)
+        assert "#x" in noisy and "\n# note" in noisy
+        assert all(sep in noisy for sep in SEPARATORS)
+        assert parse(_reference_lines(noisy), companion) == want
+        assert parse(noisy, companion) == want
+
+
 def reference_parse_design(text):
     """The parser that read every block line as label tokens and mapped
     them to ids only once the whole file was read (reference)."""
@@ -295,10 +331,26 @@ def test_parse_design_matches_the_reference_parser():
     # an unknown GROUP label
     rdgdd = bases["rdgdd24"]
     group = rdgdd[:5] + [rdgdd[5].replace("0_0", "9_9")] + rdgdd[6:]
+    # make_design checks every block; the line named is still the first
+    # failing one in file order, and no ParameterError escapes
+    assert sqs8[5] == "0 1 2 5" and "5" in points[4:]
+    oversize = sqs8[:5] + ["0 1 2 5 6"] + sqs8[6:9] + ["0 0 1 2"] + sqs8[9:]
+    # the late block is resolved after the whole file is read, yet the
+    # oversized block before it is the one reported
+    oversize_late = sqs8[:4] + ["POINTS " + " ".join(points[:4]), "0 1 2 3 4", "0 1 2 99_9"]
+    oversize_late += sqs8[5:] + ["POINTS " + " ".join(points[4:])]
+    every_late = sqs8[:4] + sqs8[5:] + sqs8[4:5]
+    unknown_after_late = late[:6] + ["0 1 2 99_9"] + late[6:]
+    repeat_after_late = late[:7] + ["0 1 1 2"] + late[7:] + ["0 1 2 99_9"]
     pinned = [
         (repeated, (ParseError, "line 6: K value 'x' is not an integer")),
         (late, catalog.sqs8()),
         (group, (ParseError, "line 6: unknown label '9_9' in GROUP")),
+        (oversize, (ParseError, "line 6: block size 5 not in K=[4]")),
+        (oversize_late, (ParseError, "line 6: block size 5 not in K=[4]")),
+        (every_late, catalog.sqs8()),
+        (unknown_after_late, (ParseError, "line 7: unknown label '99_9'")),
+        (repeat_after_late, (ParseError, "line 8: repeated point in block")),
     ]
     for lines, expected in pinned:
         text = "\n".join(lines) + "\n"

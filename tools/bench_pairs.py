@@ -1,0 +1,155 @@
+"""Alternating parent/change pairs of the benchmark, written to one JSON file.
+
+    python3 tools/bench_pairs.py PARENT_REV --workload W [--workload W ...]
+        --pairs N --seconds S --out BENCH_<n>.json
+
+The parent revision is checked out with ``git worktree add`` under
+``.bench_work/`` and removed again at the end.  For each workload, pair i
+runs ``bench/run.py --workload W --seed K+i --seconds S`` once in the parent
+checkout and once in this working tree, the parent first when i is even.
+The seeds K+i start at a fresh random base K, so a claim is not measured on
+the seeds a change was tuned on.
+
+For every end-to-end metric of ``BENCHMARK.json`` the file holds the
+per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
+count for neither side); with the seeds, ``nproc``, the Python version and
+each run's attempted and failed operations.  An existing file keeps the
+workloads this run does not measure, so one file can collect several runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".bench_work"
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median, Q1 and Q3 (inclusive method) of at least one value."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(parent: list[float], change: list[float]) -> dict:
+    """One metric over N pairs, parent[i] and change[i] having run as pair
+    i: the pairs, each side's quartiles, the relative change of the median
+    and the number of pairs in which the change is strictly lower."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same number of parent and change values, at least one")
+    before, after = quartiles(parent), quartiles(change)
+    return {
+        "pairs": [[p, c] for p, c in zip(parent, change)],
+        "parent": before,
+        "change": after,
+        "median_change": after["median"] / before["median"] - 1 if before["median"] else None,
+        "lower": f"{sum(c < p for p, c in zip(parent, change))} of {len(parent)}",
+    }
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one ``bench/run.py`` run in ``checkout``."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=10 * seconds + 600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
+            metrics: list[dict]) -> dict:
+    sides = {"parent": parent, "change": ROOT}
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = _run(sides[side], workload, seed, seconds)
+            runs[side].append(result)
+            print(f"{workload} pair {i} seed {seed} {side}: "
+                  + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                             for m in metrics), flush=True)
+    out = {
+        "seeds": seeds,
+        "parent_first": [i % 2 == 0 for i in range(len(seeds))],
+        "failed": {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()},
+        "metrics": {},
+    }
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in rs] for side, rs in runs.items()}
+        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                                     **summarize(values["parent"], values["change"])}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Alternating parent/change benchmark pairs.")
+    ap.add_argument("parent_rev")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        ap.error("--pairs and --seconds must be positive")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
+    if unknown:
+        ap.error(f"unknown workload {sorted(unknown)}")
+    first = random.SystemRandom().randrange(10**6, 10**7)
+
+    # a terminated run still removes its worktree and stops its bench child
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    rev = _git("rev-parse", args.parent_rev)
+    parent = WORK / f"parent-{rev[:12]}"
+    if parent.exists():
+        _git("worktree", "remove", "--force", str(parent))
+    _git("worktree", "add", "--detach", str(parent), rev)
+    try:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {}
+        record.update({
+            "parent": rev,
+            "change": _git("rev-parse", "HEAD") + ("+dirty" if _git("status", "--porcelain") else ""),
+            "command": "python3 bench/run.py --workload W --seed N --seconds S",
+            "seconds": args.seconds,
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+        })
+        workloads = record.setdefault("workloads", {})
+        for k, workload in enumerate(args.workload):
+            seeds = [first + 1000 * k + i for i in range(args.pairs)]
+            workloads[workload] = measure(parent, workload, seeds, args.seconds, spec["end_to_end"])
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
+    finally:
+        _git("worktree", "remove", "--force", str(parent))
+        shutil.rmtree(parent, ignore_errors=True)
+    for workload in args.workload:
+        for name, m in workloads[workload]["metrics"].items():
+            p, c = m["parent"], m["change"]
+            print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                  f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
