@@ -14,9 +14,11 @@ verification failed (witnesses go to stderr), 2 usage, parse or OS errors
 invocations on the same inputs are byte-identical, and --jobs only changes
 wall time, never output.
 
-``construct`` writes each point's resolution file as soon as it is proved,
-and ``report`` reads one point file at a time.  The process pool is
-imported only for --jobs > 1.
+``construct`` writes each point's resolution file as soon as it is proved.
+``report`` proves its point files on one worker per usable CPU (so
+``taskset`` bounds them), at most one per file; each worker reads its own
+files.  The process pool is imported only for --jobs > 1, and by
+``report`` only when more than one CPU is usable.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import errno
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import catalog, formats, quadruple, resolver
@@ -118,31 +121,40 @@ def _verify_res_section(item) -> tuple[str, bool, str]:
     return point, rep.passed, detail
 
 
+def _verify_res_file(path) -> list[tuple[str, bool, str]]:
+    """``_verify_res_section`` of each section of the point file ``path``."""
+    design = _POOL_OBJ.design if isinstance(_POOL_OBJ, Gdd) else _POOL_OBJ
+    sections = _parse_file(path, formats.parse_resolution, design)
+    return [_verify_res_section(item) for item in sections.items()]
+
+
 def _map_jobs(jobs: int, func, items, init_obj):
     """``func`` over ``items`` in order, each result yielded as it arrives;
     with more than one job, in a process pool whose workers hold
-    ``init_obj``."""
+    ``init_obj``.  A job that raises cancels those not yet started."""
     if jobs <= 1:
         _pool_init(init_obj)
         yield from map(func, items)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pool_init, initargs=(init_obj,)
-    ) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(init_obj,))
+    try:
         yield from pool.map(func, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _check_sections(obj: Design | Gdd, items, jobs: int = 1) -> bool:
-    """One claim per (point, classes) section: the derived resolution at
-    the point, framed as ``obj`` frames it, or at ``formats.WHOLE`` the
-    resolution of the design itself, passes ``verify_resolution``.  Then,
-    unless every section is a WHOLE one, the claim that each point has
-    exactly one section.  Returns whether every claim passed.
+def _check_sections(obj: Design | Gdd, results) -> bool:
+    """One claim per (point, passed, detail) result of
+    ``_verify_res_section``, in order: the derived resolution at the point,
+    framed as ``obj`` frames it, or at ``formats.WHOLE`` the resolution of
+    the design itself, passes ``verify_resolution``.  Then, unless every
+    section is a WHOLE one, the claim that each point has exactly one
+    section.  Returns whether every claim passed.
     """
     ok, points, whole = True, [], False
-    for point, passed, detail in _map_jobs(jobs, _verify_res_section, items, obj):
+    for point, passed, detail in results:
         if point == formats.WHOLE:
             ok &= _claim("resolution of the design", passed, detail)
             whole = True
@@ -191,7 +203,7 @@ def cmd_verify(args) -> int:
         items = sorted(
             parsed.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
         )
-        ok &= _check_sections(obj, items, args.jobs)
+        ok &= _check_sections(obj, _map_jobs(args.jobs, _verify_res_section, items, obj))
     elif kind == "STAR":
         star = StarCertificate(design, {c.point: c for c in parsed.values()})
         steiner = None if isinstance(obj, Gdd) else coverage
@@ -297,11 +309,11 @@ def cmd_report(args) -> int:
     obj = _parse_file(out_dir / "design.design", formats.parse_design)
     design = obj.design if isinstance(obj, Gdd) else obj
     ok = _check_coverage(obj).passed
-    ok &= _check_sections(obj, (
-        item
-        for path in sorted(out_dir.glob("point_*.res"))
-        for item in _parse_file(path, formats.parse_resolution, design).items()
-    ))
+    design.incidence  # built before the workers fork, so each inherits it
+    paths = sorted(out_dir.glob("point_*.res"))
+    jobs = min(len(os.sched_getaffinity(0)), len(paths))
+    results = _map_jobs(jobs, _verify_res_file, paths, obj)
+    ok &= _check_sections(obj, chain.from_iterable(results))
     return OK if ok else FAIL
 
 

@@ -43,7 +43,10 @@ WHOLE = "*"
 class ParseError(DesignError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.message, self.line = message, line
+
+    def __reduce__(self):  # so it crosses a process pool intact
+        return type(self), (self.message, self.line)
 
 
 # characters per piece of text split at once; a piece runs on to the

@@ -2,6 +2,7 @@
 itself is never run here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,46 @@ def test_summary_of_one_pair_and_of_mismatched_sides():
         bench_pairs.summarize([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [])
+
+
+def _stdout(cpus, sha, check_s):
+    record = {"workload": "rdsqs112", "seed": 7, "nproc": 2, "cpus_usable": cpus,
+              "output_sha256": sha, "attempted": 9, "failed": 0}
+    result = {"correct": True, "attempted": 9, "failed": 0,
+              "metrics": {"check_s": {"value": check_s, "unit": "s"}}}
+    return f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
+
+
+def test_each_run_keeps_its_usable_cpus_and_output_sha256():
+    record, result = bench_pairs.parse_run(_stdout(2, "ab", 0.9))
+    assert record["cpus_usable"] == 2 and record["output_sha256"] == "ab"
+    assert result["metrics"]["check_s"]["value"] == 0.9
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run(json.dumps(result) + "\n")
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run(_stdout(2, "ab", 0.9).splitlines()[0] + "\n")
+    metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    runs = {
+        "parent": [bench_pairs.parse_run(_stdout(2, "ab", 1.0)),
+                   bench_pairs.parse_run(_stdout(2, "cd", 1.1))],
+        "change": [bench_pairs.parse_run(_stdout(1, "ab", 0.8)),
+                   bench_pairs.parse_run(_stdout(2, "cd", 0.9))],
+    }
+    entry = bench_pairs.collect([7, 8], runs, metrics)
+    assert entry["cpus_usable"] == {"parent": [2, 2], "change": [1, 2]}
+    assert entry["output_sha256"] == {"parent": ["ab", "cd"], "change": ["ab", "cd"]}
+    assert entry["failed"] == {"parent": [[0, 9], [0, 9]], "change": [[0, 9], [0, 9]]}
+    assert entry["metrics"]["check_s"]["lower"] == "2 of 2"
+    assert bench_pairs.differing_outputs(entry) == []
+    runs["change"][1] = bench_pairs.parse_run(_stdout(2, "ef", 0.9))
+    assert bench_pairs.differing_outputs(bench_pairs.collect([7, 8], runs, metrics)) == [1]
+
+
+def test_a_workload_without_an_output_sha256_never_differs():
+    record = {"cpus_usable": 2}
+    result = {"failed": 0, "attempted": 3, "metrics": {"check_s": {"value": 0.01}}}
+    metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    entry = bench_pairs.collect([1], {"parent": [(record, result)], "change": [(record, result)]},
+                                metrics)
+    assert "output_sha256" not in entry
+    assert bench_pairs.differing_outputs(entry) == []

@@ -6,7 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from quadsys import DesignError, Gdd, catalog, cli, verify_star_point, verify_steiner
 from quadsys.cli import main
 from quadsys.formats import (
+    ParseError,
     emit_design,
     emit_resolution,
     emit_star,
@@ -41,6 +42,25 @@ def tree_sha256(directory):
     for f in sorted(p for p in directory.iterdir() if p.is_file()):
         h.update(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n".encode())
     return h.hexdigest()
+
+
+def report_on(out_dir, cpus):
+    """`report out_dir` as if ``cpus`` were the usable CPUs; (exit code,
+    stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as m, redirect_stdout(out), redirect_stderr(err):
+        m.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code = main(["report", str(out_dir)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def report_both_ways(out_dir):
+    """`report out_dir` in process (one usable CPU) and on a pool of two
+    workers; both must give the same exit code, stdout and stderr, which
+    are returned."""
+    serial = report_on(out_dir, {0})
+    assert report_on(out_dir, {0, 1}) == serial
+    return serial
 
 
 def test_gen_and_verify_sqs8(tmp_path):
@@ -445,8 +465,8 @@ def test_construct_and_report(construct_out):
         text = (out_dir / f"point_{label}.res").read_text()
         assert text.splitlines().count("CLASS") == int(n_classes)
     assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
-    code, out = run_cli("report", str(out_dir))
-    assert code == 0
+    code, out, err = report_both_ways(out_dir)
+    assert code == 0 and err == ""
     assert "PASS every point resolved 112/112" in out
 
 
@@ -458,14 +478,14 @@ def test_report_names_the_point_of_a_corrupted_resolution_file(construct_out, tm
     point = _swap_block(lines, random.Random(0))
     assert path.name == f"point_{point}.res"
     path.write_text("\n".join(lines) + "\n")
-    code, out = run_cli("report", str(out_dir))
+    code, out, _ = report_both_ways(out_dir)
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith(f"FAIL derived resolution at {point} ")
     assert out.splitlines()[-1] == "PASS every point resolved 112/112"
 
 
-def test_report_names_the_resolution_file_that_fails_to_parse(construct_out, tmp_path, capsys):
+def test_report_names_the_resolution_file_that_fails_to_parse(construct_out, tmp_path):
     out_dir = tmp_path / "out"
     shutil.copytree(construct_out[1], out_dir)
     path = out_dir / "point_19_0.res"
@@ -473,16 +493,33 @@ def test_report_names_the_resolution_file_that_fails_to_parse(construct_out, tmp
     tok = lines[4].split()
     lines[4] = " ".join(["99_9"] + tok[1:])
     path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["report", str(out_dir)]) == 2
-    err = capsys.readouterr().err
+    code, out, err = report_both_ways(out_dir)
+    assert code == 2
     assert err == f"error: {path}: line 5: unknown label '99_9'\n"
+    # the claims of the files before it, and none after
+    before = sorted(out_dir.glob("point_*.res")).index(path)
+    assert len(out.splitlines()) == 1 + before
+    assert out.splitlines()[-1].startswith("PASS derived resolution at ")
 
 
-def test_report_needs_every_point_once(tmp_path):
-    # a report directory of SQS(22) resolutions, one file per point; a
-    # second copy of one point must not stand in for a missing point
+def test_report_of_a_point_file_that_is_a_directory_or_of_none(construct_out, tmp_path):
     out_dir = tmp_path / "out"
+    shutil.copytree(construct_out[1], out_dir)
+    path = out_dir / "point_0_2.res"
+    path.unlink()
+    path.mkdir()
+    code, out, err = report_both_ways(out_dir)
+    assert code == 2 and out.count("\n") == 3  # steiner, 0_0 and 0_1
+    assert re.fullmatch(rf"error: \[Errno \d+\] Is a directory: {re.escape(repr(str(path)))}\n", err)
+    path.rmdir()
+    for res in out_dir.glob("point_*.res"):
+        res.unlink()
+    code, out, err = report_both_ways(out_dir)
+    assert code == 1 and err == "" and out.splitlines()[-1] == "FAIL every point resolved 0/112"
+
+
+def _sqs22_point_files(out_dir):
+    """A report directory of SQS(22) resolutions, one file per point."""
     out_dir.mkdir()
     run_cli("gen", "sqs22", "--out", str(out_dir / "design.design"))
     d = catalog.sqs22()
@@ -491,6 +528,50 @@ def test_report_needs_every_point_once(tmp_path):
     for point, classes in sections.items():
         text = emit_resolution(d, {point: classes})
         (out_dir / f"point_{point}.res").write_text(text)
+
+
+def test_report_on_a_pool_prints_each_claim_once_through_a_pipe(tmp_path):
+    # a worker that flushed the stdout buffer it inherits would print the
+    # claims made before the fork a second time
+    out_dir = tmp_path / "out"
+    _sqs22_point_files(out_dir)
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from quadsys.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "report", str(out_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(set(lines)) == 24
+    assert lines[0].startswith("PASS steiner coverage ")
+    assert sum(line.startswith("PASS derived resolution at ") for line in lines) == 22
+    assert lines[-1] == "PASS every point resolved 22/22"
+
+
+def test_a_parse_error_in_a_pool_job_reaches_the_caller_intact():
+    good = emit_design(catalog.sqs8())
+    lines = good.splitlines()
+    lines[-1] = " ".join(["99_9"] + lines[-1].split()[1:])
+    results = cli._map_jobs(2, parse_design, [good, "\n".join(lines) + "\n"], None)
+    assert next(results).v == 8
+    with pytest.raises(ParseError) as err:
+        next(results)
+    assert str(err.value) == f"line {len(lines)}: unknown label '99_9'"
+    assert err.value.line == len(lines)
+
+
+def test_report_needs_every_point_once(tmp_path):
+    # a second copy of one point must not stand in for a missing point
+    out_dir = tmp_path / "out"
+    _sqs22_point_files(out_dir)
     code, out = run_cli("report", str(out_dir))
     assert code == 0 and out.splitlines()[-1] == "PASS every point resolved 22/22"
     assert "PASS derived resolution at 7 classes=10" in out

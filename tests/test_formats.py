@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 
@@ -68,6 +69,13 @@ def test_parse_design_errors_carry_line_numbers():
         parse_design("KIND SQS\nT 3\nV 5\nK 4\nPOINTS 0 1 2 3\n0 1 2 3\n")
     with pytest.raises(ParseError, match="line 5: duplicate label in POINTS"):
         parse_design("KIND SQS\nT 3\nK 4\nPOINTS 0 1\nPOINTS 2 1\n0 1 2 3\n")
+
+
+def test_a_parse_error_survives_pickling():
+    # as it must to cross a process pool
+    exc = pickle.loads(pickle.dumps(ParseError("unknown label '99_9'", 5)))
+    assert type(exc) is ParseError
+    assert str(exc) == "line 5: unknown label '99_9'" and exc.line == 5
 
 
 def test_parse_design_rejects_a_negative_strength():

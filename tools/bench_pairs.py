@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py PARENT_REV --workload W [--workload W ...]
         --pairs N --seconds S --out BENCH_<n>.json
 
-The parent revision is checked out with ``git worktree add`` under
+The files of the parent revision are extracted with ``git archive`` under
 ``.bench_work/`` and removed again at the end.  For each workload, pair i
 runs ``bench/run.py --workload W --seed K+i --seconds S`` once in the parent
 checkout and once in this working tree, the parent first when i is even.
@@ -13,8 +13,11 @@ the seeds a change was tuned on.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
 count for neither side); with the seeds, ``nproc``, the Python version and
-each run's attempted and failed operations.  An existing file keeps the
-workloads this run does not measure, so one file can collect several runs.
+each run's attempted and failed operations.  From each run's ``run record:``
+line it keeps ``cpus_usable`` and, where the workload states one,
+``output_sha256``, per side; the command exits 1 if the two runs of a pair
+wrote different outputs.  An existing file keeps the workloads this run
+does not measure, so one file can collect several runs.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work"
+RECORD = "run record: "
+# the fields of a run record the file keeps
+KEPT = ("cpus_usable", "output_sha256")
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -64,17 +70,57 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``bench/run.py`` run in ``checkout``."""
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """(run record, result) of one ``bench/run.py`` stdout: the JSON of its
+    one ``run record:`` line and of its last line."""
+    lines = stdout.strip().splitlines()
+    records = [line[len(RECORD):] for line in lines if line.startswith(RECORD)]
+    if len(records) != 1 or lines[-1].startswith(RECORD):
+        raise ValueError("expected one run record line, then the result line")
+    return json.loads(records[0]), json.loads(lines[-1])
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(run record, result) of one ``bench/run.py`` run in ``checkout``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=10 * seconds + 600)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    return parse_run(proc.stdout)
+
+
+def collect(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]],
+            metrics: list[dict]) -> dict:
+    """The record of one workload from the (run record, result) of each
+    side's runs, run i of each side having run as pair i."""
+    records = {side: [r[0] for r in rs] for side, rs in runs.items()}
+    results = {side: [r[1] for r in rs] for side, rs in runs.items()}
+    out = {
+        "seeds": seeds,
+        "parent_first": [i % 2 == 0 for i in range(len(seeds))],
+        "failed": {side: [[r["failed"], r["attempted"]] for r in rs]
+                   for side, rs in results.items()},
+        "cpus_usable": {side: [r["cpus_usable"] for r in rs] for side, rs in records.items()},
+    }
+    if any("output_sha256" in r for rs in records.values() for r in rs):
+        out["output_sha256"] = {side: [r.get("output_sha256") for r in rs]
+                                for side, rs in records.items()}
+    out["metrics"] = {}
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                  for side, rs in results.items()}
+        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                                     **summarize(values["parent"], values["change"])}
+    return out
+
+
+def differing_outputs(entry: dict) -> list[int]:
+    """The pairs of a workload record whose two runs wrote different outputs."""
+    sha = entry.get("output_sha256", {"parent": [], "change": []})
+    return [i for i, (p, c) in enumerate(zip(sha["parent"], sha["change"])) if p != c]
 
 
 def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
@@ -84,22 +130,14 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = _run(sides[side], workload, seed, seconds)
-            runs[side].append(result)
+            record, result = _run(sides[side], workload, seed, seconds)
+            # a whole oracle record lists every instance, and this process's
+            # peak RSS is the floor of every RUSAGE_SELF peak a run reports
+            runs[side].append(({k: record[k] for k in KEPT if k in record}, result))
             print(f"{workload} pair {i} seed {seed} {side}: "
                   + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                              for m in metrics), flush=True)
-    out = {
-        "seeds": seeds,
-        "parent_first": [i % 2 == 0 for i in range(len(seeds))],
-        "failed": {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()},
-        "metrics": {},
-    }
-    for m in metrics:
-        values = {side: [r["metrics"][m["name"]]["value"] for r in rs] for side, rs in runs.items()}
-        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                                     **summarize(values["parent"], values["change"])}
-    return out
+    return collect(seeds, runs, metrics)
 
 
 def main(argv=None) -> int:
@@ -118,13 +156,15 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {sorted(unknown)}")
     first = random.SystemRandom().randrange(10**6, 10**7)
 
-    # a terminated run still removes its worktree and stops its bench child
+    # a terminated run still removes its parent copy and stops its bench child
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     rev = _git("rev-parse", args.parent_rev)
     parent = WORK / f"parent-{rev[:12]}"
-    if parent.exists():
-        _git("worktree", "remove", "--force", str(parent))
-    _git("worktree", "add", "--detach", str(parent), rev)
+    shutil.rmtree(parent, ignore_errors=True)
+    parent.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
     try:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
         record.update({
@@ -141,14 +181,18 @@ def main(argv=None) -> int:
             workloads[workload] = measure(parent, workload, seeds, args.seconds, spec["end_to_end"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
-        _git("worktree", "remove", "--force", str(parent))
         shutil.rmtree(parent, ignore_errors=True)
+    code = 0
     for workload in args.workload:
         for name, m in workloads[workload]["metrics"].items():
             p, c = m["parent"], m["change"]
             print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
-    return 0
+        differ = differing_outputs(workloads[workload])
+        if differ:
+            print(f"{workload}: parent and change wrote different outputs in pairs {differ}")
+            code = 1
+    return code
 
 
 if __name__ == "__main__":
