@@ -11,7 +11,7 @@ every point of the result is resolvable; those resolutions ship as data
 files and are re-verified from scratch here.
 """
 
-from quadsys import catalog, derived_gdd, verify_gdd, verify_resolution
+from quadsys import catalog, derived_design, verify_gdd, verify_resolution
 from quadsys.catalog import congruence_td, rule_table_24
 
 rule = rule_table_24()[0]
@@ -23,12 +23,12 @@ print("one congruence rule cuts out a TD(3,4,3), proved when built:",
 for name, points in (("rdgdd24", 24), ("rdgdd42", 42)):
     g = catalog.GENERATORS[name]()
     rep = verify_gdd(g)
-    print(f"\n{name}: {len(g.design.blocks)} blocks, "
+    print(f"\n{name}: {len(g.blocks)} blocks, "
           f"type {'3^%d' % len(g.groups)}, cross coverage={rep.passed}")
 
-    sub = derived_gdd(g, g.design.labels[0].text)
-    print(f"  derived at {g.design.labels[0].text}: "
-          f"{len(sub.design.blocks)} triples on {sub.design.v} points, "
+    sub = derived_design(g, g.labels[0].text)
+    print(f"  derived at {g.labels[0].text}: "
+          f"{len(sub.blocks)} triples on {sub.v} points, "
           f"verified={verify_gdd(sub).passed}")
 
     res = (catalog.rdgdd24_resolutions() if points == 24

@@ -26,7 +26,6 @@ from .core import (
     admissible,
     derived_design,
     derived_frame,
-    derived_gdd,
     expected_block_count,
     make_design,
     verify_gdd,

@@ -126,7 +126,7 @@ def congruence_td(coeffs: tuple[int, ...], rhs: tuple[int, ...]) -> tuple[Block,
     report = verify_gdd(td)
     if not report.passed:  # a TD iff x -> rhs[x] - c0*x is onto Z3
         raise ConstructionError(f"congruence rule is not a TD: {report.violations[:2]}")
-    return td.design.blocks
+    return td.blocks
 
 
 def audit_rules(
@@ -228,7 +228,6 @@ def sqs16() -> Design:
 def sqs28() -> Design:
     """Developed from the shipped 117 base blocks under +1 mod 7 on a_i."""
     raw = formats.parse_design(formats.read_data("sqs28_base.blocks"))
-    assert isinstance(raw, Design)
     bases = tuple(tuple(raw.labels[p] for p in b) for b in raw.blocks)
     return develop(raw.labels, bases, Shift(1, 7))
 
@@ -322,11 +321,10 @@ def _verified(res: dict[str, Resolution]) -> dict[str, Resolution]:
 
 def _framed(name: str) -> dict[str, Resolution]:
     """The shipped ``<name>_derived.res``, each section framed at its point."""
-    obj = GENERATORS[name]()
-    design = obj.design if isinstance(obj, Gdd) else obj
+    design = GENERATORS[name]()
     raw = formats.parse_resolution(formats.read_data(f"{name}_derived.res"), design)
     return {
-        point: formats.resolution_for_point(obj, point, classes)
+        point: formats.resolution_for_point(design, point, classes)
         for point, classes in raw.items()
     }
 

@@ -34,11 +34,9 @@ from . import catalog, formats, quadruple, resolver
 from .core import (
     Design,
     DesignError,
-    Gdd,
     ParameterError,
     VerifyReport,
     derived_design,
-    derived_gdd,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -81,9 +79,8 @@ def _write(path: Path, text: str) -> None:
 def cmd_gen(args) -> int:
     name = args.name
     out = Path(args.out or f"{name}.design")
-    obj = catalog.GENERATORS[name]()
-    _write(out, formats.emit_design(obj))
-    companion = obj.design if isinstance(obj, Gdd) else obj
+    companion = catalog.GENERATORS[name]()
+    _write(out, formats.emit_design(companion))
     if name in catalog.RESOLUTIONS:
         resolutions = catalog.RESOLUTIONS[name]()
         sections = {
@@ -123,8 +120,7 @@ def _verify_res_section(item) -> tuple[str, bool, str]:
 
 def _verify_res_file(path) -> list[tuple[str, bool, str]]:
     """``_verify_res_section`` of each section of the point file ``path``."""
-    design = _POOL_OBJ.design if isinstance(_POOL_OBJ, Gdd) else _POOL_OBJ
-    sections = _parse_file(path, formats.parse_resolution, design)
+    sections = _parse_file(path, formats.parse_resolution, _POOL_OBJ)
     return [_verify_res_section(item) for item in sections.items()]
 
 
@@ -145,10 +141,10 @@ def _map_jobs(jobs: int, func, items, init_obj):
         pool.shutdown(cancel_futures=True)
 
 
-def _check_sections(obj: Design | Gdd, results) -> bool:
+def _check_sections(d: Design, results) -> bool:
     """One claim per (point, passed, detail) result of
     ``_verify_res_section``, in order: the derived resolution at the point,
-    framed as ``obj`` frames it, or at ``formats.WHOLE`` the resolution of
+    framed as ``d`` frames it, or at ``formats.WHOLE`` the resolution of
     the design itself, passes ``verify_resolution``.  Then, unless every
     section is a WHOLE one, the claim that each point has exactly one
     section.  Returns whether every claim passed.
@@ -162,20 +158,19 @@ def _check_sections(obj: Design | Gdd, results) -> bool:
             ok &= _claim(f"derived resolution at {point}", passed, detail)
             points.append(point)
     if points or not whole:
-        labels = (obj.design if isinstance(obj, Gdd) else obj).labels
-        every = sorted(points) == sorted(lab.text for lab in labels)
-        ok &= _claim("every point resolved", every, f"{len(points)}/{len(labels)}")
+        every = sorted(points) == sorted(lab.text for lab in d.labels)
+        ok &= _claim("every point resolved", every, f"{len(points)}/{d.v}")
     return ok
 
 
-def _check_coverage(obj: Design | Gdd) -> VerifyReport:
-    """GROUP lines make a GDD, checked for cross coverage; anything else
-    is checked for Steiner coverage.  Returns the report it claimed."""
-    if isinstance(obj, Gdd):
-        rep = verify_gdd(obj)
+def _check_coverage(d: Design) -> VerifyReport:
+    """A design with groups is checked for GDD cross coverage, any other
+    for Steiner coverage.  Returns the report it claimed."""
+    if d.groups:
+        rep = verify_gdd(d)
         _claim("gdd cross coverage", rep.passed, f"blocks={rep.counts['blocks']}")
     else:
-        rep = verify_steiner(obj)
+        rep = verify_steiner(d)
         _claim("steiner coverage", rep.passed, str(rep.counts))
     return rep
 
@@ -190,24 +185,22 @@ def _parse_certificate(text: str, design: Design):
 
 
 def cmd_verify(args) -> int:
-    obj = _parse_file(args.design, formats.parse_design)
-    design = obj.design if isinstance(obj, Gdd) else obj
+    design = _parse_file(args.design, formats.parse_design)
     # the whole certificate is read before the first proof, so one that
     # fails to parse leaves stdout empty
     kind = None
     if args.certificate:
         kind, parsed = _parse_file(args.certificate, _parse_certificate, design)
-    coverage = _check_coverage(obj)
+    coverage = _check_coverage(design)
     ok = coverage.passed
     if kind == "RES":
         items = sorted(
             parsed.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
         )
-        ok &= _check_sections(obj, _map_jobs(args.jobs, _verify_res_section, items, obj))
+        ok &= _check_sections(design, _map_jobs(args.jobs, _verify_res_section, items, design))
     elif kind == "STAR":
         star = StarCertificate(design, {c.point: c for c in parsed.values()})
-        steiner = None if isinstance(obj, Gdd) else coverage
-        rep = verify_star(star, steiner)
+        rep = verify_star(star, None if design.groups else coverage)
         ok &= _claim("star certificate", rep.passed, str(rep.counts))
         if not rep.passed:
             print(rep.violations[:4], file=sys.stderr)
@@ -219,11 +212,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    obj = _parse_file(args.design, formats.parse_design)
-    if isinstance(obj, Gdd):
-        sub = derived_gdd(obj, args.point)
-    else:
-        sub = derived_design(obj, args.point)
+    sub = derived_design(_parse_file(args.design, formats.parse_design), args.point)
     _write(Path(args.out or f"derived_{args.point}.design"), formats.emit_design(sub))
     return OK
 
@@ -244,7 +233,7 @@ def _point_job(p: int) -> tuple[int, bool, int, str]:
 def cmd_construct(args) -> int:
     if args.design:
         companion = _parse_file(args.design, formats.parse_design)
-        if isinstance(companion, Gdd):
+        if companion.groups:
             raise DesignError("the star companion must be a plain design")
     else:
         companion = catalog.sqs28()
@@ -283,10 +272,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    obj = _parse_file(args.design, formats.parse_design)
-    design = obj.design if isinstance(obj, Gdd) else obj
+    design = _parse_file(args.design, formats.parse_design)
     if args.point is not None:
-        blocks, ground = resolver.derived_instance(obj, args.point)
+        blocks, ground = resolver.derived_instance(design, args.point)
         what = f"derived design at {args.point}"
     else:
         blocks = list(design.blocks)
@@ -306,14 +294,13 @@ def cmd_resolve(args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
-    obj = _parse_file(out_dir / "design.design", formats.parse_design)
-    design = obj.design if isinstance(obj, Gdd) else obj
-    ok = _check_coverage(obj).passed
+    design = _parse_file(out_dir / "design.design", formats.parse_design)
+    ok = _check_coverage(design).passed
     design.incidence  # built before the workers fork, so each inherits it
     paths = sorted(out_dir.glob("point_*.res"))
     jobs = min(len(os.sched_getaffinity(0)), len(paths))
-    results = _map_jobs(jobs, _verify_res_file, paths, obj)
-    ok &= _check_sections(obj, chain.from_iterable(results))
+    results = _map_jobs(jobs, _verify_res_file, paths, design)
+    ok &= _check_sections(design, chain.from_iterable(results))
     return OK if ok else FAIL
 
 

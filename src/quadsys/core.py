@@ -3,8 +3,9 @@
 Points carry structured labels (plain integers, pairs ``a_i``, infinity
 marks ``inf_i``, or GF(16) elements) but are handled internally as dense
 integer ids ``0..v-1``.  Blocks are sorted id tuples.  A design is a block
-multiset with declared strength ``t`` and admitted block sizes ``K``; a GDD
-adds a partition of the points into groups.  ``lift`` moves a small
+multiset with declared strength ``t`` and admitted block sizes ``K``; it
+carries its groups, a partition of the points for a GDD and none for a
+plain design, so one ``derived_design`` serves both.  ``lift`` moves a small
 design on local points g*k+i onto block x Zg of a master, the one step
 behind every filled or quadrupled design.  ``mover`` carries blocks round
 a label action, the one step behind orbit development.  Verification is
@@ -164,7 +165,8 @@ class Design:
 
     ``labels`` fixes the id <-> label bijection; ids are 0..v-1 in label
     sort order for canonically built designs.  ``blocks`` is stored sorted,
-    the only canonical form.
+    the only canonical form.  ``groups`` partition the points of a GDD and
+    are empty for a plain design.
     """
 
     t: int
@@ -172,6 +174,7 @@ class Design:
     labels: tuple[Label, ...]
     blocks: tuple[Block, ...]
     kind: str = "RAW"
+    groups: tuple[tuple[int, ...], ...] = ()
 
     @property
     def v(self) -> int:
@@ -212,6 +215,18 @@ class Design:
         for p, through in enumerate(inc):
             inc[p] = tuple(through)
         return tuple(inc)
+
+    @cached_property
+    def group_of(self) -> tuple[int, ...]:
+        gof = [-1] * self.v
+        for gi, cell in enumerate(self.groups):
+            for p in cell:
+                if gof[p] != -1:
+                    raise ParameterError(f"point {p} in two groups")
+                gof[p] = gi
+        if any(g == -1 for g in gof):
+            raise ParameterError("groups do not cover the point set")
+        return tuple(gof)
 
 
 def make_design(
@@ -260,24 +275,15 @@ def plain_labels(ns: Iterable[int]) -> tuple[Label, ...]:
     return tuple(map(Label.plain, ns))
 
 
-@dataclass(frozen=True)
-class Gdd:
-    """A design together with a partition of its points into groups."""
+class Gdd(Design):
+    """The design ``design`` with the groups ``groups``."""
 
-    design: Design
-    groups: tuple[tuple[int, ...], ...]
+    def __init__(self, design: Design, groups: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(design.t, design.sizes, design.labels, design.blocks, design.kind, groups)
 
-    @cached_property
-    def group_of(self) -> tuple[int, ...]:
-        gof = [-1] * self.design.v
-        for gi, cell in enumerate(self.groups):
-            for p in cell:
-                if gof[p] != -1:
-                    raise ParameterError(f"point {p} in two groups")
-                gof[p] = gi
-        if any(g == -1 for g in gof):
-            raise ParameterError("groups do not cover the point set")
-        return tuple(gof)
+    @property
+    def design(self) -> Design:
+        return self
 
 
 @dataclass(frozen=True)
@@ -468,7 +474,7 @@ def _expected_cross_coverage(
     return bytes(expected), int.from_bytes(non_cross, "little")
 
 
-def verify_gdd(g: Gdd) -> VerifyReport:
+def verify_gdd(d: Design) -> VerifyReport:
     """Check the block/group intersection rule and exact cross coverage.
 
     At t >= 2, a block (sorted, distinct points) of at least t points that
@@ -477,11 +483,10 @@ def verify_gdd(g: Gdd) -> VerifyReport:
     shorter than t, or t < 2, where every t-set is a cross set.  It flags
     its witnesses before the coverage witnesses.
     """
-    d = g.design
     rep = VerifyReport()
     rep.counts["blocks"] = len(d.blocks)
-    gof = g.group_of  # raises ParameterError unless the groups partition the points
-    expected, non_cross = _expected_cross_coverage(d.v, d.t, g.groups)
+    gof = d.group_of  # raises ParameterError unless the groups partition the points
+    expected, non_cross = _expected_cross_coverage(d.v, d.t, d.groups)
     counts = _coverage(d.blocks, d.t, d.v)
     covers_non_cross = counts != expected and int.from_bytes(counts, "little") & non_cross
     if d.t < 2 or covers_non_cross or min(map(len, d.blocks), default=d.t) < d.t:
@@ -495,7 +500,7 @@ def verify_gdd(g: Gdd) -> VerifyReport:
         rep.flag(kind, subset_unrank(r, d.t))
         if len(rep.violations) >= MAX_WITNESSES:
             break
-    rep.counts["groups"] = len(g.groups)
+    rep.counts["groups"] = len(d.groups)
     return rep
 
 
@@ -550,62 +555,49 @@ def verify_resolution(r: Resolution) -> VerifyReport:
 # derivation and label actions
 
 
-def derived_frame(
-    obj: Design | Gdd, x: Label | str | int
-) -> tuple[tuple[int, ...], tuple[Block, ...]]:
+def derived_frame(d: Design, x: Label | str | int) -> tuple[tuple[int, ...], tuple[Block, ...]]:
     """(ground, target) of the derived design at x, in parent ids.
 
     ``target`` is the sorted multiset of blocks through x with x removed,
     cut out of each block at x's position and sorted in place once;
-    ``ground`` is every point but x or, for a GDD, every point outside the
-    group of x.
+    ``ground`` is every point outside the group of x (every point but x
+    when the design has no groups).
     """
-    d = obj.design if isinstance(obj, Gdd) else obj
     xid = d.point(x)
-    gone = obj.groups[obj.group_of[xid]] if isinstance(obj, Gdd) else (xid,)
+    gone = d.groups[d.group_of[xid]] if d.groups else (xid,)
     ground = tuple(p for p in range(d.v) if p not in gone)
     punctured = [b[:i] + b[i + 1 :] for b in d.incidence[xid] for i in (b.index(xid),)]
     punctured.sort()
     return ground, tuple(punctured)
 
 
-def _reindexed_derived(
-    obj: Design | Gdd, x: Label | str | int, kind: str
-) -> tuple[Design, dict[int, int]]:
-    """The derived frame at x as a design on dense ids 0..|ground|-1.
-
-    The surviving points keep their original order and labels, so
-    label-based lookups keep working; also returns the old -> new id map.
-    """
-    d = obj.design if isinstance(obj, Gdd) else obj
+def derived_design(d: Design, x: Label | str | int) -> Design:
+    """The derived frame at x as a design on dense ids 0..|ground|-1:
+    strength and sizes drop by one.  A design with groups gives a ``Gdd`` of
+    kind GDD on the groups other than that of x.  The surviving points keep
+    their original order and labels, so label-based lookups keep working."""
     if d.t < 1:
         raise ParameterError(f"a design of strength {d.t} has no derived design")
-    ground, target = derived_frame(obj, x)
+    ground, target = derived_frame(d, x)
     old_to_new = {p: n for n, p in enumerate(ground)}
-    design = make_design(
+    sub = make_design(
         t=d.t - 1,
         sizes={s - 1 for s in d.sizes},
         labels=[d.labels[p] for p in ground],
         blocks=[tuple(old_to_new[p] for p in b) for b in target],
-        kind=kind,
+        kind="GDD" if d.groups else {"SQS": "STS"}.get(d.kind, "RAW"),
     )
-    return design, old_to_new
-
-
-def derived_design(d: Design, x: Label | str | int) -> Design:
-    """Blocks through x with x removed; strength and sizes drop by one."""
-    return _reindexed_derived(d, x, {"SQS": "STS"}.get(d.kind, "RAW"))[0]
-
-
-def derived_gdd(g: Gdd, x: Label | str | int) -> Gdd:
-    """Remove x's whole group, puncture the blocks through x."""
-    design, old_to_new = _reindexed_derived(g, x, "GDD")
+    if not d.groups:
+        return sub
     groups = tuple(
         tuple(old_to_new[p] for p in cell)
-        for cell in g.groups
+        for cell in d.groups
         if all(p in old_to_new for p in cell)
     )
-    return Gdd(design=design, groups=groups)
+    return Gdd(design=sub, groups=groups)
+
+
+derived_gdd = derived_design  # the name the benchmark imports
 
 
 def mover(labels: Sequence[Label], action) -> Callable[[Block], Block]:

@@ -111,8 +111,9 @@ def file_kind(text: str) -> str | None:
 # designs
 
 
-def parse_design(text: str) -> Design | Gdd:
-    """The design (or, with GROUP lines, the GDD) a design file states.
+def parse_design(text: str) -> Design:
+    """The design a design file states: with GROUP lines, a ``Gdd`` whose
+    GROUP lines partition the POINTS labels.
 
     Each block line is mapped to a tuple of point ids as it is read, through
     a label index that grows at every POINTS line; only a line that names a
@@ -192,12 +193,20 @@ def parse_design(text: str) -> Design | Gdd:
         raise
     if not groups:
         return design
-    cells = []
+    seen: set[str] = set()
     for no, cell in groups:
-        try:
-            cells.append(tuple(sorted(index[x] for x in cell)))
-        except KeyError as exc:
-            raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", no) from None
+        if not cell:
+            raise ParseError("GROUP needs at least one label", no)
+        for x in cell:
+            if x not in index:
+                raise ParseError(f"unknown label {x!r} in GROUP", no)
+            if x in seen:
+                raise ParseError(f"label {x!r} is already in a GROUP", no)
+            seen.add(x)
+    missing = [x for x in index if x not in seen]
+    if missing:  # named at the last GROUP line
+        raise ParseError(f"label {missing[0]!r} is in no GROUP", no)
+    cells = (tuple(sorted(map(ids, cell))) for _, cell in groups)
     return Gdd(design=design, groups=tuple(sorted(cells)))
 
 
@@ -213,12 +222,11 @@ def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
     return [" ".join(map(names.__getitem__, b)) for b in blocks]
 
 
-def emit_design(obj: Design | Gdd) -> str:
-    """The design file of ``obj``: headers, GROUP lines, then one line per
-    block.  Block lines are joined ``_EMIT_CHUNK`` at a time and the pieces
-    joined once more, so no list of every line's string is ever held."""
-    gdd = obj if isinstance(obj, Gdd) else None
-    design = gdd.design if gdd else obj
+def emit_design(design: Design) -> str:
+    """The design file of ``design``: headers, its GROUP lines, then one
+    line per block.  Block lines are joined ``_EMIT_CHUNK`` at a time and
+    the pieces joined once more, so no list of every line's string is ever
+    held."""
     names = [lab.text for lab in design.labels]
     lines = [
         f"KIND {design.kind}",
@@ -227,8 +235,7 @@ def emit_design(obj: Design | Gdd) -> str:
         "K " + " ".join(str(s) for s in sorted(design.sizes)),
         "POINTS " + " ".join(names),
     ]
-    if gdd:
-        lines.extend("GROUP " + line for line in _blocks_text(names, gdd.groups))
+    lines.extend("GROUP " + line for line in _blocks_text(names, design.groups))
     pieces = ["\n".join(lines)]
     blocks = design.blocks
     for i in range(0, len(blocks), _EMIT_CHUNK):
@@ -322,18 +329,15 @@ def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ..
     return "\n".join(lines) + "\n"
 
 
-def resolution_for_point(
-    obj: Design | Gdd, x, classes: tuple[tuple[Block, ...], ...]
-) -> Resolution:
+def resolution_for_point(d: Design, x, classes: tuple[tuple[Block, ...], ...]) -> Resolution:
     """A Resolution object for the derived design at x, in parent ids; at
     x = ``WHOLE``, for the design itself (every point, every block).
 
     For a GDD the whole group of x leaves the ground set.
     """
     if x == WHOLE:
-        d = obj.design if isinstance(obj, Gdd) else obj
         return Resolution(ground=tuple(range(d.v)), classes=classes, target=d.blocks)
-    ground, target = derived_frame(obj, x)
+    ground, target = derived_frame(d, x)
     return Resolution(ground=ground, classes=classes, target=target)
 
 

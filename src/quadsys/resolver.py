@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Block, Design, Gdd, ParameterError, Resolution, derived_frame
+from .core import Block, Design, ParameterError, Resolution, derived_frame
 
 MAX_ORACLE_POINTS = 45
 DEFAULT_BUDGET = 10**8
@@ -189,7 +189,7 @@ def find_resolution(
     return SearchOutcome(status=status, resolution=resolution, nodes=search.nodes)
 
 
-def derived_instance(d: Design | Gdd, x) -> tuple[list[Block], tuple[int, ...]]:
+def derived_instance(d: Design, x) -> tuple[list[Block], tuple[int, ...]]:
     """(blocks, ground) of the derived design at x, in parent ids.
 
     For a GDD the whole group of x leaves the ground set.
@@ -198,7 +198,7 @@ def derived_instance(d: Design | Gdd, x) -> tuple[list[Block], tuple[int, ...]]:
     return list(target), ground
 
 
-def confirm_rds(d: Design | Gdd, budget: int = DEFAULT_BUDGET) -> dict[str, SearchOutcome]:
+def confirm_rds(d: Design, budget: int = DEFAULT_BUDGET) -> dict[str, SearchOutcome]:
     """Search a resolution of the derived design at every point.
 
     For a GDD each search runs on the derived GDD (the point's whole group
@@ -206,9 +206,8 @@ def confirm_rds(d: Design | Gdd, budget: int = DEFAULT_BUDGET) -> dict[str, Sear
     outcome is "found"; any "exhausted" entry leaves the question open
     rather than answering it.
     """
-    design = d.design if isinstance(d, Gdd) else d
     out = {}
-    for xid in range(design.v):
+    for xid in range(d.v):
         blocks, ground = derived_instance(d, xid)
-        out[design.labels[xid].text] = find_resolution(blocks, ground, budget)
+        out[d.labels[xid].text] = find_resolution(blocks, ground, budget)
     return out

@@ -39,10 +39,10 @@ def test_summary_of_one_pair_and_of_mismatched_sides():
         bench_pairs.summarize([], [])
 
 
-def _stdout(cpus, sha, check_s):
+def _stdout(cpus, sha, check_s, failed=0):
     record = {"workload": "rdsqs112", "seed": 7, "nproc": 2, "cpus_usable": cpus,
-              "output_sha256": sha, "attempted": 9, "failed": 0}
-    result = {"correct": True, "attempted": 9, "failed": 0,
+              "output_sha256": sha, "attempted": 9, "failed": failed}
+    result = {"correct": failed == 0, "attempted": 9, "failed": failed,
               "metrics": {"check_s": {"value": check_s, "unit": "s"}}}
     return f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
 
@@ -80,3 +80,34 @@ def test_a_workload_without_an_output_sha256_never_differs():
                                 metrics)
     assert "output_sha256" not in entry
     assert bench_pairs.differing_outputs(entry) == []
+
+
+def test_an_incorrect_run_or_a_larger_failed_share_of_the_change_is_a_fault(capsys):
+    metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    runs = {
+        "parent": [bench_pairs.parse_run(_stdout(2, "ab", 1.0)),
+                   bench_pairs.parse_run(_stdout(2, "cd", 1.1, failed=1))],
+        "change": [bench_pairs.parse_run(_stdout(2, "ab", 0.8, failed=1)),
+                   bench_pairs.parse_run(_stdout(2, "cd", 0.9))],
+    }
+    entry = bench_pairs.collect([7, 8], runs, metrics)
+    assert entry["correct"] == {"parent": [True, False], "change": [False, True]}
+    # the same failed share on both sides: only the incorrect change run counts
+    assert bench_pairs.failed_share(entry["failed"]["change"]) == pytest.approx(1 / 18)
+    assert bench_pairs.change_faults(entry) == ["change run of pair 0 is not correct"]
+    runs["parent"][1] = bench_pairs.parse_run(_stdout(2, "cd", 1.1))
+    assert bench_pairs.change_faults(bench_pairs.collect([7, 8], runs, metrics)) == [
+        "change run of pair 0 is not correct",
+        "change fails a larger share of operations: 0 -> 0.05556",
+    ]
+    assert bench_pairs.print_summary("rdsqs112", bench_pairs.collect([7, 8], runs, metrics)) == 1
+    out = capsys.readouterr().out
+    assert "rdsqs112: correct runs 2 -> 1 of 2, failed share 0 -> 0.05556\n" in out
+    assert "rdsqs112: change run of pair 0 is not correct\n" in out
+    # an incorrect parent run alone is no fault of the change
+    runs["change"][0] = bench_pairs.parse_run(_stdout(2, "ab", 0.8))
+    runs["parent"][0] = bench_pairs.parse_run(_stdout(2, "ab", 1.0, failed=2))
+    entry = bench_pairs.collect([7, 8], runs, metrics)
+    assert bench_pairs.change_faults(entry) == []
+    assert bench_pairs.print_summary("rdsqs112", entry) == 0
+    assert "correct runs 1 -> 2 of 2, failed share 0.1111 -> 0\n" in capsys.readouterr().out

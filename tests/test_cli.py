@@ -784,6 +784,36 @@ def test_construct_whose_assembly_fails_writes_no_output_directory(tmp_path, mon
     assert not out.exists()
 
 
+def test_construct_with_a_gdd_companion_exits_1_and_writes_nothing(tmp_path, capsys):
+    gdd = tmp_path / "rdgdd24.design"
+    run_cli("gen", "rdgdd24", "--out", str(gdd))
+    star = tmp_path / "seeds.star"
+    star.write_text(read_data("sqs28_star.star"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["construct", str(star), str(out), "--design", str(gdd)]) == 1
+    assert capsys.readouterr() == ("", "error: the star companion must be a plain design\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:5] + ["GROUP"] + lines[5:], "line 6: GROUP needs at least one label"),
+    (lambda lines: lines[:6] + lines[5:], "line 7: label '0_0' is already in a GROUP"),
+    (lambda lines: lines[:6] + lines[7:], "line 12: label '1_0' is in no GROUP"),
+], ids=["empty GROUP", "label in two groups", "label in no group"])
+def test_group_lines_that_do_not_partition_the_points_exit_2(tmp_path, capsys, edit, message):
+    gen = tmp_path / "rdgdd24.design"
+    run_cli("gen", "rdgdd24", "--out", str(gen))
+    bad = tmp_path / "bad.design"
+    bad.write_text("\n".join(edit(gen.read_text().splitlines())) + "\n")
+    derived = tmp_path / "derived.design"
+    capsys.readouterr()
+    for argv in (["verify", str(bad)], ["derive", str(bad), "1_0", "--out", str(derived)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+    assert not derived.exists()
+
+
 NO_KIND = "{cert}: a certificate needs a KIND RES or KIND STAR"
 
 

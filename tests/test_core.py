@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -19,8 +20,8 @@ from quadsys import (
     core,
     derived_design,
     derived_frame,
-    derived_gdd,
     expected_block_count,
+    formats,
     make_design,
     verify_gdd,
     verify_resolution,
@@ -224,16 +225,15 @@ def reference_expected_cross_coverage(v, t, groups):
     return bytes(expected)
 
 
-def reference_verify_gdd(g):
-    d = g.design
+def reference_verify_gdd(d):
     rep = VerifyReport()
     rep.counts["blocks"] = len(d.blocks)
-    gof = g.group_of
+    gof = d.group_of
     for b in d.blocks:
         hit = [gof[p] for p in b]
         if len(set(hit)) != len(hit):
             rep.flag("block meets a group twice", b)
-    expected = reference_expected_cross_coverage(d.v, d.t, g.groups)
+    expected = reference_expected_cross_coverage(d.v, d.t, d.groups)
     counts = reference_coverage(d.blocks, d.t, d.v)
     if counts != expected:
         for r, (c, e) in enumerate(zip(counts, expected)):
@@ -244,14 +244,12 @@ def reference_verify_gdd(g):
                 rep.flag(kind, subset_unrank(r, d.t))
                 if len(rep.violations) >= MAX_WITNESSES:
                     break
-    rep.counts["groups"] = len(g.groups)
+    rep.counts["groups"] = len(d.groups)
     return rep
 
 
-def _with_blocks(obj, blocks):
-    d = obj.design if isinstance(obj, Gdd) else obj
-    design = Design(d.t, d.sizes, d.labels, tuple(blocks), d.kind)
-    return Gdd(design=design, groups=obj.groups) if isinstance(obj, Gdd) else design
+def _with_blocks(d, blocks):
+    return Design(d.t, d.sizes, d.labels, tuple(blocks), d.kind, d.groups)
 
 
 def _random_blocks(rng, v, n, sizes):
@@ -261,19 +259,17 @@ def _random_blocks(rng, v, n, sizes):
 def _coverage_corpus(rng):
     """Seeded (what, design or GDD) pairs for the coverage differential."""
     for name in sorted(catalog.GENERATORS):
-        obj = catalog.GENERATORS[name]()
-        d = obj.design if isinstance(obj, Gdd) else obj
-        yield name, obj
+        d = catalog.GENERATORS[name]()
+        yield name, d
         n = len(d.blocks)
         for i in range(n) if n <= 140 else sorted(rng.sample(range(n), 8)):
-            yield f"{name} delete {i}", _with_blocks(obj, d.blocks[:i] + d.blocks[i + 1:])
-            yield f"{name} double {i}", _with_blocks(obj, d.blocks + (d.blocks[i],))
+            yield f"{name} delete {i}", _with_blocks(d, d.blocks[:i] + d.blocks[i + 1:])
+            yield f"{name} double {i}", _with_blocks(d, d.blocks + (d.blocks[i],))
     # a block repeated past the 255 cap of a count
     sqs8 = catalog.sqs8()
     yield "sqs8 + 300 copies", _with_blocks(sqs8, sqs8.blocks + sqs8.blocks[:1] * 300)
     for name in ("rdgdd24", "rdgdd42"):
-        g = catalog.GENERATORS[name]()
-        d = g.design
+        g = d = catalog.GENERATORS[name]()
         yield f"{name} + 256 copies", _with_blocks(g, d.blocks + d.blocks[-1:] * 256)
         for _ in range(4):
             # swap a point of a block for one in the group of another of its points
@@ -304,11 +300,11 @@ def _coverage_corpus(rng):
         groups = tuple(
             tuple(sorted(points[a:b])) for a, b in zip([0] + cuts, cuts + [v])
         )
-        yield f"random GDD t={t} v={v}", Gdd(design=design, groups=groups)
+        yield f"random GDD t={t} v={v}", replace(design, groups=groups)
     # t = 1, as `derive` leaves a t = 2 design: every 1-set is a cross set,
     # so only the group scan sees a block inside a group
     design = Design(1, frozenset({2}), plain_labels(range(4)), ((0, 1), (2, 3)))
-    yield "t=1 blocks inside groups", Gdd(design=design, groups=((0, 1), (2, 3)))
+    yield "t=1 blocks inside groups", replace(design, groups=((0, 1), (2, 3)))
     for case in range(40):
         v = rng.randint(2, 9)
         blocks = _random_blocks(rng, v, rng.randint(0, 12), range(1, min(v, 4) + 1))
@@ -316,32 +312,31 @@ def _coverage_corpus(rng):
         yield f"random t=1 v={v}", design
         cut = rng.randint(1, v - 1)
         groups = (tuple(range(cut)), tuple(range(cut, v)))
-        yield f"random GDD t=1 v={v}", Gdd(design=design, groups=groups)
+        yield f"random GDD t=1 v={v}", replace(design, groups=groups)
     # one group holding every point: no t-set is a cross set
     for t in (1, 2, 3, 4):
         blocks = _random_blocks(rng, 9, rng.randint(0, 6), range(1, 6))
         design = Design(t, frozenset({t, t + 1}), plain_labels(range(9)), tuple(blocks))
-        yield f"single group t={t}", Gdd(design=design, groups=(tuple(range(9)),))
+        yield f"single group t={t}", replace(design, groups=(tuple(range(9)),))
 
 
 def test_coverage_verifiers_match_the_previous_kernel(monkeypatch):
     seen = Counter()
-    for what, obj in _coverage_corpus(random.Random(0)):
-        d = obj.design if isinstance(obj, Gdd) else obj
-        if isinstance(obj, Gdd):
+    for what, d in _coverage_corpus(random.Random(0)):
+        if d.groups:
             check, reference = verify_gdd, reference_verify_gdd
         else:
             check, reference = verify_steiner, reference_verify_steiner
         cover = reference_coverage(d.blocks, d.t, d.v)
         assert _coverage(d.blocks, d.t, d.v) == cover, what
-        if isinstance(obj, Gdd):
-            expected = reference_expected_cross_coverage(d.v, d.t, obj.groups)
-            assert core._expected_cross_coverage(d.v, d.t, obj.groups)[0] == expected, what
+        if d.groups:
+            expected = reference_expected_cross_coverage(d.v, d.t, d.groups)
+            assert core._expected_cross_coverage(d.v, d.t, d.groups)[0] == expected, what
         # the bytearray counts that designs past LIST_COUNTS_MAX t-sets take
         with monkeypatch.context() as m:
             m.setattr(core, "LIST_COUNTS_MAX", 0)
             assert _coverage(d.blocks, d.t, d.v) == cover, (what, "bytearray")
-        got, want = check(obj), reference(obj)
+        got, want = check(d), reference(d)
         assert (got.passed, got.violations, got.counts) == (
             want.passed, want.violations, want.counts
         ), what
@@ -378,9 +373,9 @@ def test_verify_gdd_rejects_groups_that_are_not_a_partition():
     g = catalog.rdgdd24()
     first, second, *rest = g.groups
     with pytest.raises(ParameterError, match="in two groups"):
-        verify_gdd(Gdd(design=g.design, groups=(first, second + first[:1], *rest)))
+        verify_gdd(Gdd(design=g, groups=(first, second + first[:1], *rest)))
     with pytest.raises(ParameterError, match="do not cover"):
-        verify_gdd(Gdd(design=g.design, groups=(second, *rest)))
+        verify_gdd(Gdd(design=g, groups=(second, *rest)))
 
 
 def test_make_design_rejects_malformed_blocks():
@@ -440,25 +435,23 @@ def test_derived_design_at_every_point_of_sqs22_is_steiner():
 
 @pytest.mark.parametrize("name", sorted(catalog.GENERATORS))
 def test_derived_frame_matches_a_brute_force_scan(name):
-    obj = catalog.GENERATORS[name]()
-    d = obj.design if isinstance(obj, Gdd) else obj
+    d = catalog.GENERATORS[name]()
     for x in range(d.v):
-        ground, target = derived_frame(obj, x)
+        ground, target = derived_frame(d, x)
         assert list(target) == sorted(
             tuple(p for p in b if p != x) for b in d.blocks if x in b
         )
-        if isinstance(obj, Gdd):
-            gone = next(set(cell) for cell in obj.groups if x in cell)
+        if d.groups:
+            gone = next(set(cell) for cell in d.groups if x in cell)
         else:
             gone = {x}
         assert ground == tuple(p for p in range(d.v) if p not in gone)
-        assert derived_frame(obj, d.labels[x]) == (ground, target)
+        assert derived_frame(d, d.labels[x]) == (ground, target)
 
 
 @pytest.mark.parametrize("name", sorted(catalog.GENERATORS))
 def test_incidence_lists_each_block_once_per_point(name):
-    obj = catalog.GENERATORS[name]()
-    d = obj.design if isinstance(obj, Gdd) else obj
+    d = catalog.GENERATORS[name]()
     for p in range(d.v):
         through = tuple(b for b in d.blocks if p in b)
         assert d.incidence[p] == through
@@ -467,7 +460,7 @@ def test_incidence_lists_each_block_once_per_point(name):
 
 def test_incidence_holds_one_pointer_per_slot():
     # a fresh Design, so the table is built here, under the tracer
-    d = catalog.rdgdd42().design
+    d = catalog.rdgdd42()
     d = Design(d.t, d.sizes, d.labels, d.blocks, d.kind)
     tracemalloc.start()
     try:
@@ -485,17 +478,32 @@ def test_derived_design_rejects_unknown_point():
         derived_design(catalog.sqs8(), "inf_3")
 
 
+def test_the_names_the_benchmark_calls_stay():
+    # bench/ builds and tells apart GDDs with these names; Tier-1 runs no bench
+    d = catalog.sqs8()
+    assert Design(d.t, d.sizes, d.labels, d.blocks, d.kind) == d
+    g = catalog.rdgdd24()
+    built = Gdd(design=Design(g.t, g.sizes, g.labels, g.blocks, g.kind), groups=g.groups)
+    assert built == g and built.design is built and g.design is g
+    parsed = formats.parse_design(formats.emit_design(g))
+    assert isinstance(g, Gdd) and isinstance(parsed, Gdd) and parsed.design is parsed
+    assert not isinstance(catalog.sqs28(), Gdd)
+    sub = core.derived_gdd(g, 0).design
+    assert isinstance(sub, Gdd) and sub.kind == "GDD" and sub == derived_design(g, 0)
+    assert verify_gdd.__name__ == "verify_gdd"
+
+
 def test_derived_gdd_drops_whole_group():
     g = catalog.rdgdd24()
-    sub = derived_gdd(g, "inf_0")
-    assert sub.design.v == 21
+    sub = derived_design(g, "inf_0")
+    assert sub.v == 21
     assert sorted(map(len, sub.groups)) == [3] * 7
-    assert len(sub.design.blocks) == 63  # 9 shipped classes x 7 triples
+    assert len(sub.blocks) == 63  # 9 shipped classes x 7 triples
     assert verify_gdd(sub).passed
-    sub42 = derived_gdd(catalog.rdgdd42(), "0_0")
-    assert sub42.design.v == 39
+    sub42 = derived_design(catalog.rdgdd42(), "0_0")
+    assert sub42.v == 39
     assert sorted(map(len, sub42.groups)) == [3] * 13
-    assert len(sub42.design.blocks) == 18 * 13
+    assert len(sub42.blocks) == 18 * 13
     assert verify_gdd(sub42).passed
 
 

@@ -256,12 +256,22 @@ def reference_parse_design(text):
     design = make_design(t=t, sizes=sizes, labels=labels, blocks=id_blocks, kind=kind)
     if not groups:
         return design
-    cells = []
+    # the GROUP lines partition the POINTS labels, checked label by label
+    # in file order; a label left out is named at the last GROUP line
+    group_line = {}
     for no, cell in groups:
-        try:
-            cells.append(tuple(sorted(index[x] for x in cell)))
-        except KeyError as exc:
-            raise ParseError(f"unknown label {exc.args[0]!r} in GROUP", no) from None
+        if not cell:
+            raise ParseError("GROUP needs at least one label", no)
+        for x in cell:
+            if x not in index:
+                raise ParseError(f"unknown label {x!r} in GROUP", no)
+            if x in group_line:
+                raise ParseError(f"label {x!r} is already in a GROUP", no)
+            group_line[x] = no
+    for lab in labels:
+        if lab.text not in group_line:
+            raise ParseError(f"label {lab.text!r} is in no GROUP", groups[-1][0])
+    cells = [tuple(sorted(index[x] for x in cell)) for _, cell in groups]
     return Gdd(design=design, groups=tuple(sorted(cells)))
 
 
@@ -339,6 +349,12 @@ def test_parse_design_matches_the_reference_parser():
     # an unknown GROUP label
     rdgdd = bases["rdgdd24"]
     group = rdgdd[:5] + [rdgdd[5].replace("0_0", "9_9")] + rdgdd[6:]
+    # GROUP lines that do not partition the points: an empty one, one
+    # repeated, one deleted
+    assert rdgdd[5:7] == ["GROUP 0_0 0_1 0_2", "GROUP 1_0 1_1 1_2"]
+    group_empty = rdgdd[:5] + ["GROUP"] + rdgdd[5:]
+    group_twice = rdgdd[:6] + rdgdd[5:]
+    group_gone = rdgdd[:6] + rdgdd[7:]
     # make_design checks every block; the line named is still the first
     # failing one in file order, and no ParameterError escapes
     assert sqs8[5] == "0 1 2 5" and "5" in points[4:]
@@ -354,6 +370,9 @@ def test_parse_design_matches_the_reference_parser():
         (repeated, (ParseError, "line 6: K value 'x' is not an integer")),
         (late, catalog.sqs8()),
         (group, (ParseError, "line 6: unknown label '9_9' in GROUP")),
+        (group_empty, (ParseError, "line 6: GROUP needs at least one label")),
+        (group_twice, (ParseError, "line 7: label '0_0' is already in a GROUP")),
+        (group_gone, (ParseError, "line 12: label '1_0' is in no GROUP")),
         (oversize, (ParseError, "line 6: block size 5 not in K=[4]")),
         (oversize_late, (ParseError, "line 6: block size 5 not in K=[4]")),
         (every_late, catalog.sqs8()),
@@ -372,9 +391,10 @@ def test_parse_design_matches_the_reference_parser():
         got, want = _outcome(parse_design, text), _outcome(reference_parse_design, text)
         assert got == want, text
         outcomes.append(want[1] if isinstance(want, tuple) else "parsed")
-    # the corpus reaches accepted files, every per-block error and header errors
+    # the corpus reaches accepted files, every per-block error, header errors
+    # and GROUP lines that do not partition the points
     for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS",
-                   "above every block size"):
+                   "above every block size", "already in a GROUP", "in no GROUP"):
         assert any(needed in outcome for outcome in outcomes), needed
 
 

@@ -13,10 +13,12 @@ the seeds a change was tuned on.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
 count for neither side); with the seeds, ``nproc``, the Python version and
-each run's attempted and failed operations.  From each run's ``run record:``
-line it keeps ``cpus_usable`` and, where the workload states one,
-``output_sha256``, per side; the command exits 1 if the two runs of a pair
-wrote different outputs.  An existing file keeps the workloads this run
+each run's verdict (``correct``) and attempted and failed operations.  From
+each run's ``run record:`` line it keeps ``cpus_usable`` and, where the
+workload states one, ``output_sha256``, per side.  The command exits 1 if
+the two runs of a pair wrote different outputs, if a run of the change is
+not correct, or if the change fails a larger share of its operations than
+the parent.  An existing file keeps the workloads this run
 does not measure, so one file can collect several runs.
 """
 
@@ -101,6 +103,7 @@ def collect(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]],
     out = {
         "seeds": seeds,
         "parent_first": [i % 2 == 0 for i in range(len(seeds))],
+        "correct": {side: [r.get("correct") for r in rs] for side, rs in results.items()},
         "failed": {side: [[r["failed"], r["attempted"]] for r in rs]
                    for side, rs in results.items()},
         "cpus_usable": {side: [r["cpus_usable"] for r in rs] for side, rs in records.items()},
@@ -121,6 +124,42 @@ def differing_outputs(entry: dict) -> list[int]:
     """The pairs of a workload record whose two runs wrote different outputs."""
     sha = entry.get("output_sha256", {"parent": [], "change": []})
     return [i for i, (p, c) in enumerate(zip(sha["parent"], sha["change"])) if p != c]
+
+
+def failed_share(runs: list[list[int]]) -> float:
+    """Failed over attempted operations of a side's [failed, attempted] runs."""
+    return sum(f for f, _ in runs) / max(sum(a for _, a in runs), 1)
+
+
+def change_faults(entry: dict) -> list[str]:
+    """What in a workload record counts against the change: each of its
+    runs that is not correct, and a larger failed share than the parent's."""
+    faults = [f"change run of pair {i} is not correct"
+              for i, ok in enumerate(entry["correct"]["change"]) if ok is not True]
+    parent, change = (failed_share(entry["failed"][side]) for side in ("parent", "change"))
+    if change > parent:
+        faults.append(f"change fails a larger share of operations: {parent:.4g} -> {change:.4g}")
+    return faults
+
+
+def print_summary(workload: str, entry: dict) -> int:
+    """Print a workload record's metrics, correct runs and failed shares;
+    1 if its pairs wrote different outputs or the change has a fault, else 0."""
+    for name, m in entry["metrics"].items():
+        p, c = m["parent"], m["change"]
+        print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+              f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
+    correct = {side: sum(ok is True for ok in oks) for side, oks in entry["correct"].items()}
+    share = {side: failed_share(runs) for side, runs in entry["failed"].items()}
+    print(f"{workload}: correct runs {correct['parent']} -> {correct['change']} of "
+          f"{len(entry['seeds'])}, failed share {share['parent']:.4g} -> {share['change']:.4g}")
+    faults = change_faults(entry)
+    differ = differing_outputs(entry)
+    if differ:
+        faults.insert(0, f"parent and change wrote different outputs in pairs {differ}")
+    for fault in faults:
+        print(f"{workload}: {fault}")
+    return 1 if faults else 0
 
 
 def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
@@ -182,18 +221,7 @@ def main(argv=None) -> int:
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
         shutil.rmtree(parent, ignore_errors=True)
-    code = 0
-    for workload in args.workload:
-        for name, m in workloads[workload]["metrics"].items():
-            p, c = m["parent"], m["change"]
-            print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
-                  f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
-        differ = differing_outputs(workloads[workload])
-        if differ:
-            print(f"{workload}: parent and change wrote different outputs in pairs {differ}")
-            code = 1
-    return code
-
+    return max(print_summary(workload, workloads[workload]) for workload in args.workload)
 
 if __name__ == "__main__":
     sys.exit(main())
