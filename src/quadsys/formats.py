@@ -16,7 +16,7 @@ system.
 from __future__ import annotations
 
 import os
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -219,7 +219,19 @@ def _block_line(text: str, i: int) -> int:
 
 
 def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
-    return [" ".join(map(names.__getitem__, b)) for b in blocks]
+    """One line per block: its points' names joined by spaces.
+
+    Each run of blocks of one size k is written with one ``map`` over its
+    flattened points, regrouped k names at a time by ``zip``; a block of no
+    points is an empty line."""
+    lines: list[str] = []
+    for k, run in groupby(blocks, len):
+        if k:
+            words = map(names.__getitem__, chain.from_iterable(run))
+            lines += map(" ".join, zip(*[words] * k))
+        else:
+            lines += ["" for _ in run]
+    return lines
 
 
 def emit_design(design: Design) -> str:

@@ -361,49 +361,73 @@ class QuadrupleAssembly:
     """An SQS(4v) and the assembly of one resolution per point.
 
     ``point_resolution`` only assembles; ``verify_resolution``, run where
-    the classes are used, is their proof.  Construction is deterministic:
-    given the same certificate, every block list, class list, and report is
-    identical between runs.
+    the classes are used, is their proof.  The four fibres (x, 0..3) of a
+    star point x share one plan, worked out from x's certificate when a
+    point of x is first asked for; only the current x's plan is held.
+    Construction is deterministic: given the same certificate, every block
+    list, class list, and report is identical between runs.
     """
 
     def __init__(self, cert: StarCertificate):
         self.cert = cert
         self.design = assemble_design(cert)
-        self._tpl = template()
-        self._occ: dict[int, dict[tuple[int, int, Block], int]] = {}
+        # per template point, per occurrence o: TD rows 2o and 2o+1 as one
+        # local block list, and the length of row 2o
+        self._td_pairs = tuple(
+            tuple((rows[o] + rows[o + 1], len(rows[o])) for o in (0, 2))
+            for rows in template().td_derived
+        )
+        self._plan_x = -1
+        self._plan: tuple = ()
 
-    def _occ_for(self, x: int) -> dict[tuple[int, int, Block], int]:
-        if x not in self._occ:
-            self._occ[x] = occurrence_map(self.cert.per_point[x])
-        return self._occ[x]
+    def _plan_for(self, x: int) -> tuple:
+        """The plan the four fibres of star point x share, worked out once
+        per x: for each certificate group, the SQS(v) block of its common
+        triple and x; then for each class, for each triple other than the
+        common one, the SQS(v) block it makes with x and, per fibre i, the
+        TD rows its occurrence o feeds, at template point 4 * (x's position
+        in that block) + i."""
+        if x != self._plan_x:
+            pc = self.cert.per_point[x]
+            occ = occurrence_map(pc)
+            pairs = self._td_pairs
+            plan = []
+            for k, grp in enumerate(pc.groups):
+                steps_by_class = []
+                for l, cls in enumerate(grp.classes):
+                    steps = []
+                    for tri in cls:
+                        if tri == grp.common:
+                            continue
+                        bb = tuple(sorted(tri + (x,)))
+                        zp, o = 4 * bb.index(x), occ[(k, l, tri)]
+                        steps.append((bb, tuple(pairs[zp + i][o] for i in range(4))))
+                    steps_by_class.append(tuple(steps))
+                plan.append((grp.common + (x,), tuple(steps_by_class)))
+            self._plan_x, self._plan = x, tuple(plan)
+        return self._plan
 
     def point_resolution(self, p: int) -> Resolution:
         """The 2v-1 classes of the derived design at point p, unproved.
         Certificate class l of a group gives classes 2l and 2l+1, fed by TD
-        rows 2o and 2o+1 of each triple (o its occurrence): one ``lift``."""
+        rows 2o and 2o+1 of each triple (o its occurrence): one ``lift``
+        per triple, of the rows the plan of p's star point names."""
         x, i = divmod(p, 4)
-        pc = self.cert.per_point[x]
-        occ = self._occ_for(x)
-        td_derived = self._tpl.td_derived
+        plan = self._plan_for(x)
         ground, target = derived_frame(self.design, p)
         degenerate = tuple(q for q in range(4 * x, 4 * x + 4) if q != p)
 
         classes: list[tuple[Block, ...]] = []
         final: list[Block] = [degenerate]
-        for k, grp in enumerate(pc.groups):
-            e_cls = e_classes(grp.common + (x,), x, i)
+        for b4, steps_by_class in plan:
+            e_cls = e_classes(b4, x, i)
             final.extend(b for b in e_cls[6] if b != degenerate)
-            for l, cls in enumerate(grp.classes):
+            for l, steps in enumerate(steps_by_class):
                 first: list[Block] = []
                 second: list[Block] = []
-                for tri in cls:
-                    if tri == grp.common:
-                        continue
-                    bb = sorted(tri + (x,))
-                    rows = td_derived[4 * bb.index(x) + i]
-                    o = 2 * occ[(k, l, tri)]
-                    both = lift(rows[o] + rows[o + 1], bb, 4)
-                    n = len(rows[o])
+                for bb, fibres in steps:
+                    rows, n = fibres[i]
+                    both = lift(rows, bb, 4)
                     first.extend(both[:n])
                     second.extend(both[n:])
                 for r, blocks in enumerate((first, second)):

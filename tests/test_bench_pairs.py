@@ -111,3 +111,53 @@ def test_an_incorrect_run_or_a_larger_failed_share_of_the_change_is_a_fault(caps
     assert bench_pairs.change_faults(entry) == []
     assert bench_pairs.print_summary("rdsqs112", entry) == 0
     assert "correct runs 1 -> 2 of 2, failed share 0.1111 -> 0\n" in capsys.readouterr().out
+
+
+LAYERS = [
+    {"name": "quadruple.point_resolution_s", "unit": "s", "better": "lower"},
+    {"name": "core.verify_resolution_s", "unit": "s", "better": "lower"},
+    {"name": "resolver.nodes", "unit": "count", "better": "lower"},
+]
+
+
+def _traced_stdout(point_resolution_s, verify_resolution_s, correct=True):
+    record = {"workload": "rdsqs112", "seed": 7, "trace": 1, "cpus_usable": 2}
+    values = {"quadruple.point_resolution_s": point_resolution_s,
+              "core.verify_resolution_s": verify_resolution_s, "resolver.nodes": 0}
+    result = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+              "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+    return f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
+
+
+def test_a_traced_run_per_side_records_each_layer_either_side_calls(capsys):
+    traced = {"parent": bench_pairs.parse_run(_traced_stdout(0.40, 0.16))[1],
+              "change": bench_pairs.parse_run(_traced_stdout(0.30, 0.0))[1]}
+    layers = bench_pairs.per_layer(traced, LAYERS)
+    assert layers["correct"] == {"parent": True, "change": True}
+    # resolver.nodes reads 0 on both sides: a layer the workload does not call
+    assert list(layers["metrics"]) == ["quadruple.point_resolution_s", "core.verify_resolution_s"]
+    moved = layers["metrics"]["quadruple.point_resolution_s"]
+    assert moved["parent"] == 0.40 and moved["change"] == 0.30
+    assert moved["change_rel"] == pytest.approx(-0.25)
+    assert moved["unit"] == "s" and moved["better"] == "lower"
+    assert layers["metrics"]["core.verify_resolution_s"]["change_rel"] == -1
+    # a layer only the change calls has no relative change
+    swapped = bench_pairs.per_layer({"parent": traced["change"], "change": traced["parent"]}, LAYERS)
+    assert swapped["metrics"]["core.verify_resolution_s"]["change_rel"] is None
+
+    metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    runs = {"parent": [bench_pairs.parse_run(_stdout(2, "ab", 1.0))],
+            "change": [bench_pairs.parse_run(_stdout(2, "ab", 0.8))]}
+    entry = bench_pairs.collect([7], runs, metrics)
+    entry["per_layer"] = layers
+    assert bench_pairs.change_faults(entry) == []
+    assert bench_pairs.print_summary("rdsqs112", entry) == 0
+    out = capsys.readouterr().out
+    assert "rdsqs112 quadruple.point_resolution_s (traced): 0.4 -> 0.3\n" in out
+    assert "rdsqs112 core.verify_resolution_s (traced): 0.16 -> 0\n" in out
+    assert "resolver.nodes" not in out
+    # a traced change run that is not correct counts against the change
+    traced["change"] = bench_pairs.parse_run(_traced_stdout(0.30, 0.0, correct=False))[1]
+    entry["per_layer"] = bench_pairs.per_layer(traced, LAYERS)
+    assert bench_pairs.change_faults(entry) == ["traced change run is not correct"]
+    assert bench_pairs.print_summary("rdsqs112", entry) == 1

@@ -378,6 +378,42 @@ def test_verify_gdd_rejects_groups_that_are_not_a_partition():
         verify_gdd(Gdd(design=g, groups=(second, *rest)))
 
 
+def test_an_empty_group_is_rejected():
+    # an empty group would be emitted as a GROUP line that parse_design rejects
+    g = catalog.rdgdd24()
+    bad = Gdd(design=g, groups=((),) + g.groups)
+    with pytest.raises(ParameterError, match="group 0 is empty"):
+        bad.group_of
+    with pytest.raises(ParameterError, match="group 0 is empty"):
+        verify_gdd(bad)
+    with pytest.raises(ParameterError, match="group 3 is empty"):
+        verify_gdd(Gdd(design=g, groups=g.groups[:3] + ((),) + g.groups[3:]))
+    with pytest.raises(ParameterError, match="is empty"):
+        derived_frame(bad, 0)
+
+
+def test_lift_is_the_plain_map_at_every_block_size():
+    rng = random.Random(11)
+    for g in (1, 3, 4):
+        for n in (1, 3, 4, 6):  # points of the master block
+            xs = rng.sample(range(50), n)
+            if rng.random() < 0.5:
+                xs.sort()
+            local = range(g * n)
+            sizes = [k for k in range(1, 6) if k <= g * n]
+            for blocks in (
+                [tuple(sorted(rng.sample(local, k))) for k in sizes],
+                [tuple(sorted(rng.sample(local, rng.choice(sizes)))) for _ in range(9)],
+            ):
+                want = tuple(tuple(g * xs[q // g] + q % g for q in b) for b in blocks)
+                assert core.lift(blocks, xs, g) == want, (g, xs, blocks)
+                assert core.lift(tuple(blocks), xs, g) == want  # the cached getters again
+                assert core.lift(iter(blocks), tuple(xs), g) == want
+    assert core.lift((), [3, 5], 4) == ()
+    assert core.lift([], [], 3) == ()
+    assert core.lift([(2,), (0, 5)], [7, 9], 3) == ((23,), (21, 29))
+
+
 def test_make_design_rejects_malformed_blocks():
     labels = plain_labels(range(5))
     with pytest.raises(ParameterError):
@@ -433,9 +469,20 @@ def test_derived_design_at_every_point_of_sqs22_is_steiner():
         assert verify_steiner(sub).passed
 
 
-@pytest.mark.parametrize("name", sorted(catalog.GENERATORS))
+def mixed_size_design():
+    """A design with blocks of sizes 2 to 5, some repeated, on 12 points."""
+    rng = random.Random(5)
+    blocks = [tuple(rng.sample(range(12), rng.randint(2, 5))) for _ in range(80)]
+    blocks += blocks[:6]
+    return make_design(1, {2, 3, 4, 5}, plain_labels(range(12)), blocks)
+
+
+FRAMED = {**catalog.GENERATORS, "mixed sizes 2-5": mixed_size_design}
+
+
+@pytest.mark.parametrize("name", sorted(FRAMED))
 def test_derived_frame_matches_a_brute_force_scan(name):
-    d = catalog.GENERATORS[name]()
+    d = FRAMED[name]()
     for x in range(d.v):
         ground, target = derived_frame(d, x)
         assert list(target) == sorted(

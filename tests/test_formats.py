@@ -134,6 +134,30 @@ def test_emit_design_peak_stays_near_the_text(assembly112):
     assert peak - base <= 4 * len(text)
 
 
+def test_mixed_size_blocks_emit_one_joined_line_each_and_parse_back(monkeypatch):
+    rng = random.Random(3)
+    labels = [parse_label(x) for x in ("0", "1", "2", "3", "10", "0_1", "2_3", "inf_0", "a^3")]
+    blocks = [tuple(rng.sample(range(len(labels)), rng.randint(1, 5))) for _ in range(70)]
+    d = make_design(1, {1, 2, 3, 4, 5}, labels, blocks + blocks[:4])
+    names = [lab.text for lab in d.labels]
+    want = [" ".join(names[p] for p in b) for b in d.blocks]
+    assert {len(b) for b in d.blocks} == {1, 2, 3, 4, 5}
+    for chunk in (formats._EMIT_CHUNK, 1, 7):  # chunks cut runs of one size
+        monkeypatch.setattr(formats, "_EMIT_CHUNK", chunk)
+        text = emit_design(d)
+        assert text.splitlines()[5:] == want
+        assert parse_design(text) == d
+    classes = (d.blocks[:37], d.blocks[37:])
+    text = emit_resolution(d, {"0_1": classes})
+    lines = ["KIND RES", "POINT 0_1"]
+    for cls in classes:
+        lines += ["CLASS"] + [" ".join(names[p] for p in b) for b in sorted(cls)]
+    assert text == "\n".join(lines) + "\n"
+    assert parse_resolution(text, d) == {"0_1": classes}
+    # a block of no points is an empty line, as a per-block join writes it
+    assert formats._blocks_text(names, [(), (), (1,), (), (0, 2)]) == ["", "", "1", "", "0 2"]
+
+
 # every line boundary str.splitlines accepts
 SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

@@ -14,6 +14,7 @@ from quadsys import (
     verify_resolution,
     verify_steiner,
 )
+from quadsys.core import lift
 from quadsys.formats import emit_design
 from quadsys.quadruple import (
     FACTORIZATION,
@@ -259,3 +260,41 @@ def test_construction_is_deterministic(star28, assembly112):
     again = QuadrupleAssembly(star28)
     assert emit_design(again.design) == emit_design(assembly112.design)
     assert again.point_resolution(3).classes == assembly112.point_resolution(3).classes
+
+
+def reference_point_resolution(asm, p):
+    """point_resolution as it stood before the per-star-point plan: the
+    occurrence of every triple looked up, and its rows lifted, per point."""
+    x, i = divmod(p, 4)
+    pc = asm.cert.per_point[x]
+    occ = occurrence_map(pc)
+    td_derived = template().td_derived
+    degenerate = tuple(q for q in range(4 * x, 4 * x + 4) if q != p)
+    classes, final = [], [degenerate]
+    for k, grp in enumerate(pc.groups):
+        e_cls = e_classes(grp.common + (x,), x, i)
+        final.extend(b for b in e_cls[6] if b != degenerate)
+        for l, cls in enumerate(grp.classes):
+            first, second = [], []
+            for tri in cls:
+                if tri == grp.common:
+                    continue
+                bb = sorted(tri + (x,))
+                rows = td_derived[4 * bb.index(x) + i]
+                o = 2 * occ[(k, l, tri)]
+                first.extend(lift(rows[o], bb, 4))
+                second.extend(lift(rows[o + 1], bb, 4))
+            for r, blocks in enumerate((first, second)):
+                blocks.extend(e_cls[2 * l + r])
+                classes.append(tuple(sorted(blocks)))
+    classes.append(tuple(sorted(final)))
+    return tuple(classes)
+
+
+def test_point_resolution_holds_one_plan_whatever_the_point_order(star28):
+    asm = QuadrupleAssembly(star28)
+    # fibres of one star point apart, in turn and out of turn
+    order = [45, 2, 44, 111, 3, 46, 0, 47, 108]
+    for p in order:
+        assert asm.point_resolution(p).classes == reference_point_resolution(asm, p), p
+        assert asm._plan_x == p // 4  # only the current star point's plan is held

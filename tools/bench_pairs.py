@@ -20,6 +20,13 @@ the two runs of a pair wrote different outputs, if a run of the change is
 not correct, or if the change fails a larger share of its operations than
 the parent.  An existing file keeps the workloads this run
 does not measure, so one file can collect several runs.
+
+After a workload's pairs, one ``bench/run.py --trace 1`` run per side, on
+the first pair's seed, records the per-layer metrics of ``BENCHMARK.json``
+under ``per_layer``: the parent's and the change's value of every layer
+either side calls (a layer a workload does not call reads 0 on both), so a
+pair shows which layer moved.  A traced run of the change that is not
+correct counts against it as an untraced one does.
 """
 
 from __future__ import annotations
@@ -82,10 +89,11 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     return json.loads(records[0]), json.loads(lines[-1])
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int = 0) -> tuple[dict, dict]:
     """(run record, result) of one ``bench/run.py`` run in ``checkout``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds)]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=10 * seconds + 600)
     if proc.returncode != 0:
@@ -120,6 +128,22 @@ def collect(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]],
     return out
 
 
+def per_layer(traced: dict[str, dict], metrics: list[dict]) -> dict:
+    """The per-layer record of a workload from each side's traced result:
+    whether the run was correct, and each metric of ``metrics`` that either
+    side reads as nonzero, with both values and the relative change."""
+    out = {"correct": {side: r.get("correct") for side, r in traced.items()}, "metrics": {}}
+    for m in metrics:
+        parent, change = (traced[side]["metrics"][m["name"]]["value"]
+                          for side in ("parent", "change"))
+        if parent or change:
+            out["metrics"][m["name"]] = {
+                "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
+                "change_rel": change / parent - 1 if parent else None,
+            }
+    return out
+
+
 def differing_outputs(entry: dict) -> list[int]:
     """The pairs of a workload record whose two runs wrote different outputs."""
     sha = entry.get("output_sha256", {"parent": [], "change": []})
@@ -136,6 +160,8 @@ def change_faults(entry: dict) -> list[str]:
     runs that is not correct, and a larger failed share than the parent's."""
     faults = [f"change run of pair {i} is not correct"
               for i, ok in enumerate(entry["correct"]["change"]) if ok is not True]
+    if "per_layer" in entry and entry["per_layer"]["correct"]["change"] is not True:
+        faults.append("traced change run is not correct")
     parent, change = (failed_share(entry["failed"][side]) for side in ("parent", "change"))
     if change > parent:
         faults.append(f"change fails a larger share of operations: {parent:.4g} -> {change:.4g}")
@@ -149,6 +175,8 @@ def print_summary(workload: str, entry: dict) -> int:
         p, c = m["parent"], m["change"]
         print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
+    for name, m in entry.get("per_layer", {"metrics": {}})["metrics"].items():
+        print(f"{workload} {name} (traced): {m['parent']:.4g} -> {m['change']:.4g}")
     correct = {side: sum(ok is True for ok in oks) for side, oks in entry["correct"].items()}
     share = {side: failed_share(runs) for side, runs in entry["failed"].items()}
     print(f"{workload}: correct runs {correct['parent']} -> {correct['change']} of "
@@ -163,7 +191,7 @@ def print_summary(workload: str, entry: dict) -> int:
 
 
 def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
-            metrics: list[dict]) -> dict:
+            metrics: list[dict], layers: list[dict]) -> dict:
     sides = {"parent": parent, "change": ROOT}
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
@@ -176,7 +204,10 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} pair {i} seed {seed} {side}: "
                   + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                              for m in metrics), flush=True)
-    return collect(seeds, runs, metrics)
+    entry = collect(seeds, runs, metrics)
+    traced = {side: _run(sides[side], workload, seeds[0], seconds, trace=1)[1] for side in sides}
+    entry["per_layer"] = per_layer(traced, layers)
+    return entry
 
 
 def main(argv=None) -> int:
@@ -217,7 +248,8 @@ def main(argv=None) -> int:
         workloads = record.setdefault("workloads", {})
         for k, workload in enumerate(args.workload):
             seeds = [first + 1000 * k + i for i in range(args.pairs)]
-            workloads[workload] = measure(parent, workload, seeds, args.seconds, spec["end_to_end"])
+            workloads[workload] = measure(parent, workload, seeds, args.seconds,
+                                          spec["end_to_end"], spec["per_layer"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
         shutil.rmtree(parent, ignore_errors=True)
