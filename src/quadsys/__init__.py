@@ -32,29 +32,6 @@ from .core import (
     verify_resolution,
     verify_steiner,
 )
-from .catalog import (
-    CongruenceRule,
-    GENERATORS,
-    develop,
-    fill_gdd,
-    rdgdd24,
-    rdgdd24_resolutions,
-    rdgdd42,
-    rdgdd42_resolutions,
-    sqs8,
-    sqs14,
-    sqs16,
-    sqs22,
-    sqs22_resolutions,
-    sqs28,
-    sqs28_star,
-)
-from .quadruple import (
-    QuadrupleAssembly,
-    boolean_sqs16,
-    construct_rdsqs_4v,
-)
-from .resolver import SearchOutcome, confirm_rds, find_parallel_class, find_resolution
 from .star import (
     StarCertificate,
     StarGroup,
@@ -62,5 +39,33 @@ from .star import (
     verify_star,
     verify_star_point,
 )
+
+# The names of the catalog, the quadrupling construction and the search
+# oracle, each loaded from its module on first use (PEP 562), so a process
+# that runs none of them, such as ``quadsys report``, does not compile them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("catalog", (
+            "CongruenceRule", "GENERATORS", "develop", "fill_gdd", "rdgdd24",
+            "rdgdd24_resolutions", "rdgdd42", "rdgdd42_resolutions", "sqs8", "sqs14",
+            "sqs16", "sqs22", "sqs22_resolutions", "sqs28", "sqs28_star",
+        )),
+        ("quadruple", ("QuadrupleAssembly", "boolean_sqs16", "construct_rdsqs_4v")),
+        ("resolver", ("SearchOutcome", "confirm_rds", "find_parallel_class", "find_resolution")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

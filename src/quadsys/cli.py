@@ -14,11 +14,20 @@ verification failed (witnesses go to stderr), 2 usage, parse or OS errors
 invocations on the same inputs are byte-identical, and --jobs only changes
 wall time, never output.
 
-``construct`` writes each point's resolution file as soon as it is proved.
-``report`` proves its point files on one worker per usable CPU (so
-``taskset`` bounds them), at most one per file; each worker reads its own
-files.  The process pool is imported only for --jobs > 1, and by
-``report`` only when more than one CPU is usable.
+``construct`` writes each point's resolution file as soon as it is proved,
+in the process that proved it; with --jobs > 1 a worker takes the four
+points over one star point at a time, so it plans them once.  ``report``
+proves its point files on one worker per usable CPU (so ``taskset`` bounds
+them), at most one per file; each worker reads its own files.  The process
+pool is imported only for --jobs > 1, and by ``report`` only when more than
+one CPU is usable.
+
+Each subcommand imports only what it runs.  Importing this module loads
+``core``, ``formats`` and ``star``, which is all that ``verify``, ``derive``
+and ``report`` use.  ``construct`` imports ``quadruple`` (and with it
+``gf16``), and ``catalog`` too when it has no --design; ``gen`` imports
+``catalog``, which builds on ``quadruple``; ``resolve`` imports
+``resolver``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from . import catalog, formats, quadruple, resolver
+from . import formats
 from .core import (
     Design,
     DesignError,
@@ -77,7 +86,12 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    from . import catalog
+
     name = args.name
+    if name not in catalog.GENERATORS:
+        choices = ", ".join(sorted(catalog.GENERATORS))
+        raise ParameterError(f"no catalog design {name!r} (choose from {choices})")
     out = Path(args.out or f"{name}.design")
     companion = catalog.GENERATORS[name]()
     _write(out, formats.emit_design(companion))
@@ -124,10 +138,11 @@ def _verify_res_file(path) -> list[tuple[str, bool, str]]:
     return [_verify_res_section(item) for item in sections.items()]
 
 
-def _map_jobs(jobs: int, func, items, init_obj):
+def _map_jobs(jobs: int, func, items, init_obj, chunk: int = 1):
     """``func`` over ``items`` in order, each result yielded as it arrives;
     with more than one job, in a process pool whose workers hold
-    ``init_obj``.  A job that raises cancels those not yet started."""
+    ``init_obj`` and take ``chunk`` consecutive items at a time.  A job
+    that raises cancels those not yet started."""
     if jobs <= 1:
         _pool_init(init_obj)
         yield from map(func, items)
@@ -136,7 +151,7 @@ def _map_jobs(jobs: int, func, items, init_obj):
 
     pool = ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(init_obj,))
     try:
-        yield from pool.map(func, items)
+        yield from pool.map(func, items, chunksize=chunk)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -220,22 +235,28 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _point_job(p: int) -> tuple[int, bool, int, str]:
-    asm = _POOL_OBJ
+def _point_job(p: int) -> tuple[int, bool, int]:
+    """Prove the resolution at point p and write its point file into the
+    output directory; (p, passed, class count) goes back for the manifest."""
+    asm, out_dir = _POOL_OBJ
     res = asm.point_resolution(p)
     rep = verify_resolution(res)
-    text = formats.emit_resolution(
-        asm.design, {asm.design.labels[p].text: res.classes}
-    )
-    return p, rep.passed, len(res.classes), text
+    label = asm.design.labels[p].text
+    text = formats.emit_resolution(asm.design, {label: res.classes})
+    (out_dir / f"point_{label}.res").write_text(text, encoding="utf-8")
+    return p, rep.passed, len(res.classes)
 
 
 def cmd_construct(args) -> int:
+    from . import quadruple
+
     if args.design:
         companion = _parse_file(args.design, formats.parse_design)
         if companion.groups:
             raise DesignError("the star companion must be a plain design")
     else:
+        from . import catalog
+
         companion = catalog.sqs28()
     points = _parse_file(args.star, formats.parse_star, companion)
     out_dir = Path(args.out)
@@ -254,9 +275,10 @@ def cmd_construct(args) -> int:
         "steiner PASS",
     ]
     resolved = 0
-    for p, passed, n_classes, text in _map_jobs(args.jobs, _point_job, range(asm.design.v), asm):
+    # the four fibres of a star point go to one worker, which plans them once
+    jobs = _map_jobs(args.jobs, _point_job, range(asm.design.v), (asm, out_dir), chunk=4)
+    for p, passed, n_classes in jobs:
         label = asm.design.labels[p].text
-        (out_dir / f"point_{label}.res").write_text(text, encoding="utf-8")
         manifest.append(
             f"point {label} classes={n_classes} {'PASS' if passed else 'FAIL'}"
         )
@@ -272,6 +294,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import resolver
+
+    budget = resolver.DEFAULT_BUDGET if args.budget is None else args.budget
     design = _parse_file(args.design, formats.parse_design)
     if args.point is not None:
         blocks, ground = resolver.derived_instance(design, args.point)
@@ -280,7 +305,7 @@ def cmd_resolve(args) -> int:
         blocks = list(design.blocks)
         ground = tuple(range(design.v))
         what = "design"
-    outcome = resolver.find_resolution(blocks, ground, budget=args.budget)
+    outcome = resolver.find_resolution(blocks, ground, budget=budget)
     _say(f"{outcome.status.upper()} {what} nodes={outcome.nodes}")
     if outcome.found and args.out:
         key = args.point if args.point is not None else formats.WHOLE
@@ -330,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a catalog design (plus shipped certificates)")
-    p.add_argument("name", choices=sorted(catalog.GENERATORS))
+    p.add_argument("name", help="a catalog design, e.g. sqs28")
     p.add_argument("--out", help="output design file (default <name>.design)")
     p.set_defaults(func=cmd_gen)
 
@@ -358,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="search a resolution with the exact-cover oracle")
     p.add_argument("design")
     p.add_argument("--point")
-    p.add_argument("--budget", type=_int_at_least(0), default=resolver.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0),
+                   help="search node budget (default: resolver.DEFAULT_BUDGET)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_resolve)
 

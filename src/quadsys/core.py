@@ -240,14 +240,19 @@ def make_design(
 ) -> Design:
     """Canonicalize and validate raw block data into a Design.
 
-    A block that is already a tuple of strictly ascending ids is kept as it
-    is, not copied (it has no repeated point); any other block is sorted
-    into a new tuple and checked for repeated points.  Every block is then
-    checked for its size in ``sizes`` and for ids in ``0..v-1``.
+    A list or tuple of tuple blocks of one size is checked column by column
+    (``_ascending_in_range``) and, when that passes, kept block for block.
+    Otherwise each block is checked in turn, so a rejected one is named: a
+    tuple of strictly ascending ids is kept as it is, not copied (it has no
+    repeated point); any other block is sorted into a new tuple and checked
+    for repeated points.  Every block is then checked for its size in
+    ``sizes`` and for ids in ``0..v-1``.
     """
     labels = tuple(labels)
     sizes = frozenset(sizes)
     v = len(labels)
+    if isinstance(blocks, (list, tuple)) and _ascending_in_range(blocks, sizes, v):
+        return Design(t=t, sizes=sizes, labels=labels, blocks=tuple(sorted(blocks)), kind=kind)
     canon = []
     for b in blocks:
         if type(b) is tuple and all(map(operator.lt, b, b[1:])):
@@ -263,6 +268,28 @@ def make_design(
         canon.append(cb)
     canon.sort()
     return Design(t=t, sizes=sizes, labels=labels, blocks=tuple(canon), kind=kind)
+
+
+def _ascending_in_range(blocks: Sequence, sizes: frozenset[int], v: int) -> bool:
+    """Whether ``blocks`` are tuples of one size k >= 1 in ``sizes``, each
+    strictly ascending with ids in ``0..v-1``: decided a column at a time,
+    each column below the next, the first from 0 and the last below v, by
+    iterators over the blocks, so no copy of them is made."""
+    if set(map(type, blocks)) != {tuple}:
+        return False
+    lengths = set(map(len, blocks))
+    if len(lengths) != 1:
+        return False
+    (k,) = lengths
+    if k < 1 or k not in sizes:
+        return False
+    cols = [operator.itemgetter(j) for j in range(k)]
+    if min(map(cols[0], blocks)) < 0 or max(map(cols[-1], blocks)) >= v:
+        return False
+    return all(
+        all(map(operator.lt, map(lo, blocks), map(hi, blocks)))
+        for lo, hi in zip(cols, cols[1:])
+    )
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -283,16 +310,21 @@ def _getters(blocks: tuple[Block, ...]) -> tuple[Callable[[Sequence], tuple], ..
     return tuple(map(_getter, blocks))
 
 
+def lift_map(xs: Sequence[int], g: int) -> list[int]:
+    """The map g*k+i -> g*xs[k]+i of local points onto xs x Zg, as a list."""
+    rg = range(g)
+    return [gx + i for gx in [g * x for x in xs] for i in rg]
+
+
 def lift(blocks: Iterable[Block], xs: Sequence[int], g: int) -> tuple[Block, ...]:
     """Blocks on local points g*k+i (point k of a master block, fibre i)
-    moved onto xs x Zg: g*k+i -> g*xs[k]+i.  The map is increasing when xs
-    is, so sorted blocks then lift to sorted blocks.
+    moved onto xs x Zg by ``lift_map``.  The map is increasing when xs is,
+    so sorted blocks then lift to sorted blocks.
 
     Each local block is compiled to one getter, once per local block list
     (cached on the list), and the getters are applied to the map; a block
     of one point lifts to a 1-tuple."""
-    rg = range(g)
-    m = [gx + i for gx in [g * x for x in xs] for i in rg]
+    m = lift_map(xs, g)
     return tuple([f(m) for f in _getters(tuple(blocks))])
 
 
@@ -551,22 +583,34 @@ def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, o
 def verify_resolution(r: Resolution) -> VerifyReport:
     """Each class partitions the ground set; classes exhaust the target.
 
-    A class partitions the ground iff its sorted points equal the ground,
-    sorted once per call; ``is_partition`` runs only to name the witness
-    of a class that fails.  The classes exhaust the target iff the multiset
-    union of their blocks equals the target multiset, decided by sorting
-    both; the tallies are built only to name the over-used and the missing
-    block.
+    Set tests decide what they can.  When the ground repeats no id, a class
+    partitions it if its block sizes sum to the ground's size and its points
+    make the ground's set.  The classes exhaust the target if their blocks
+    are as many as the target's, all distinct, and each in the target (so
+    the target repeats none either).  A test that fails, or cannot decide
+    because the ground or the target repeats an element, falls to the sort:
+    the multisets are sorted and compared, the ground once per call.  Only
+    a failure of the sort builds the tallies (``is_partition``, ``Counter``)
+    that name its witnesses.
     """
     rep = VerifyReport()
     rep.counts["classes"] = len(r.classes)
     rep.counts["blocks"] = len(r.target)
-    ground = sorted(r.ground)
+    n = len(r.ground)
+    points = set(r.ground)
+    ground = None  # the sorted ground, once a class needs it
     for ci, cls in enumerate(r.classes):
+        if len(points) == n and sum(map(len, cls)) == n and points == set().union(*cls):
+            continue
+        if ground is None:
+            ground = sorted(r.ground)
         if sorted(itertools.chain.from_iterable(cls)) != ground:
             bad = is_partition(cls, r.ground)
             rep.flag(f"class {ci}: {bad[0]}", bad[1])
-    if sorted(itertools.chain.from_iterable(r.classes)) != sorted(r.target):
+    used = set().union(*r.classes)
+    if not (
+        sum(map(len, r.classes)) == len(r.target) == len(used) and used.issubset(r.target)
+    ) and sorted(itertools.chain.from_iterable(r.classes)) != sorted(r.target):
         union: Counter[Block] = Counter()
         for cls in r.classes:
             union.update(cls)
@@ -588,8 +632,9 @@ def derived_frame(d: Design, x: Label | str | int) -> tuple[tuple[int, ...], tup
     """(ground, target) of the derived design at x, in parent ids.
 
     ``target`` is the sorted multiset of blocks through x with x removed,
-    cut out of each block by the one getter of its size and x's position,
-    and sorted in place once;
+    cut out of each block by the one getter of its size and x's position
+    (from one table when every block through x has the same size), and
+    sorted in place once;
     ``ground`` is every point outside the group of x (every point but x
     when the design has no groups).
     """
@@ -597,8 +642,13 @@ def derived_frame(d: Design, x: Label | str | int) -> tuple[tuple[int, ...], tup
     gone = d.groups[d.group_of[xid]] if d.groups else (xid,)
     ground = tuple(p for p in range(d.v) if p not in gone)
     through = d.incidence[xid]
-    cuts = {k: _cuts(k) for k in set(map(len, through))}
-    punctured = [cuts[len(b)][b.index(xid)](b) for b in through]
+    sizes = set(map(len, through))
+    if len(sizes) == 1:
+        cut = _cuts(*sizes)
+        punctured = [cut[b.index(xid)](b) for b in through]
+    else:
+        cuts = {k: _cuts(k) for k in sizes}
+        punctured = [cuts[len(b)][b.index(xid)](b) for b in through]
     punctured.sort()
     return ground, tuple(punctured)
 

@@ -42,9 +42,11 @@ from .core import (
     ParameterError,
     Resolution,
     VerifyReport,
+    _getters,
     derived_frame,
     is_partition,
     lift,
+    lift_map,
     make_design,
     verify_gdd,
     verify_resolution,
@@ -321,18 +323,6 @@ def assemble_design(cert: StarCertificate) -> Design:
     return make_design(3, {4}, labels, blocks, kind="SQS")
 
 
-def e_classes(b4: Block, x: int, i: int) -> tuple[tuple[Block, ...], ...]:
-    """The 7 derived classes at (x,i) of the SQS(16) copy on b4 x Z4.
-
-    ``b4`` must contain x.  Class 6 is the one containing the column
-    triple ({x} x Z4) minus (x,i); classes 0..5 follow the template's row
-    order.
-    """
-    bs = sorted(b4)
-    zp = 4 * bs.index(x) + i
-    return tuple(lift(cls, bs, 4) for cls in template().e_derived[zp])
-
-
 # ---------------------------------------------------------------------------
 # the assembly
 
@@ -371,71 +361,70 @@ class QuadrupleAssembly:
     def __init__(self, cert: StarCertificate):
         self.cert = cert
         self.design = assemble_design(cert)
-        # per template point, per occurrence o: TD rows 2o and 2o+1 as one
-        # local block list, and the length of row 2o
-        self._td_pairs = tuple(
-            tuple((rows[o] + rows[o + 1], len(rows[o])) for o in (0, 2))
-            for rows in template().td_derived
+        tpl = template()
+        # per template point, the getters of its derived TD rows, and of its
+        # derived classes 0..5 and 6 less the column triple
+        self._td = tuple(tuple(map(_getters, rows)) for rows in tpl.td_derived)
+        self._e = tuple(
+            tuple(map(_getters, rows[:6])) + (_getters(tuple(b for b in rows[6] if b != col)),)
+            for rows, col in zip(tpl.e_derived, tpl.degenerate)
         )
         self._plan_x = -1
         self._plan: tuple = ()
 
     def _plan_for(self, x: int) -> tuple:
         """The plan the four fibres of star point x share, worked out once
-        per x: for each certificate group, the SQS(v) block of its common
-        triple and x; then for each class, for each triple other than the
-        common one, the SQS(v) block it makes with x and, per fibre i, the
-        TD rows its occurrence o feeds, at template point 4 * (x's position
-        in that block) + i."""
+        per x: for fibre i, the steps of each class of the derived
+        resolution at (x, i), in class order, the last class without the
+        column triple.  A step is a ``core.lift_map`` of an SQS(v) block
+        through x and the ``_getters`` of the local blocks it lifts, at
+        template point 4 * (x's position in that block) + i.
+
+        Certificate class l of the group on common triple c gives classes
+        2l and 2l+1.  Each of its triples other than c makes a block with x
+        and feeds TD rows 2o and 2o+1 there (o its occurrence); the block
+        c + x feeds derived template classes 2l and 2l+1, and class 6, less
+        the column triple, to the last class."""
         if x != self._plan_x:
             pc = self.cert.per_point[x]
             occ = occurrence_map(pc)
-            pairs = self._td_pairs
-            plan = []
+            fibres = [([], []) for _ in range(4)]
             for k, grp in enumerate(pc.groups):
-                steps_by_class = []
+                b4 = sorted(grp.common + (x,))
+                m4, z4 = lift_map(b4, 4), 4 * b4.index(x)
+                lifts = []  # per class: (map, template point, row 2o) of each triple but c
                 for l, cls in enumerate(grp.classes):
-                    steps = []
+                    lifts.append([])
                     for tri in cls:
-                        if tri == grp.common:
-                            continue
-                        bb = tuple(sorted(tri + (x,)))
-                        zp, o = 4 * bb.index(x), occ[(k, l, tri)]
-                        steps.append((bb, tuple(pairs[zp + i][o] for i in range(4))))
-                    steps_by_class.append(tuple(steps))
-                plan.append((grp.common + (x,), tuple(steps_by_class)))
-            self._plan_x, self._plan = x, tuple(plan)
+                        if tri != grp.common:
+                            bb = sorted(tri + (x,))
+                            o = 2 * occ[(k, l, tri)]
+                            lifts[l].append((lift_map(bb, 4), 4 * bb.index(x), o))
+                for i, (classes, last) in enumerate(fibres):
+                    e = self._e[z4 + i]
+                    for l, steps in enumerate(lifts):
+                        for r in (0, 1):
+                            cls = [(m, self._td[zp + i][o + r]) for m, zp, o in steps]
+                            cls.append((m4, e[2 * l + r]))
+                            classes.append(tuple(cls))
+                    last.append((m4, e[6]))
+            self._plan_x = x
+            self._plan = tuple((tuple(c), tuple(f)) for c, f in fibres)
         return self._plan
 
     def point_resolution(self, p: int) -> Resolution:
-        """The 2v-1 classes of the derived design at point p, unproved.
-        Certificate class l of a group gives classes 2l and 2l+1, fed by TD
-        rows 2o and 2o+1 of each triple (o its occurrence): one ``lift``
-        per triple, of the rows the plan of p's star point names."""
+        """The 2v-1 classes of the derived design at point p, unproved: the
+        getters of each step of the plan of p's fibre applied to its map."""
         x, i = divmod(p, 4)
-        plan = self._plan_for(x)
+        steps_by_class, last_steps = self._plan_for(x)[i]
         ground, target = derived_frame(self.design, p)
-        degenerate = tuple(q for q in range(4 * x, 4 * x + 4) if q != p)
-
-        classes: list[tuple[Block, ...]] = []
-        final: list[Block] = [degenerate]
-        for b4, steps_by_class in plan:
-            e_cls = e_classes(b4, x, i)
-            final.extend(b for b in e_cls[6] if b != degenerate)
-            for l, steps in enumerate(steps_by_class):
-                first: list[Block] = []
-                second: list[Block] = []
-                for bb, fibres in steps:
-                    rows, n = fibres[i]
-                    both = lift(rows, bb, 4)
-                    first.extend(both[:n])
-                    second.extend(both[n:])
-                for r, blocks in enumerate((first, second)):
-                    blocks.extend(e_cls[2 * l + r])
-                    blocks.sort()
-                    classes.append(tuple(blocks))
-        final.sort()
-        classes.append(tuple(final))
+        classes = [
+            tuple(sorted([f(m) for m, fs in steps for f in fs])) for steps in steps_by_class
+        ]
+        last = [f(m) for m, fs in last_steps for f in fs]
+        last.append(tuple(q for q in range(4 * x, 4 * x + 4) if q != p))
+        last.sort()
+        classes.append(tuple(last))
         return Resolution(ground=ground, classes=tuple(classes), target=target)
 
 

@@ -129,21 +129,25 @@ def _traced_stdout(point_resolution_s, verify_resolution_s, correct=True):
     return f"run record: {json.dumps(record)}\n{json.dumps(result)}\n"
 
 
-def test_a_traced_run_per_side_records_each_layer_either_side_calls(capsys):
-    traced = {"parent": bench_pairs.parse_run(_traced_stdout(0.40, 0.16))[1],
-              "change": bench_pairs.parse_run(_traced_stdout(0.30, 0.0))[1]}
+def test_traced_pairs_record_each_layer_either_side_calls(capsys):
+    traced = {"parent": [bench_pairs.parse_run(_traced_stdout(p, 0.16))[1]
+                         for p in (0.40, 0.50, 0.42)],
+              "change": [bench_pairs.parse_run(_traced_stdout(c, 0.0))[1]
+                         for c in (0.30, 0.52, 0.31)]}
     layers = bench_pairs.per_layer(traced, LAYERS)
-    assert layers["correct"] == {"parent": True, "change": True}
-    # resolver.nodes reads 0 on both sides: a layer the workload does not call
+    assert layers["correct"] == {"parent": [True] * 3, "change": [True] * 3}
+    # resolver.nodes reads 0 in every run: a layer the workload does not call
     assert list(layers["metrics"]) == ["quadruple.point_resolution_s", "core.verify_resolution_s"]
     moved = layers["metrics"]["quadruple.point_resolution_s"]
-    assert moved["parent"] == 0.40 and moved["change"] == 0.30
-    assert moved["change_rel"] == pytest.approx(-0.25)
+    assert moved["pairs"] == [[0.40, 0.30], [0.50, 0.52], [0.42, 0.31]]
+    assert moved["parent"]["median"] == 0.42 and moved["change"]["median"] == 0.31
+    assert moved["median_change"] == pytest.approx(0.31 / 0.42 - 1)
+    assert moved["lower"] == "2 of 3"
     assert moved["unit"] == "s" and moved["better"] == "lower"
-    assert layers["metrics"]["core.verify_resolution_s"]["change_rel"] == -1
+    assert layers["metrics"]["core.verify_resolution_s"]["median_change"] == -1
     # a layer only the change calls has no relative change
     swapped = bench_pairs.per_layer({"parent": traced["change"], "change": traced["parent"]}, LAYERS)
-    assert swapped["metrics"]["core.verify_resolution_s"]["change_rel"] is None
+    assert swapped["metrics"]["core.verify_resolution_s"]["median_change"] is None
 
     metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
     runs = {"parent": [bench_pairs.parse_run(_stdout(2, "ab", 1.0))],
@@ -153,11 +157,31 @@ def test_a_traced_run_per_side_records_each_layer_either_side_calls(capsys):
     assert bench_pairs.change_faults(entry) == []
     assert bench_pairs.print_summary("rdsqs112", entry) == 0
     out = capsys.readouterr().out
-    assert "rdsqs112 quadruple.point_resolution_s (traced): 0.4 -> 0.3\n" in out
-    assert "rdsqs112 core.verify_resolution_s (traced): 0.16 -> 0\n" in out
+    assert "rdsqs112 quadruple.point_resolution_s (traced): 0.42 -> 0.31, lower in 2 of 3\n" in out
+    assert "rdsqs112 core.verify_resolution_s (traced): 0.16 -> 0, lower in 3 of 3\n" in out
     assert "resolver.nodes" not in out
     # a traced change run that is not correct counts against the change
-    traced["change"] = bench_pairs.parse_run(_traced_stdout(0.30, 0.0, correct=False))[1]
+    traced["change"][1] = bench_pairs.parse_run(_traced_stdout(0.52, 0.0, correct=False))[1]
     entry["per_layer"] = bench_pairs.per_layer(traced, LAYERS)
-    assert bench_pairs.change_faults(entry) == ["traced change run is not correct"]
+    assert bench_pairs.change_faults(entry) == ["traced change run of pair 1 is not correct"]
     assert bench_pairs.print_summary("rdsqs112", entry) == 1
+
+
+def test_traced_pairs_alternate_on_the_first_seeds(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = "change" if checkout == bench_pairs.ROOT else "parent"
+        calls.append((side, seed, trace))
+        return {"cpus_usable": 2}, json.loads(_traced_stdout(0.3, 0.1).splitlines()[-1])
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    metrics = [{"name": "quadruple.point_resolution_s", "unit": "s", "better": "lower",
+                "bound": 0.25}]
+    entry = bench_pairs.measure(tmp_path, "rdsqs112", [5, 6, 7, 8], 1.0, metrics, LAYERS)
+    traced = [c for c in calls if c[2] == 1]
+    assert bench_pairs.TRACED_PAIRS == 3
+    assert traced == [("parent", 5, 1), ("change", 5, 1), ("change", 6, 1), ("parent", 6, 1),
+                      ("parent", 7, 1), ("change", 7, 1)]
+    assert entry["per_layer"]["seeds"] == [5, 6, 7]
+    assert entry["per_layer"]["metrics"]["quadruple.point_resolution_s"]["pairs"] == [[0.3, 0.3]] * 3

@@ -29,7 +29,8 @@ def _definitions(trees):
 
 def _references(trees):
     """Every name read, attribute, imported name and identifier string.
-    The package's own re-exports in ``__init__.py`` are not callers."""
+    The package's own re-exports in ``__init__.py`` are not callers: neither
+    its imports nor the name strings of its lazy table."""
     names = set()
     for path, tree in trees:
         reexports = path == PACKAGE / "__init__.py"
@@ -41,7 +42,7 @@ def _references(trees):
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
                 for alias in node.names:
                     names.update(alias.name.split("."))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and not reexports:
                 if node.value.isidentifier():
                     names.add(node.value)
     return names
@@ -54,6 +55,13 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
     used = _references(package + others)
     unused = sorted(f"{file}: {name}" for file, name in _definitions(package) if name not in used)
     assert unused == []
+
+
+def test_a_name_only_the_lazy_table_lists_has_no_caller():
+    init = PACKAGE / "__init__.py"
+    tree = ast.parse("_LAZY = {'orphan': 'catalog'}\nfrom .core import stray\n")
+    assert {"orphan", "stray"}.isdisjoint(_references([(init, tree)]))
+    assert {"orphan", "stray"} <= _references([(PACKAGE / "cli.py", tree)])
 
 
 def test_every_shipped_data_file_is_read_by_a_catalog_loader(monkeypatch):

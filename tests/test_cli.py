@@ -1,3 +1,5 @@
+import concurrent.futures
+import copy
 import hashlib
 import io
 import os
@@ -11,7 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from quadsys import DesignError, Gdd, catalog, cli, verify_star_point, verify_steiner
+from quadsys import (
+    DesignError,
+    Gdd,
+    catalog,
+    cli,
+    quadruple,
+    resolver,
+    verify_star_point,
+    verify_steiner,
+)
 from quadsys.cli import main
 from quadsys.formats import (
     ParseError,
@@ -264,6 +275,24 @@ def test_resolve_found_and_exhausted(tmp_path):
     assert code == 1 and out.startswith("EXHAUSTED")
 
 
+def test_resolve_without_a_budget_uses_the_default_budget(tmp_path, monkeypatch):
+    design = tmp_path / "sqs8.design"
+    run_cli("gen", "sqs8", "--out", str(design))
+    budgets, default = [], resolver.DEFAULT_BUDGET
+    find_resolution = resolver.find_resolution
+
+    def recording(blocks, ground, budget):
+        budgets.append(budget)
+        return find_resolution(blocks, ground, budget=budget)
+
+    monkeypatch.setattr(resolver, "find_resolution", recording)
+    assert run_cli("resolve", str(design))[0] == 0
+    assert run_cli("resolve", str(design), "--budget", "50")[0] == 0
+    monkeypatch.setattr(resolver, "DEFAULT_BUDGET", 7)
+    assert run_cli("resolve", str(design))[0] == 1  # read when resolve runs
+    assert budgets == [default, 50, 7]
+
+
 def test_resolve_point_of_a_gdd_searches_the_derived_gdd(tmp_path):
     # the ground set loses the whole group of the point, not the point alone
     design = tmp_path / "rdgdd24.design"
@@ -448,6 +477,73 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_construct_on_two_jobs_deals_out_whole_star_points(tmp_path, monkeypatch):
+    """A pool job is the four fibres of one star point, so each star point's
+    plan is built once, however the jobs are dealt to the workers."""
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    out_dir = tmp_path / "out"
+    jobs, plans = [], []
+
+    class TwoWorkers:
+        """Deals each job to the next of its workers, in this process; a
+        worker holds its own copy of the assembly, as a forked one does."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            ((asm, out),) = initargs
+            self.init = initializer
+            self.held = [(copy.copy(asm), out) for _ in range(max_workers)]
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            for k in range(0, len(items), chunksize):
+                jobs.append(items[k:k + chunksize])
+                self.init(self.held[len(jobs) % len(self.held)])
+                yield from map(fn, jobs[-1])
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    occurrence_map = quadruple.occurrence_map
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TwoWorkers)
+    monkeypatch.setattr(quadruple, "occurrence_map",
+                        lambda pc: plans.append(pc.point) or occurrence_map(pc))
+    code, _ = run_cli(
+        "construct", str(tmp_path / "sqs28.star"), str(out_dir),
+        "--design", str(design), "--jobs", "2",
+    )
+    assert code == 0 and tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
+    assert jobs == [[4 * x + i for i in range(4)] for x in range(28)]
+    assert sorted(plans) == list(range(28))
+
+
+def test_importing_the_cli_compiles_no_subcommand_module():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    code = "import sys, quadsys.cli; print(sorted(m for m in sys.modules if 'quadsys' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(["quadsys", "quadsys.cli", "quadsys.core", "quadsys.formats",
+                               "quadsys.star"]) + "\n"
+
+
+def test_the_package_still_exports_the_names_it_loads_on_first_use():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    code = (
+        "import quadsys\n"
+        "from quadsys import sqs28, QuadrupleAssembly, find_resolution, Gdd\n"
+        "from quadsys import catalog, core, quadruple, resolver\n"
+        "print(sqs28 is catalog.sqs28, QuadrupleAssembly is quadruple.QuadrupleAssembly,\n"
+        "      find_resolution is resolver.find_resolution, Gdd is core.Gdd,\n"
+        "      hasattr(quadsys, 'nosuch'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "True True True True False\n", proc.stderr
 
 
 def test_construct_and_report(construct_out):
@@ -640,16 +736,28 @@ def test_a_parse_error_names_its_file_in_every_subcommand(generated, tmp_path, c
     assert not out.exists()
 
 
-def test_gen_unknown_name_is_a_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "nope"])
-    assert err.value.code == 2
+def test_gen_unknown_name_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "nope.design"
+    assert main(["gen", "nope", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: no catalog design 'nope' "
+        "(choose from rdgdd24, rdgdd42, sqs14, sqs16, sqs22, sqs28, sqs8)\n"
+    )
 
 
 def _one_error_line(proc, pattern):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(rf"error: {pattern}[^\n]*\n", proc.stderr), proc.stderr
+
+
+def test_gen_unknown_name_exits_2_with_one_line_naming_the_choices():
+    proc = run_cli_process("gen", "nosuch")
+    _one_error_line(proc, re.escape("no catalog design 'nosuch' (choose from rdgdd24, rdgdd42, "
+                                    "sqs14, sqs16, sqs22, sqs28, sqs8)"))
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["resolve", "derive"])

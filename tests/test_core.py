@@ -443,6 +443,46 @@ def test_make_design_keeps_a_sorted_tuple_block_and_still_checks_it():
             make_design(2, {3}, labels, [kept, bad])
 
 
+def _made(blocks, sizes):
+    try:
+        return make_design(2, sizes, plain_labels(range(6)), blocks)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def test_make_design_checks_columns_as_the_per_block_loop_does():
+    good = [(0, 1, 2), (3, 4, 5), (1, 3, 5), (0, 2, 4)]
+    ones = [(5,), (0,), (3,)]
+    cases = {
+        "sorted tuples": (good, {3}, True),
+        "an unsorted tuple": (good[:1] + [(4, 3, 0)] + good[1:], {3}, False),
+        "a list block": (good[:2] + [[1, 2, 4]] + good[2:], {3}, False),
+        "a repeated point": (good + [(1, 1, 2)], {3}, False),
+        "id -1, first column": (good + [(-1, 2, 3)], {3}, False),
+        "id -1, middle column": (good + [(0, -1, 3)], {3}, False),
+        "id -1, last column": (good + [(0, 2, -1)], {3}, False),
+        "id v, first column": (good + [(6, 7, 8)], {3}, False),
+        "id v, middle column": (good + [(0, 6, 5)], {3}, False),
+        "id v, last column": (good + [(0, 2, 6)], {3}, False),
+        "a wrong size": (good + [(0, 1, 2, 3)], {3}, False),
+        "mixed sizes": (good + [(0, 1, 2, 3)], {3, 4}, False),
+        "1-point blocks": (ones, {1}, True),
+        "a 1-point block, id v": (ones + [(6,)], {1}, False),
+        "a 1-point block, id -1": ([(-1,)] + ones, {1}, False),
+        "empty blocks": ([(), ()], {0}, False),
+        "no blocks": ([], {3}, False),
+    }
+    for name, (blocks, sizes, by_columns) in cases.items():
+        assert core._ascending_in_range(blocks, frozenset(sizes), 6) == by_columns, name
+        loop = _made(iter(blocks), sizes)  # an iterator takes the per-block loop
+        assert _made(list(blocks), sizes) == loop, name
+        assert _made(tuple(blocks), sizes) == loop, name
+    assert _made(good, {3}).blocks == ((0, 1, 2), (0, 2, 4), (1, 3, 5), (3, 4, 5))
+    assert all(any(b is g for g in good) for b in _made(good, {3}).blocks)  # kept, not copied
+    assert _made(good + [(0, 2, 6)], {3}) == "block (0, 2, 6) references unknown point ids"
+    assert _made(good + [[4, 1, 4]], {3}) == "repeated point in block (1, 4, 4)"
+
+
 # ---------------------------------------------------------------------------
 # derivation
 
@@ -699,6 +739,80 @@ def test_verify_resolution_matches_the_counter_reference():
     assert failed["none"] == 0
     for fault in RESOLUTION_FAULTS[1:]:
         assert failed[fault] == 100, fault
+
+
+def sorted_verify_resolution(r):
+    """verify_resolution as it stood before its set tests, every class and
+    the union decided by sorting.  Kept as the reference for exact witness
+    lists: the set tests must leave verdicts, violations and counts as
+    this gives them."""
+    rep = VerifyReport()
+    rep.counts["classes"] = len(r.classes)
+    rep.counts["blocks"] = len(r.target)
+    ground = sorted(r.ground)
+    for ci, cls in enumerate(r.classes):
+        if sorted(itertools.chain.from_iterable(cls)) != ground:
+            bad = is_partition(cls, r.ground)
+            rep.flag(f"class {ci}: {bad[0]}", bad[1])
+    if sorted(itertools.chain.from_iterable(r.classes)) != sorted(r.target):
+        union = Counter()
+        for cls in r.classes:
+            union.update(cls)
+        want = Counter(r.target)
+        for b in (union - want):
+            rep.flag("block not in target (or over-used)", b)
+            break
+        for b in (want - union):
+            rep.flag("target block missing from classes", b)
+            break
+    return rep
+
+
+def _set_test_edges(res):
+    """(name, resolution, passes) for the cases a set test could misjudge."""
+    c0, c1 = list(res.classes[0]), list(res.classes[1])
+    g0, t0 = res.ground[0], res.target[0]
+    rest = res.classes[2:]
+    # a block of class 0 takes a point of another block of it: the same length
+    b = next(i for i, blk in enumerate(c0) if c0[0][0] not in blk)
+    repeat = c0[:b] + [tuple(sorted((c0[0][0],) + c0[b][1:]))] + c0[b + 1:]
+    at = next(ci for ci, cls in enumerate(res.classes) if t0 in cls)
+    twice = [cls + (t0,) if ci == at else cls for ci, cls in enumerate(res.classes)]
+    return [
+        ("a class repeats a point, same length",
+         Resolution(res.ground, (tuple(repeat), tuple(c1)) + rest, res.target), False),
+        ("the ground repeats an id", Resolution(res.ground + (g0,), res.classes, res.target), False),
+        ("the ground repeats an id, class 0 another",
+         Resolution(res.ground + (g0,), (tuple(c0) + ((res.ground[1],),), tuple(c1)) + rest,
+                    res.target + ((res.ground[1],),)), False),
+        ("the ground and every class repeat an id",
+         Resolution(res.ground + (g0,), tuple(cls + ((g0,),) for cls in res.classes),
+                    res.target + ((g0,),) * len(res.classes)), True),
+        ("the target repeats a block",
+         Resolution(res.ground, res.classes, res.target + (t0,)), False),
+        ("the target and one class repeat a block",
+         Resolution(res.ground, tuple(twice), tuple(sorted(res.target + (t0,)))), False),
+        ("one block doubled, another missing",
+         Resolution(res.ground, (tuple(c0), tuple([c0[0]] + c1[1:])) + rest, res.target), False),
+    ]
+
+
+@pytest.mark.parametrize("name", ["sqs22", "rdgdd24", "rdgdd42"])
+def test_verify_resolution_matches_the_sorted_reference(name):
+    rng = random.Random(name)
+    shipped = sorted(catalog.RESOLUTIONS[name]().items())
+    faults = ("none", "move a block", "drop a class", "duplicate a class")
+    seen = Counter()
+    for point, res in shipped:
+        cases = [(fault, _mutated(res, fault, rng), fault == "none") for fault in faults]
+        for case, bad, passes in cases + _set_test_edges(res):
+            got, want = verify_resolution(bad), sorted_verify_resolution(bad)
+            assert (got.passed, got.violations, got.counts) == (
+                want.passed, want.violations, want.counts
+            ), (case, point)
+            assert got.passed == passes, (case, point)
+            seen[case] += 1
+    assert len(seen) == 11 and set(seen.values()) == {len(shipped)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from quadsys.quadruple import (
     assemble_design,
     boolean_sqs16,
     checked_assembly,
-    e_classes,
     occurrence_map,
     rdtd_blocks,
     template,
@@ -123,6 +122,13 @@ def test_td_derived_classes_partition_for_every_point():
             used.update(cls)
         # the four derived classes exhaust the 16 derived TD triples
         assert sum(used.values()) == 16 and set(used.values()) == {1}
+
+
+def e_classes(b4, x, i):
+    """The 7 derived classes at (x,i) of the SQS(16) copy on b4 x Z4, lifted
+    from the template (class 6 holds the column triple through (x,i))."""
+    bs = sorted(b4)
+    return tuple(lift(cls, bs, 4) for cls in template().e_derived[4 * bs.index(x) + i])
 
 
 def test_e_classes_structure():

@@ -21,12 +21,13 @@ not correct, or if the change fails a larger share of its operations than
 the parent.  An existing file keeps the workloads this run
 does not measure, so one file can collect several runs.
 
-After a workload's pairs, one ``bench/run.py --trace 1`` run per side, on
-the first pair's seed, records the per-layer metrics of ``BENCHMARK.json``
-under ``per_layer``: the parent's and the change's value of every layer
-either side calls (a layer a workload does not call reads 0 on both), so a
-pair shows which layer moved.  A traced run of the change that is not
-correct counts against it as an untraced one does.
+After a workload's pairs, ``TRACED_PAIRS`` alternating pairs of
+``bench/run.py --trace 1`` runs, on the first pairs' seeds, record the
+per-layer metrics of ``BENCHMARK.json`` under ``per_layer``: for every layer
+either side calls (a layer a workload does not call reads 0 on both), its
+pairs, each side's median [Q1, Q3] and "lower in k of N", so the pairs show
+which layer moved.  A traced run of the change that is not correct counts
+against it as an untraced one does.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ WORK = ROOT / ".bench_work"
 RECORD = "run record: "
 # the fields of a run record the file keeps
 KEPT = ("cpus_usable", "output_sha256")
+# alternating traced pairs per workload, for the per-layer metrics
+TRACED_PAIRS = 3
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -128,19 +131,19 @@ def collect(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]],
     return out
 
 
-def per_layer(traced: dict[str, dict], metrics: list[dict]) -> dict:
-    """The per-layer record of a workload from each side's traced result:
-    whether the run was correct, and each metric of ``metrics`` that either
-    side reads as nonzero, with both values and the relative change."""
-    out = {"correct": {side: r.get("correct") for side, r in traced.items()}, "metrics": {}}
+def per_layer(traced: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """The per-layer record of a workload from each side's traced results,
+    result i of each side having run as traced pair i: whether each run was
+    correct, and the ``summarize`` of each metric of ``metrics`` that some
+    run reads as nonzero."""
+    out = {"correct": {side: [r.get("correct") for r in rs] for side, rs in traced.items()},
+           "metrics": {}}
     for m in metrics:
-        parent, change = (traced[side]["metrics"][m["name"]]["value"]
-                          for side in ("parent", "change"))
-        if parent or change:
-            out["metrics"][m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
-                "change_rel": change / parent - 1 if parent else None,
-            }
+        values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                  for side, rs in traced.items()}
+        if any(values["parent"]) or any(values["change"]):
+            out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                         **summarize(values["parent"], values["change"])}
     return out
 
 
@@ -160,8 +163,9 @@ def change_faults(entry: dict) -> list[str]:
     runs that is not correct, and a larger failed share than the parent's."""
     faults = [f"change run of pair {i} is not correct"
               for i, ok in enumerate(entry["correct"]["change"]) if ok is not True]
-    if "per_layer" in entry and entry["per_layer"]["correct"]["change"] is not True:
-        faults.append("traced change run is not correct")
+    traced = entry["per_layer"]["correct"]["change"] if "per_layer" in entry else []
+    faults += [f"traced change run of pair {i} is not correct"
+               for i, ok in enumerate(traced) if ok is not True]
     parent, change = (failed_share(entry["failed"][side]) for side in ("parent", "change"))
     if change > parent:
         faults.append(f"change fails a larger share of operations: {parent:.4g} -> {change:.4g}")
@@ -176,7 +180,8 @@ def print_summary(workload: str, entry: dict) -> int:
         print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
     for name, m in entry.get("per_layer", {"metrics": {}})["metrics"].items():
-        print(f"{workload} {name} (traced): {m['parent']:.4g} -> {m['change']:.4g}")
+        print(f"{workload} {name} (traced): {m['parent']['median']:.4g} -> "
+              f"{m['change']['median']:.4g}, lower in {m['lower']}")
     correct = {side: sum(ok is True for ok in oks) for side, oks in entry["correct"].items()}
     share = {side: failed_share(runs) for side, runs in entry["failed"].items()}
     print(f"{workload}: correct runs {correct['parent']} -> {correct['change']} of "
@@ -190,13 +195,17 @@ def print_summary(workload: str, entry: dict) -> int:
     return 1 if faults else 0
 
 
+def _order(i: int) -> tuple[str, str]:
+    """The sides of pair i in the order they run: the parent first when i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
             metrics: list[dict], layers: list[dict]) -> dict:
     sides = {"parent": parent, "change": ROOT}
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in _order(i):
             record, result = _run(sides[side], workload, seed, seconds)
             # a whole oracle record lists every instance, and this process's
             # peak RSS is the floor of every RUSAGE_SELF peak a run reports
@@ -205,8 +214,12 @@ def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
                   + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                              for m in metrics), flush=True)
     entry = collect(seeds, runs, metrics)
-    traced = {side: _run(sides[side], workload, seeds[0], seconds, trace=1)[1] for side in sides}
-    entry["per_layer"] = per_layer(traced, layers)
+    traced = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds[:TRACED_PAIRS]):
+        for side in _order(i):
+            traced[side].append(_run(sides[side], workload, seed, seconds, trace=1)[1])
+            print(f"{workload} traced pair {i} seed {seed} {side}", flush=True)
+    entry["per_layer"] = {"seeds": seeds[:TRACED_PAIRS], **per_layer(traced, layers)}
     return entry
 
 
