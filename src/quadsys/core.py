@@ -273,8 +273,9 @@ def make_design(
 def _ascending_in_range(blocks: Sequence, sizes: frozenset[int], v: int) -> bool:
     """Whether ``blocks`` are tuples of one size k >= 1 in ``sizes``, each
     strictly ascending with ids in ``0..v-1``: decided a column at a time,
-    each column below the next, the first from 0 and the last below v, by
-    iterators over the blocks, so no copy of them is made."""
+    each column below the next (which stops at the first unsorted block),
+    then the first from 0 and the last below v, by iterators over the
+    blocks, so no copy of them is made."""
     if set(map(type, blocks)) != {tuple}:
         return False
     lengths = set(map(len, blocks))
@@ -284,11 +285,11 @@ def _ascending_in_range(blocks: Sequence, sizes: frozenset[int], v: int) -> bool
     if k < 1 or k not in sizes:
         return False
     cols = [operator.itemgetter(j) for j in range(k)]
-    if min(map(cols[0], blocks)) < 0 or max(map(cols[-1], blocks)) >= v:
-        return False
-    return all(
-        all(map(operator.lt, map(lo, blocks), map(hi, blocks)))
-        for lo, hi in zip(cols, cols[1:])
+    return (
+        all(all(map(operator.lt, map(lo, blocks), map(hi, blocks)))
+            for lo, hi in zip(cols, cols[1:]))
+        and min(map(cols[0], blocks)) >= 0
+        and max(map(cols[-1], blocks)) < v
     )
 
 
