@@ -20,7 +20,8 @@ differs is XORed as integers, whose nonzero bytes are the witnesses,
 lowest rank first.
 ``verify_gdd`` scans for blocks that meet a group twice only when coverage
 does not already imply the answer: when a non-cross t-set is covered,
-some block is shorter than t, or t < 2.
+some block is shorter than t, or t < 2.  ``verify_resolution`` decides by
+set tests, and by the tallies that name its witnesses where those cannot.
 """
 
 from __future__ import annotations
@@ -563,18 +564,12 @@ def verify_gdd(d: Design) -> VerifyReport:
 
 
 def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, object] | None:
-    """Return a violation witness if ``blocks`` do not partition ``ground``.
-
-    The verdict is multiset equality of the points of ``blocks`` with
-    ``ground``, decided by sorting both; the tallies are built only to name
-    the witness of a failure.
-    """
-    if sorted(itertools.chain.from_iterable(blocks)) == sorted(ground):
+    """Return a violation witness if ``blocks`` do not partition ``ground``,
+    decided by tallying both: the first point covered twice or foreign, else
+    the first uncovered one."""
+    seen, want = Counter(itertools.chain.from_iterable(blocks)), Counter(ground)
+    if seen == want:
         return None
-    seen = Counter()
-    for b in blocks:
-        seen.update(b)
-    want = Counter(ground)
     extra = seen - want
     if extra:
         return ("point covered twice or foreign", next(iter(extra)))
@@ -588,40 +583,31 @@ def verify_resolution(r: Resolution) -> VerifyReport:
     partitions it if its block sizes sum to the ground's size and its points
     make the ground's set.  The classes exhaust the target if their blocks
     are as many as the target's, all distinct, and each in the target (so
-    the target repeats none either).  A test that fails, or cannot decide
-    because the ground or the target repeats an element, falls to the sort:
-    the multisets are sorted and compared, the ground once per call.  Only
-    a failure of the sort builds the tallies (``is_partition``, ``Counter``)
-    that name its witnesses.
+    the target repeats none either).  Where a test fails, or cannot decide
+    because the ground repeats an id or the target a block, the tallies
+    that name the witnesses (``is_partition``, ``Counter``) decide.
     """
     rep = VerifyReport()
     rep.counts["classes"] = len(r.classes)
     rep.counts["blocks"] = len(r.target)
     n = len(r.ground)
     points = set(r.ground)
-    ground = None  # the sorted ground, once a class needs it
     for ci, cls in enumerate(r.classes):
         if len(points) == n and sum(map(len, cls)) == n and points == set().union(*cls):
             continue
-        if ground is None:
-            ground = sorted(r.ground)
-        if sorted(itertools.chain.from_iterable(cls)) != ground:
-            bad = is_partition(cls, r.ground)
+        bad = is_partition(cls, r.ground)
+        if bad is not None:
             rep.flag(f"class {ci}: {bad[0]}", bad[1])
     used = set().union(*r.classes)
-    if not (
-        sum(map(len, r.classes)) == len(r.target) == len(used) and used.issubset(r.target)
-    ) and sorted(itertools.chain.from_iterable(r.classes)) != sorted(r.target):
-        union: Counter[Block] = Counter()
-        for cls in r.classes:
-            union.update(cls)
-        want = Counter(r.target)
-        for b in (union - want):
-            rep.flag("block not in target (or over-used)", b)
-            break
-        for b in (want - union):
-            rep.flag("target block missing from classes", b)
-            break
+    if sum(map(len, r.classes)) == len(r.target) == len(used) and used.issubset(r.target):
+        return rep
+    union, want = Counter(itertools.chain.from_iterable(r.classes)), Counter(r.target)
+    for b in (union - want):
+        rep.flag("block not in target (or over-used)", b)
+        break
+    for b in (want - union):
+        rep.flag("target block missing from classes", b)
+        break
     return rep
 
 

@@ -44,7 +44,6 @@ from .core import (
     VerifyReport,
     _getters,
     derived_frame,
-    is_partition,
     lift,
     lift_map,
     make_design,
@@ -220,60 +219,42 @@ def verify_template() -> VerifyReport:
     if tuple(sorted(tpl.group_blocks)) != columns:
         rep.flag("group orbit is not the four columns", tpl.group_blocks)
 
+    def resolves(what: str, frame, classes) -> None:
+        ground, target = frame
+        sub = verify_resolution(Resolution(tuple(ground), tuple(classes), tuple(target)))
+        if not sub.passed:
+            rep.flag(f"{what} are not a resolution", sub.violations[:1])
+
     for r, row in enumerate(tpl.row_classes):
-        flat = [b for cls in row for b in cls]
-        d = make_design(2, {4}, labels, flat, kind="RAW")
-        sub = verify_steiner(d)
+        sub = verify_steiner(make_design(2, {4}, labels, itertools.chain(*row), kind="RAW"))
         if not sub.passed:
             rep.flag(f"row {r} is not an S(2,4,16)", sub.violations[:1])
-        for ci, cls in enumerate(row):
-            bad = is_partition(cls, range(16))
-            if bad is not None:
-                rep.flag(f"row {r} orbit {ci} is not a parallel class", bad[1])
+    # every orbit is a parallel class (so each row is resolved by its own
+    # orbits), and the 35 of them use up the 140 blocks
+    resolves("row orbits", (range(16), tpl.blocks), (c for row in tpl.row_classes for c in row))
 
-    td = Gdd(
-        design=make_design(3, {4}, labels, tpl.td_blocks, kind="TD"),
-        groups=columns,
-    )
+    td = Gdd(design=make_design(3, {4}, labels, tpl.td_blocks, kind="TD"), groups=columns)
     sub = verify_gdd(td)
     if not sub.passed:
         rep.flag("distinguished orbits are not a TD(3,4,4)", sub.violations[:1])
-    if sorted(len(g) for g in td.groups) != [4, 4, 4, 4]:
-        rep.flag("TD type", td.groups)
-
-    td_rows_flat: list[Block] = []
     for r, row in enumerate(tpl.td_row_classes):
-        flat = [b for cls in row for b in cls]
-        td_rows_flat.extend(flat)
-        sub = verify_gdd(
-            Gdd(design=make_design(2, {4}, labels, flat, kind="TD"), groups=columns)
-        )
+        flat = make_design(2, {4}, labels, itertools.chain(*row), kind="TD")
+        sub = verify_gdd(Gdd(design=flat, groups=columns))
         if not sub.passed:
             rep.flag(f"TD row {r} is not a TD(2,4,4)", sub.violations[:1])
-        for ci, cls in enumerate(row):
-            bad = is_partition(cls, range(16))
-            if bad is not None:
-                rep.flag(f"TD row {r} orbit {ci} is not a parallel class", bad[1])
-    if sorted(td_rows_flat) != list(tpl.td_blocks):
-        rep.flag("TD rows do not partition the TD blocks", None)
+    resolves("TD row orbits", (range(16), tpl.td_blocks),
+             (c for row in tpl.td_row_classes for c in row))
 
-    want_c = sorted(two_column_blocks(range(4)))
-    if list(tpl.two_column_blocks) != want_c:
+    if list(tpl.two_column_blocks) != sorted(two_column_blocks(range(4))):
         rep.flag("remainder orbits differ from the two-column blocks", None)
 
+    sqs = make_design(3, {4}, labels, tpl.blocks, kind="SQS")
     for p in range(16):
-        others = tuple(q for q in range(16) if q != p)
-        for j in range(7):
-            cls = tpl.e_derived[p][j]
-            if len(cls) != 5 or is_partition(cls, others) is not None:
-                rep.flag(f"derived class {j} at {p} is not a parallel class", cls)
+        # the derived classes at p resolve the derived SQS(16) and TD(3,4,4)
+        resolves(f"derived classes at {p}", derived_frame(sqs, p), tpl.e_derived[p])
+        resolves(f"derived TD classes at {p}", derived_frame(td, p), tpl.td_derived[p])
         if tpl.degenerate[p] not in tpl.e_derived[p][6]:
             rep.flag("column triple missing from derived class 6", p)
-        for j in range(4):
-            cls = tpl.td_derived[p][j]
-            ground = tuple(q for q in others if q // 4 != p // 4)
-            if len(cls) != 4 or is_partition(cls, ground) is not None:
-                rep.flag(f"derived TD class {j} at {p} is not a parallel class", cls)
     return rep
 
 

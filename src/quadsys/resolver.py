@@ -4,7 +4,9 @@ Used to confirm resolutions without trusting shipped certificate data:
 classes are grown one block at a time, always extending at the least
 uncovered point and trying its incident unused blocks in canonical order,
 which makes the search deterministic and the first answer
-lexicographically least.  A node budget separates "provably none" from
+lexicographically least.  One search serves both entry points: it stops
+after one class for ``find_parallel_class`` and once every block is used
+for ``find_resolution``.  A node budget separates "provably none" from
 "ran out of budget"; the two are never conflated.
 
 The state of the class being grown is one integer bitmask over the
@@ -51,7 +53,10 @@ class _Budget(Exception):
 
 
 class _Search:
-    def __init__(self, blocks: Iterable[Block], ground: Sequence[int], budget: int):
+    """Depth-first search for ``want`` classes (a resolution when None)."""
+
+    def __init__(self, blocks: Iterable[Block], ground: Sequence[int], budget: int,
+                 want: int | None = None):
         self.ground = tuple(sorted(ground))
         if len(self.ground) > MAX_ORACLE_POINTS:
             raise ParameterError(
@@ -73,14 +78,26 @@ class _Search:
         self.nodes = 0
         self.n = len(self.ground)
         self.full = (1 << self.n) - 1
+        self.want = want
+        self.classes: list[list[int]] = []
+        self.remaining = sum(self.avail)
 
-    def _sizes_incompatible(self) -> bool:
-        """One block size k that does not divide the ground: no class exists."""
+    def run(self) -> tuple[str, list[list[Block]] | None]:
         sizes = {len(b) for b in self.blocks}
-        return len(sizes) == 1 and self.n % next(iter(sizes)) != 0
+        if len(sizes) == 1 and self.n % sizes.pop():
+            return "none", None  # one block size, and it does not divide the ground
+        if self.want is None and not self.remaining:
+            return "found", []
+        try:
+            found = self._class_step(0, [])
+        except _Budget:
+            return "exhausted", None
+        if not found:
+            return "none", None
+        return "found", [[self.blocks[bi] for bi in cls] for cls in self.classes]
 
     def _class_step(self, covered: int, chosen: list[int], anchor_min: int = 0) -> bool:
-        """Extend the current class; True once it partitions the ground.
+        """Extend the current class; True once the search is done.
 
         The first block of a class (its anchor, through the least ground
         point) is restricted to indices >= anchor_min: successive classes
@@ -108,53 +125,10 @@ class _Search:
         return False
 
     def _on_class(self, chosen: list[int]) -> bool:
-        raise NotImplementedError
-
-
-class _OneClass(_Search):
-    def __init__(self, blocks, ground, budget):
-        super().__init__(blocks, ground, budget)
-        self.result: list[int] | None = None
-
-    def run(self) -> tuple[str, list[Block] | None]:
-        if self._sizes_incompatible():
-            return "none", None
-        try:
-            found = self._class_step(0, [])
-        except _Budget:
-            return "exhausted", None
-        if not found:
-            return "none", None
-        return "found", [self.blocks[bi] for bi in self.result]
-
-    def _on_class(self, chosen: list[int]) -> bool:
-        self.result = list(chosen)
-        return True
-
-
-class _FullResolution(_Search):
-    def __init__(self, blocks, ground, budget):
-        super().__init__(blocks, ground, budget)
-        self.classes: list[list[int]] = []
-        self.remaining = sum(self.avail)
-
-    def run(self) -> tuple[str, list[list[Block]] | None]:
-        if self._sizes_incompatible():
-            return "none", None
-        if self.remaining == 0:
-            return "found", []
-        try:
-            found = self._class_step(0, [])
-        except _Budget:
-            return "exhausted", None
-        if not found:
-            return "none", None
-        return "found", [[self.blocks[bi] for bi in cls] for cls in self.classes]
-
-    def _on_class(self, chosen: list[int]) -> bool:
+        """Keep a class; True once ``want`` are kept or every block is used."""
         self.classes.append(list(chosen))
         self.remaining -= len(chosen)
-        if self.remaining == 0:
+        if not self.remaining or len(self.classes) == self.want:
             return True
         if self._class_step(0, [], chosen[0] + 1):
             return True
@@ -167,17 +141,17 @@ def find_parallel_class(
     blocks: Iterable[Block], ground: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[Block] | None:
     """Lexicographically least parallel class, or None if there is none."""
-    status, cls = _OneClass(blocks, ground, budget).run()
+    status, classes = _Search(blocks, ground, budget, want=1).run()
     if status == "exhausted":
         raise ParameterError(f"parallel-class search exceeded {budget} nodes")
-    return cls
+    return classes[0] if classes else None
 
 
 def find_resolution(
     blocks: Iterable[Block], ground: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """A full resolution, a proof of non-resolvability, or budget exhaustion."""
-    search = _FullResolution(blocks, ground, budget)
+    search = _Search(blocks, ground, budget)
     status, classes = search.run()
     resolution = None
     if status == "found":

@@ -3,6 +3,7 @@ itself is never run here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,26 @@ def test_traced_pairs_alternate_on_the_first_seeds(monkeypatch, tmp_path):
                       ("parent", 7, 1), ("change", 7, 1)]
     assert entry["per_layer"]["seeds"] == [5, 6, 7]
     assert entry["per_layer"]["metrics"]["quadruple.point_resolution_s"]["pairs"] == [[0.3, 0.3]] * 3
+
+
+def test_each_run_compiles_from_source_on_either_side(monkeypatch, tmp_path):
+    # a __pycache__ in a checkout is never read: no bytecode is written, and
+    # the only place it is looked for is an empty directory of the bench's
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache, sorted(cache.iterdir())))
+        (cache / "stale.pyc").write_bytes(b"")
+        return subprocess.CompletedProcess(argv, 0, _stdout(2, "ab", 0.9), "")
+
+    monkeypatch.setattr(bench_pairs, "WORK", tmp_path / ".bench_work")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent = tmp_path / ".bench_work" / "parent-0123456789ab"
+    for checkout in (parent, bench_pairs.ROOT):
+        record, result = bench_pairs._run(checkout, "rdsqs112", 7, 1.0)
+        assert record["output_sha256"] == "ab" and result["correct"]
+    assert [(cwd, flag, files) for cwd, flag, _, files in seen] == [
+        (parent, "1", []), (bench_pairs.ROOT, "1", [])
+    ]
+    assert all(cache.parent == tmp_path / ".bench_work" for _, _, cache, _ in seen)

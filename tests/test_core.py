@@ -39,6 +39,7 @@ from quadsys.core import (
     subset_rank,
     subset_unrank,
 )
+from quadsys.star import star_multiset
 
 
 def brute_force_coverage(design):
@@ -813,6 +814,23 @@ def test_verify_resolution_matches_the_sorted_reference(name):
             assert got.passed == passes, (case, point)
             seen[case] += 1
     assert len(seen) == 11 and set(seen.values()) == {len(shipped)}
+
+
+def test_verify_resolution_matches_the_sorted_reference_on_star_multisets(star28):
+    # the star multiset M repeats every derived triple, so no set test can
+    # decide it and the tallies decide it, at every star point of a construct
+    rng = random.Random("sqs28")
+    faults = ("none", "move a block", "over-use a block")
+    for point, cert in sorted(star28.per_point.items()):
+        ground, target = derived_frame(star28.design, point)
+        res = Resolution(ground, cert.all_classes(), star_multiset(target, cert.special))
+        for fault in faults:
+            bad = _mutated(res, fault, rng)
+            got, want = verify_resolution(bad), sorted_verify_resolution(bad)
+            assert (got.passed, got.violations, got.counts) == (
+                want.passed, want.violations, want.counts
+            ), (fault, point)
+            assert got.passed == (fault == "none"), (fault, point)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from quadsys import (
     verify_resolution,
     verify_steiner,
 )
+from quadsys import quadruple
 from quadsys.core import lift
 from quadsys.formats import emit_design
 from quadsys.quadruple import (
@@ -38,6 +40,44 @@ from quadsys.star import StarCertificate
 def test_template_invariants_all_verify():
     rep = verify_template()
     assert rep.passed, rep.violations[:4]
+
+
+def _exchange(nested, i, j):
+    """``nested`` tuples with the members at index paths i and j exchanged."""
+    def get(t, path):
+        for k in path:
+            t = t[k]
+        return t
+
+    def put(t, path, x):
+        if not path:
+            return x
+        k = path[0]
+        return t[:k] + (put(t[k], path[1:], x),) + t[k + 1:]
+
+    a, b = get(nested, i), get(nested, j)
+    return put(put(nested, i, b), j, a)
+
+
+@pytest.mark.parametrize("field, i, j, kind", [
+    ("e_derived", (3, 0, 0), (3, 1, 0), "derived classes at 3 are not a resolution"),
+    ("td_derived", (3, 0, 0), (3, 1, 0), "derived TD classes at 3 are not a resolution"),
+    ("row_classes", (1, 0, 0), (1, 1, 0), "row orbits are not a resolution"),
+    ("td_row_classes", (0, 0, 0), (1, 0, 0), "TD row orbits are not a resolution"),
+])
+def test_verify_template_rejects_a_swapped_member(monkeypatch, field, i, j, kind):
+    tpl = template()
+    bad = dataclasses.replace(tpl, **{field: _exchange(getattr(tpl, field), i, j)})
+    assert getattr(bad, field) != getattr(tpl, field)
+    monkeypatch.setattr(quadruple, "template", lambda: bad)
+    verify_template.cache_clear()
+    try:
+        rep = verify_template()
+    finally:
+        verify_template.cache_clear()
+        template.cache_clear()
+    assert not rep.passed
+    assert kind in [k for k, _ in rep.violations], rep.violations
 
 
 def test_boolean_sqs16_is_the_zero_sum_design():

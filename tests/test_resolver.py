@@ -6,7 +6,7 @@ import pytest
 
 from quadsys import ParameterError, catalog, derived_design, resolver, verify_resolution
 from quadsys.resolver import (
-    _OneClass,
+    _Search,
     confirm_rds,
     derived_instance,
     find_parallel_class,
@@ -281,9 +281,9 @@ def test_find_parallel_class_matches_the_reference_kernel():
         ref = ReferenceSearch(blocks, ground, budget, one_class=True)
         status, classes = ref.run()
         first = classes[0] if classes else None
-        one = _OneClass(blocks, ground, budget)
+        one = _Search(blocks, ground, budget, want=1)
         case = f"{name} at budget {budget}"
-        assert (one.run(), one.nodes) == ((status, first), ref.nodes), case
+        assert (one.run(), one.nodes) == ((status, classes), ref.nodes), case
         if status == "exhausted":
             with pytest.raises(ParameterError):
                 find_parallel_class(blocks, ground, budget)

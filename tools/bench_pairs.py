@@ -8,7 +8,11 @@ The files of the parent revision are extracted with ``git archive`` under
 runs ``bench/run.py --workload W --seed K+i --seconds S`` once in the parent
 checkout and once in this working tree, the parent first when i is even.
 The seeds K+i start at a fresh random base K, so a claim is not measured on
-the seeds a change was tuned on.
+the seeds a change was tuned on.  Every run starts with
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
+directory under ``.bench_work/``, so both sides compile what they import
+from source (the standard library too) and a ``__pycache__`` in the working
+tree cannot spare the change side what the parent side pays.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
@@ -94,10 +98,19 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
          trace: int = 0) -> tuple[dict, dict]:
-    """(run record, result) of one ``bench/run.py`` run in ``checkout``."""
+    """(run record, result) of one ``bench/run.py`` run in ``checkout``.
+
+    The run writes no bytecode and looks for it only in an empty directory,
+    so neither side reads a ``__pycache__`` left in its tree: both compile
+    every module they import from source.
+    """
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+    cache = WORK / "pycache"
+    shutil.rmtree(cache, ignore_errors=True)
+    cache.mkdir(parents=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(cache)}
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env,
                           timeout=10 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}: "
