@@ -18,9 +18,10 @@ wall time, never output.
 in the process that proved it; with --jobs > 1 a worker takes the four
 points over one star point at a time, so it plans them once.  ``report``
 proves its point files on one worker per usable CPU (so ``taskset`` bounds
-them), at most one per file; each worker reads its own files.  The process
-pool is imported only for --jobs > 1, and by ``report`` only when more than
-one CPU is usable.
+them), at most one per file; each worker reads its own files.  Workers are
+forked by ``_map_jobs``, which deals each of them every n-th run of items
+and reads their pickled results back in item order; a worker that dies
+without sending its results is an error (exit 2), never a traceback.
 
 Each subcommand imports only what it runs.  Importing this module loads
 ``core``, ``formats`` and ``star``, which is all that ``verify``, ``derive``
@@ -114,17 +115,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-_POOL_OBJ = None
-
-
-def _pool_init(obj) -> None:
-    global _POOL_OBJ
-    _POOL_OBJ = obj
+# what every job reads, set by _map_jobs before any job runs or worker forks
+_SHARED = None
 
 
 def _verify_res_section(item) -> tuple[str, bool, str]:
     point, classes = item
-    res = formats.resolution_for_point(_POOL_OBJ, point, classes)
+    res = formats.resolution_for_point(_SHARED, point, classes)
     rep = verify_resolution(res)
     detail = f"classes={len(classes)}"
     if not rep.passed:
@@ -134,26 +131,77 @@ def _verify_res_section(item) -> tuple[str, bool, str]:
 
 def _verify_res_file(path) -> list[tuple[str, bool, str]]:
     """``_verify_res_section`` of each section of the point file ``path``."""
-    sections = _parse_file(path, formats.parse_resolution, _POOL_OBJ)
+    sections = _parse_file(path, formats.parse_resolution, _SHARED)
     return [_verify_res_section(item) for item in sections.items()]
 
 
-def _map_jobs(jobs: int, func, items, init_obj, chunk: int = 1):
-    """``func`` over ``items`` in order, each result yielded as it arrives;
-    with more than one job, in a process pool whose workers hold
-    ``init_obj`` and take ``chunk`` consecutive items at a time.  A job
-    that raises cancels those not yet started."""
-    if jobs <= 1:
-        _pool_init(init_obj)
+def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
+    """``func`` over ``items`` in order, with ``shared`` as ``_SHARED``: in
+    this process for one job (or no ``os.fork``), else in n forked workers,
+    worker w taking runs w, w + n, ... of ``chunk`` items.  Runs are read in
+    item order, so the first failed one raises here (a worker that dies first
+    is a ``ChildProcessError``); the workers are then stopped and reaped."""
+    global _SHARED
+    _SHARED = shared
+    if jobs <= 1 or not hasattr(os, "fork"):
         yield from map(func, items)
         return
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init, initargs=(init_obj,))
+    items = list(items)
+    runs = [items[i:i + chunk] for i in range(0, len(items), chunk)]
+    workers: dict[int, object] = {}  # pid -> the read end of its pipe
+    n = min(jobs, len(runs))
     try:
-        yield from pool.map(func, items, chunksize=chunk)
+        for w in range(n):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(fd)
+                for pipe in workers.values():  # so a closed pipe stops its worker
+                    os.close(pipe.fileno())
+                _work(out, func, runs[w::n])
+            os.close(out)
+            workers[pid] = os.fdopen(fd, "rb")
+        pids = list(workers)
+        for i in range(len(runs)):
+            pid = pids[i % n]
+            try:
+                ok, value = pickle.load(workers[pid])
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                workers.pop(pid).close()
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"a worker {how} before it sent its results") from None
+            if not ok:
+                raise value
+            yield from value
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pipe in workers.values():
+            pipe.close()
+        for pid in workers:
+            os.waitpid(pid, 0)
+
+
+def _work(fd: int, func, runs) -> None:
+    """In a forked worker: pickle (True, results) of each run, or (False,
+    the exception) of the first that raises, down ``fd``; never returns."""
+    import pickle
+
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for run in runs:
+                try:
+                    sent = (True, list(map(func, run)))
+                except Exception as exc:
+                    sent = (False, exc)
+                pickle.dump(sent, out)
+                out.flush()
+                if not sent[0]:
+                    break
+        os._exit(0)
+    finally:
+        os._exit(1)  # the parent reports the run it did not get
 
 
 def _check_sections(d: Design, results) -> bool:
@@ -238,7 +286,7 @@ def cmd_derive(args) -> int:
 def _point_job(p: int) -> tuple[int, bool, int]:
     """Prove the resolution at point p and write its point file into the
     output directory; (p, passed, class count) goes back for the manifest."""
-    asm, out_dir = _POOL_OBJ
+    asm, out_dir = _SHARED
     res = asm.point_resolution(p)
     rep = verify_resolution(res)
     label = asm.design.labels[p].text

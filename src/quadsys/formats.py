@@ -7,6 +7,9 @@ other non-empty line is a block, written as point labels.  Emission is
 deterministic and canonical, so emit(parse(emit(x))) == emit(x) holds
 byte-for-byte.
 
+``parse_design`` and ``parse_resolution`` read each run of block lines of
+canonical text, as the emitters write it, at once (``_items``).
+
 Resolutions and star certificates for the derived design at a point are
 expressed in the ids of the parent design (the punctured point simply does
 not occur); this keeps file labels and verification in one coordinate
@@ -15,7 +18,9 @@ system.
 
 from __future__ import annotations
 
+import operator
 import os
+import re
 from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -45,7 +50,7 @@ class ParseError(DesignError):
         super().__init__(f"line {line}: {message}")
         self.message, self.line = message, line
 
-    def __reduce__(self):  # so it crosses a process pool intact
+    def __reduce__(self):  # so it crosses a worker's pipe intact
         return type(self), (self.message, self.line)
 
 
@@ -56,10 +61,10 @@ _LINE_CHUNK = 1 << 16
 _EMIT_CHUNK = 4096
 
 
-def _pieces(text: str):
-    r"""``text`` cut into pieces that end just after a "\n" (the last one
-    may end without it)."""
-    start, n = 0, len(text)
+def _pieces(text: str, start: int = 0):
+    r"""``text[start:]`` cut into pieces that end just after a "\n" (the
+    last one may end without it)."""
+    n = len(text)
     while start < n:
         end = text.find("\n", start + _LINE_CHUNK - 1)
         end = n if end < 0 else end + 1
@@ -67,22 +72,72 @@ def _pieces(text: str):
         start = end
 
 
-def _numbered_lines(text: str):
-    r"""``enumerate(text.splitlines(), 1)``, split one piece at a time: "\n"
-    ends a line for ``str.splitlines`` whatever surrounds it, so each piece
-    splits into exactly its own lines, and only one piece's are held."""
-    return enumerate(chain.from_iterable(map(str.splitlines, _pieces(text))), 1)
+def _numbered_lines(text: str, start: int = 0, first: int = 1):
+    r"""``enumerate(text[start:].splitlines(), first)``, split a piece at a
+    time: "\n" ends a line for ``str.splitlines`` whatever surrounds it, so
+    each piece splits into exactly its own lines, and only one's are held."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _pieces(text, start))), first)
 
 
-def _tokenized(text: str):
-    """(line number, ``raw.split("#", 1)[0].split()``) of every line that is
-    not blank or a comment; only a line holding a '#' is cut."""
-    for no, raw in _numbered_lines(text):
+def _tokenized(text: str, start: int = 0, first: int = 1):
+    """(line number, ``raw.split("#", 1)[0].split()``) of every line from
+    offset ``start`` (line ``first``) on that is not blank or a comment; only
+    a line holding a '#' is cut."""
+    for no, raw in _numbered_lines(text, start, first):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         tok = raw.split()
         if tok:
             yield no, tok
+
+
+# "#" and the ASCII whitespace besides " " and "\n": not in canonical text
+_IRREGULAR = "#\t\r\v\f\x1c\x1d\x1e\x1f"
+# a line starting with a capital letter, as a keyword line does and no label
+_HEAD = re.compile(r"\n([A-Z][^\n]*)")
+
+
+def _items(text: str, ids: Callable[[str], int], ascending: bool = False):
+    r"""``_tokenized(text)``, except that each run of block lines of
+    canonical text is one item, (its first line number, its blocks as tuples
+    of ``ids``), cut at keyword lines and ``_pieces`` boundaries; from the
+    first run that is not canonical on, the items are ``_tokenized``'s."""
+    if not (text.endswith("\n") and text.isascii()) or any(map(text.__contains__, _IRREGULAR)):
+        yield from _tokenized(text)
+        return
+    start, no = 0, 1
+    for piece in _pieces(text):
+        # "\n" before every line: odd parts are keyword lines, others runs
+        for i, part in enumerate(_HEAD.split("\n" + piece[:-1])):
+            if i % 2:  # a keyword line
+                item = part.split()
+            elif part:
+                item = _run_blocks(part, ids, ascending)
+                if item is None:
+                    yield from _tokenized(text, start, no)
+                    return
+            else:
+                continue
+            yield no, item
+            start += len(part) + i % 2
+            no += 1 if i % 2 else len(item)
+
+
+def _run_blocks(run: str, ids: Callable[[str], int], ascending: bool) -> list[Block] | None:
+    r"""The blocks of ``run`` ("\n" before each line) as tuples of ``ids``,
+    if each line holds k labels one space apart (and, with ``ascending``,
+    each block's ids ascend, as the line reader would sort them); else None."""
+    k = run.split("\n", 2)[1].count(" ") + 1
+    if not re.fullmatch(r"(?:\n\S+(?: \S+){%d})+" % (k - 1), run):
+        return None
+    try:
+        flat = list(map(ids, run.split()))
+    except KeyError:
+        return None
+    cols = [flat[j::k] for j in range(k)]
+    if ascending and not all(all(map(operator.lt, lo, hi)) for lo, hi in zip(cols, cols[1:])):
+        return None
+    return list(zip(*cols))
 
 
 def _value(tok: list[str], no: int) -> str:
@@ -115,13 +170,11 @@ def parse_design(text: str) -> Design:
     """The design a design file states: with GROUP lines, a ``Gdd`` whose
     GROUP lines partition the POINTS labels.
 
-    Each block line is mapped to a tuple of point ids as it is read, through
-    a label index that grows at every POINTS line; only a line that names a
-    label of a later POINTS line is kept as tokens, its position noted, and
-    is resolved once the whole file is read.  Header lines may come in any
-    order, so the header checks run first; ``make_design`` then checks each
-    block once.  Only when a block is rejected are the blocks walked in file
-    order to name the first failing line, found by reading the text again.
+    Block lines are mapped to point ids as they are read, through a label
+    index that grows at every POINTS line; a line naming a label of a later
+    POINTS line is kept as tokens and resolved once the file is read.  The
+    header checks run first, then ``make_design`` checks each block once;
+    only a rejected block makes the text be read again for its line.
     """
     kind = None
     t = t_line = None
@@ -133,9 +186,12 @@ def parse_design(text: str) -> Design:
     groups: list[tuple[int, tuple[str, ...]]] = []
     blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
     late: list[int] = []  # positions in blocks of the token lists
-    for no, tok in _tokenized(text):
+    for no, tok in _items(text, ids):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
+            if type(key) is tuple:  # a run of blocks
+                blocks += tok
+                continue
             try:
                 blocks.append(tuple(map(ids, tok)))
             except KeyError:
@@ -273,12 +329,15 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
     current: list[list[Block]] | None = None
     cls: list[Block] | None = None
     cls_line = 0
-    for no, tok in _tokenized(text):
+    for no, tok in _items(text, ids, ascending=True):
         key = tok[0]
         if key not in _KEYWORDS:
             if cls is None:
                 raise ParseError("block line outside a CLASS", no)
-            cls.append(_block_ids(ids, tok, no))
+            if type(key) is tuple:  # a run of blocks
+                cls += tok
+            else:
+                cls.append(_block_ids(ids, tok, no))
         elif key == "KIND":
             if _value(tok, no) != "RES":
                 raise ParseError(f"expected KIND RES, got {tok[1]!r}", no)

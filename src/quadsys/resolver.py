@@ -151,6 +151,7 @@ def find_resolution(
     blocks: Iterable[Block], ground: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """A full resolution, a proof of non-resolvability, or budget exhaustion."""
+    blocks = tuple(blocks)  # read twice: by the search and for the target
     search = _Search(blocks, ground, budget)
     status, classes = search.run()
     resolution = None

@@ -172,14 +172,14 @@ def test_traced_pairs_alternate_on_the_first_seeds(monkeypatch, tmp_path):
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace=0):
-        side = "change" if checkout == bench_pairs.ROOT else "parent"
-        calls.append((side, seed, trace))
+        calls.append((checkout.name, seed, trace))
         return {"cpus_usable": 2}, json.loads(_traced_stdout(0.3, 0.1).splitlines()[-1])
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     metrics = [{"name": "quadruple.point_resolution_s", "unit": "s", "better": "lower",
                 "bound": 0.25}]
-    entry = bench_pairs.measure(tmp_path, "rdsqs112", [5, 6, 7, 8], 1.0, metrics, LAYERS)
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    entry = bench_pairs.measure(sides, "rdsqs112", [5, 6, 7, 8], 1.0, metrics, LAYERS)
     traced = [c for c in calls if c[2] == 1]
     assert bench_pairs.TRACED_PAIRS == 3
     assert traced == [("parent", 5, 1), ("change", 5, 1), ("change", 6, 1), ("parent", 6, 1),
@@ -189,23 +189,40 @@ def test_traced_pairs_alternate_on_the_first_seeds(monkeypatch, tmp_path):
 
 
 def test_each_run_compiles_from_source_on_either_side(monkeypatch, tmp_path):
-    # a __pycache__ in a checkout is never read: no bytecode is written, and
-    # the only place it is looked for is an empty directory of the bench's
+    # no bytecode is written, and none is looked for away from the sources,
+    # even where the caller set a prefix: each fresh copy compiles its
+    # package from source and reads the standard library's bytecode
     seen = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache, sorted(cache.iterdir())))
-        (cache / "stale.pyc").write_bytes(b"")
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env))
         return subprocess.CompletedProcess(argv, 0, _stdout(2, "ab", 0.9), "")
 
-    monkeypatch.setattr(bench_pairs, "WORK", tmp_path / ".bench_work")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    parent = tmp_path / ".bench_work" / "parent-0123456789ab"
-    for checkout in (parent, bench_pairs.ROOT):
+    sides = [tmp_path / ".bench_work" / "parent-0123456789ab", tmp_path / ".bench_work" / "change"]
+    for checkout in sides:
         record, result = bench_pairs._run(checkout, "rdsqs112", 7, 1.0)
         assert record["output_sha256"] == "ab" and result["correct"]
-    assert [(cwd, flag, files) for cwd, flag, _, files in seen] == [
-        (parent, "1", []), (bench_pairs.ROOT, "1", [])
-    ]
-    assert all(cache.parent == tmp_path / ".bench_work" for _, _, cache, _ in seen)
+    assert seen == [(sides[0], "1", False), (sides[1], "1", False)]
+
+
+def test_the_change_runs_from_a_copy_of_its_files(monkeypatch, tmp_path):
+    # tracked and untracked files are copied; ignored ones (a __pycache__),
+    # deleted ones and git's own are not
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "pkg" / "gone.py").write_text("")
+    (repo / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"stale")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "new.py").write_text("y = 2\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    dest = tmp_path / "change"
+    bench_pairs.copy_worktree(dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/mod.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 1\n"

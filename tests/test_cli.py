@@ -1,11 +1,11 @@
-import concurrent.futures
-import copy
 import hashlib
 import io
+import json
 import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -469,54 +469,59 @@ def test_construct_writes_each_point_file_as_it_is_proved(tmp_path, monkeypatch)
     assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
 
 
-def test_importing_the_cli_leaves_the_process_pool_unimported():
+def test_no_subcommand_imports_a_process_pool(tmp_path):
+    # importing the cli loads no multiprocessing, and every subcommand, with
+    # construct and report on two workers, leaves concurrent.futures unloaded
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quadsys.cli; print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
+    code = (
+        "import sys, quadsys.cli as cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('multiprocessing', 'concurrent')))\n"
+        "for argv in (['gen', 'sqs8'], ['verify', 'sqs8.design'], ['derive', 'sqs8.design', '0'],\n"
+        "             ['resolve', 'sqs8.design'], ['gen', 'sqs28'],\n"
+        "             ['construct', 'sqs28.star', 'out', '--design', 'sqs28.design', '--jobs', '2'],\n"
+        "             ['report', 'out']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
     )
-    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[-2] == "PASS every point resolved 112/112"
 
 
 def test_construct_on_two_jobs_deals_out_whole_star_points(tmp_path, monkeypatch):
-    """A pool job is the four fibres of one star point, so each star point's
-    plan is built once, however the jobs are dealt to the workers."""
+    """A run of jobs is the four fibres of one star point, so each star
+    point's plan is built once; worker w of 2 takes every other run from w."""
     design = tmp_path / "sqs28.design"
     run_cli("gen", "sqs28", "--out", str(design))
     out_dir = tmp_path / "out"
-    jobs, plans = [], []
+    log = tmp_path / "log"  # the workers append a line per record
 
-    class TwoWorkers:
-        """Deals each job to the next of its workers, in this process; a
-        worker holds its own copy of the assembly, as a forked one does."""
+    def record(*what):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(json.dumps(what) + "\n")
 
-        def __init__(self, max_workers, initializer, initargs):
-            ((asm, out),) = initargs
-            self.init = initializer
-            self.held = [(copy.copy(asm), out) for _ in range(max_workers)]
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            for k in range(0, len(items), chunksize):
-                jobs.append(items[k:k + chunksize])
-                self.init(self.held[len(jobs) % len(self.held)])
-                yield from map(fn, jobs[-1])
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
+    work = cli._work
     occurrence_map = quadruple.occurrence_map
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TwoWorkers)
+    monkeypatch.setattr(cli, "_work", lambda fd, func, runs: record(
+        "runs", os.getpid(), [list(r) for r in runs]) or work(fd, func, runs))
     monkeypatch.setattr(quadruple, "occurrence_map",
-                        lambda pc: plans.append(pc.point) or occurrence_map(pc))
+                        lambda pc: record("plan", pc.point) or occurrence_map(pc))
     code, _ = run_cli(
         "construct", str(tmp_path / "sqs28.star"), str(out_dir),
         "--design", str(design), "--jobs", "2",
     )
     assert code == 0 and tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
-    assert jobs == [[4 * x + i for i in range(4)] for x in range(28)]
-    assert sorted(plans) == list(range(28))
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    dealt = sorted(r[2] for r in records if r[0] == "runs")
+    want = [[4 * x + i for i in range(4)] for x in range(28)]
+    assert dealt == [want[0::2], want[1::2]]
+    assert len({r[1] for r in records if r[0] == "runs"}) == 2
+    assert sorted(r[1] for r in records if r[0] == "plan") == list(range(28))
 
 
 def test_importing_the_cli_compiles_no_subcommand_module():
@@ -662,6 +667,58 @@ def test_a_parse_error_in_a_pool_job_reaches_the_caller_intact():
         next(results)
     assert str(err.value) == f"line {len(lines)}: unknown label '99_9'"
     assert err.value.line == len(lines)
+
+
+def _dies_at(target, how):
+    """A job that returns its item, except that at ``target`` it ends its
+    worker process by ``how``; run in this process it raises instead, so it
+    can never end the test run."""
+    parent = os.getpid()
+
+    def job(item):
+        if item == target:
+            assert os.getpid() != parent, "the job ran in process"
+            how()
+        return item
+
+    return job
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _kill_9():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("how, says", [(_exit_3, "exited with status 3"),
+                                       (_kill_9, "was killed by signal 9")])
+def test_a_worker_that_dies_is_an_error_not_a_traceback(how, says):
+    results = cli._map_jobs(2, _dies_at(1, how), range(6), None)
+    assert next(results) == 0
+    with pytest.raises(ChildProcessError) as err:
+        next(results)
+    assert str(err.value) == f"a worker {says} before it sent its results"
+    with pytest.raises(ChildProcessError):  # both workers were reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_report_worker_exits_2_with_one_error_line(tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    _sqs22_point_files(out_dir)
+    verify_file = cli._verify_res_file
+    die = _dies_at(out_dir / "point_5.res", _exit_3)
+    monkeypatch.setattr(cli, "_verify_res_file", lambda path: verify_file(die(path)))
+    code, out, err = report_on(out_dir, {0, 1})
+    assert code == 2
+    assert err == "error: a worker exited with status 3 before it sent its results\n"
+
+
+def test_jobs_run_in_process_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    pids = list(cli._map_jobs(2, lambda item: os.getpid(), range(3), None))
+    assert pids == [os.getpid()] * 3
 
 
 def test_report_needs_every_point_once(tmp_path):

@@ -1,6 +1,8 @@
+import io
 import pickle
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -420,6 +422,161 @@ def test_parse_design_matches_the_reference_parser():
     for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS",
                    "above every block size", "already in a GROUP", "in no GROUP"):
         assert any(needed in outcome for outcome in outcomes), needed
+
+
+# ---------------------------------------------------------------------------
+# the block-run fast path against the line reader
+
+
+def _both_readers(parse, text, *args):
+    """The outcome of ``parse`` as it reads, and with the line reader
+    alone: the value, or a ParseError's (message, line)."""
+
+    def outcome():
+        try:
+            return parse(text, *args)
+        except ParseError as exc:
+            return exc.message, exc.line
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(formats, "_items", lambda text, ids, ascending=False: _tokenized(text))
+        slow = outcome()
+    return fast, slow
+
+
+def _blocks_in_runs(text, design, ascending):
+    """How many blocks of ``text`` the fast path reads as runs."""
+    ids = {lab.text: i for i, lab in enumerate(design.labels)}.__getitem__
+    return sum(len(tok) for _, tok in formats._items(text, ids, ascending) if type(tok[0]) is tuple)
+
+
+def _same_by_both_readers(design_text, res_texts=()):
+    """Parse a design text and its resolution texts both ways; every block
+    of them must come through the fast path.  Returns the design."""
+    design, slow = _both_readers(parse_design, design_text)
+    assert design == slow and isinstance(design, formats.Design)
+    assert _blocks_in_runs(design_text, design, False) == len(design.blocks)
+    for text in res_texts:
+        sections, slow = _both_readers(parse_resolution, text, design)
+        assert sections == slow and isinstance(sections, dict)
+        blocks = sum(len(c) for classes in sections.values() for c in classes)
+        assert _blocks_in_runs(text, design, True) == blocks
+    return design
+
+
+@pytest.fixture(scope="module")
+def construct_tree(assembly112):
+    """The texts `construct` writes for the RDSQS(112): design.design, then
+    each point file, as ``_point_job`` emits it."""
+    d = assembly112.design
+    return [emit_design(d)] + [
+        emit_resolution(d, {d.labels[p].text: assembly112.point_resolution(p).classes})
+        for p in range(d.v)
+    ]
+
+
+def test_the_fast_path_reads_the_construct_tree_as_the_line_reader_does(construct_tree):
+    assert len(construct_tree) == 113
+    design = _same_by_both_readers(construct_tree[0], construct_tree[1:])
+    assert design.v == 112
+
+
+def test_the_fast_path_reads_gen_output_as_the_line_reader_does(tmp_path):
+    from quadsys.cli import main
+
+    for name in sorted(catalog.GENERATORS):
+        out = tmp_path / f"{name}.design"
+        with redirect_stdout(io.StringIO()):
+            assert main(["gen", name, "--out", str(out)]) == 0
+        res = [out.with_suffix(".res").read_text()] if name in catalog.RESOLUTIONS else []
+        _same_by_both_readers(out.read_text(), res)
+
+
+def test_the_fast_path_reads_the_shipped_data_as_the_line_reader_does():
+    _same_by_both_readers(read_data("sqs28_base.blocks"))
+    for name in ("sqs22", "rdgdd24", "rdgdd42"):
+        _same_by_both_readers(emit_design(catalog.GENERATORS[name]()),
+                              [read_data(f"{name}_derived.res")])
+
+
+def _point_file_mutants(text, other, rng):
+    """(kind, text) of seeded mutations of the point file ``text``; ``other``
+    is another point file of the same design."""
+    lines = text.splitlines()
+    blocks = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    classes = [i for i, line in enumerate(lines) if line == "CLASS"]
+
+    def at_block(change):
+        i = rng.choice(blocks)
+        return "\n".join(lines[:i] + [change(lines[i])] + lines[i + 1:]) + "\n"
+
+    def swap_label(word, at=None):
+        def change(line):
+            tok = line.split(" ")
+            tok[rng.randrange(len(tok)) if at is None else at] = word
+            return " ".join(tok)
+        return change
+
+    yield "comment", at_block(lambda line: line + " # note")
+    yield "comment line", at_block(lambda line: "# " + line)
+    yield "double space", at_block(lambda line: line.replace(" ", "  ", 1))
+    yield "leading space", at_block(lambda line: " " + line)
+    yield "trailing space", at_block(lambda line: line + " ")
+    yield "blank line", at_block(lambda line: line + "\n")
+    yield "tab", at_block(lambda line: line.replace(" ", "\t", 1))
+    yield "CRLF", text.replace("\n", "\r\n")
+    for brk in ("\f", "\x1c", "\u2028"):  # line breaks of the line reader
+        i = rng.choice(classes)
+        yield f"{brk!r} after CLASS", "\n".join(lines[:i] + [lines[i] + brk + lines[i + 1]]
+                                                + lines[i + 2:]) + "\n"
+    yield "descending block", at_block(lambda line: " ".join(reversed(line.split(" "))))
+    yield "unknown label", at_block(swap_label("99_9"))
+    for word in ("POINT", "CLASS", "K"):
+        yield f"keyword {word} as a label", at_block(swap_label(word))
+        yield f"keyword {word} as the first label", at_block(swap_label(word, 0))
+    yield "four labels", at_block(lambda line: line + " " + line.split(" ")[0])
+    i = rng.choice([i for i in blocks if i + 1 in blocks])
+    head, tail = lines[i + 1].split(" ", 1)
+    yield "a label moved up a line", "\n".join(
+        lines[:i] + [lines[i] + " " + head, tail] + lines[i + 2:]) + "\n"
+    i = rng.choice(classes)
+    yield "empty CLASS", "\n".join(lines[:i] + ["CLASS"] + lines[i:]) + "\n"
+    yield "duplicate POINT", text + "\n".join(lines[1:]) + "\n"
+    yield "no final newline", text[:-1]
+    yield "two POINT sections", text + other.split("\n", 1)[1]
+
+
+def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_tree):
+    rng = random.Random(20261019)
+    design = parse_design(construct_tree[0])
+    kinds = set()
+    for _ in range(3):
+        text, other = rng.sample(construct_tree[1:], 2)
+        for kind, mutant in _point_file_mutants(text, other, rng):
+            fast, slow = _both_readers(parse_resolution, mutant, design)
+            assert fast == slow, kind
+            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0].split(" ")[0]))
+    # the corpus reaches accepted files and each error of the reader
+    outcomes = {outcome for _, outcome in kinds}
+    assert {"parsed", "unknown", "POINT", "empty", "duplicate"} <= outcomes, kinds
+
+
+def test_parse_resolution_peak_stays_near_what_it_keeps():
+    # each run is one class, mapped and regrouped on its own: the peak is
+    # what is kept plus one class's labels, not the whole file's
+    design = catalog.rdgdd42()
+    text = read_data("rdgdd42_derived.res")
+    parse_resolution(text, design)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sections = parse_resolution(text, design)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sections) == 42
+    assert peak - base <= 2 * (kept - base)
 
 
 def test_resolution_round_trip_is_byte_stable():

@@ -44,6 +44,15 @@ def test_sts9_resolution():
     assert verify_resolution(out.resolution).passed
 
 
+def test_find_resolution_reads_its_blocks_once():
+    # an iterator is read once, so its resolution keeps its target
+    want = find_resolution(sts9_blocks(), range(9), budget=10**6)
+    got = find_resolution(iter(sts9_blocks()), range(9), budget=10**6)
+    assert got == want and got.found
+    assert len(got.resolution.target) == 12
+    assert verify_resolution(got.resolution).passed
+
+
 def test_search_is_deterministic():
     a = find_resolution(sts9_blocks(), range(9), budget=10**6)
     b = find_resolution(sts9_blocks(), range(9), budget=10**6)

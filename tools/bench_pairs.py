@@ -4,15 +4,15 @@
         --pairs N --seconds S --out BENCH_<n>.json
 
 The files of the parent revision are extracted with ``git archive`` under
-``.bench_work/`` and removed again at the end.  For each workload, pair i
-runs ``bench/run.py --workload W --seed K+i --seconds S`` once in the parent
-checkout and once in this working tree, the parent first when i is even.
-The seeds K+i start at a fresh random base K, so a claim is not measured on
-the seeds a change was tuned on.  Every run starts with
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
-directory under ``.bench_work/``, so both sides compile what they import
-from source (the standard library too) and a ``__pycache__`` in the working
-tree cannot spare the change side what the parent side pays.
+``.bench_work/``, the files of this working tree (tracked, and untracked but
+not ignored) are copied there too, and both are removed again at the end.
+For each workload, pair i runs ``bench/run.py --workload W --seed K+i
+--seconds S`` once in each copy, the parent first when i is even.  The seeds
+K+i start at a fresh random base K, so a claim is not measured on the seeds
+a change was tuned on.  Every run starts with ``PYTHONDONTWRITEBYTECODE=1``
+and without ``PYTHONPYCACHEPREFIX``: neither copy holds a ``__pycache__``,
+so both sides compile the package from source, as the benchmark's fresh
+checkouts do, and both read the standard library's bytecode.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
@@ -100,16 +100,14 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float,
          trace: int = 0) -> tuple[dict, dict]:
     """(run record, result) of one ``bench/run.py`` run in ``checkout``.
 
-    The run writes no bytecode and looks for it only in an empty directory,
-    so neither side reads a ``__pycache__`` left in its tree: both compile
-    every module they import from source.
+    The run writes no bytecode and looks for it beside the sources, so the
+    fresh copy's package compiles from source and the standard library's
+    bytecode is used.
     """
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    cache = WORK / "pycache"
-    shutil.rmtree(cache, ignore_errors=True)
-    cache.mkdir(parents=True)
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(cache)}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env,
                           timeout=10 * seconds + 600)
     if proc.returncode != 0:
@@ -208,14 +206,24 @@ def print_summary(workload: str, entry: dict) -> int:
     return 1 if faults else 0
 
 
+def copy_worktree(dest: Path) -> None:
+    """Copy the files of the working tree, tracked and untracked but not
+    ignored (so no ``__pycache__``), to ``dest``."""
+    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def _order(i: int) -> tuple[str, str]:
     """The sides of pair i in the order they run: the parent first when i is even."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
-def measure(parent: Path, workload: str, seeds: list[int], seconds: float,
+def measure(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
             metrics: list[dict], layers: list[dict]) -> dict:
-    sides = {"parent": parent, "change": ROOT}
+    """The record of one workload, run in the checkouts ``sides["parent"]``
+    and ``sides["change"]``."""
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         for side in _order(i):
@@ -252,15 +260,17 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {sorted(unknown)}")
     first = random.SystemRandom().randrange(10**6, 10**7)
 
-    # a terminated run still removes its parent copy and stops its bench child
+    # a terminated run still removes its copies and stops its bench child
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     rev = _git("rev-parse", args.parent_rev)
-    parent = WORK / f"parent-{rev[:12]}"
-    shutil.rmtree(parent, ignore_errors=True)
-    parent.mkdir(parents=True)
+    sides = {"parent": WORK / f"parent-{rev[:12]}", "change": WORK / "change"}
+    for checkout in sides.values():
+        shutil.rmtree(checkout, ignore_errors=True)
+        checkout.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    copy_worktree(sides["change"])
     try:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
         record.update({
@@ -274,11 +284,12 @@ def main(argv=None) -> int:
         workloads = record.setdefault("workloads", {})
         for k, workload in enumerate(args.workload):
             seeds = [first + 1000 * k + i for i in range(args.pairs)]
-            workloads[workload] = measure(parent, workload, seeds, args.seconds,
+            workloads[workload] = measure(sides, workload, seeds, args.seconds,
                                           spec["end_to_end"], spec["per_layer"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
-        shutil.rmtree(parent, ignore_errors=True)
+        for checkout in sides.values():
+            shutil.rmtree(checkout, ignore_errors=True)
     return max(print_summary(workload, workloads[workload]) for workload in args.workload)
 
 if __name__ == "__main__":
