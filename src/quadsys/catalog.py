@@ -170,7 +170,7 @@ def fill_gdd(master: Design, rules: dict[Block, CongruenceRule]) -> Gdd:
     for b in master.blocks:
         rule = rules[b]
         td = congruence_td(rule.coeffs, tuple(m % 3 for m in rule.rhs))
-        blocks.extend(lift(td, [index[p] for p in rule.points], 3))
+        blocks.extend(lift(td, [index[p.text] for p in rule.points], 3))
     design = make_design(master.t, {4}, labels, blocks, kind="GDD")
     return Gdd(design=design, groups=_fibres(master.v))
 

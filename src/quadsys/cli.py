@@ -221,7 +221,7 @@ def _check_sections(d: Design, results) -> bool:
             ok &= _claim(f"derived resolution at {point}", passed, detail)
             points.append(point)
     if points or not whole:
-        every = sorted(points) == sorted(lab.text for lab in d.labels)
+        every = sorted(points) == sorted(d.label_index)
         ok &= _claim("every point resolved", every, f"{len(points)}/{d.v}")
     return ok
 

@@ -182,8 +182,10 @@ class Design:
         return len(self.labels)
 
     @cached_property
-    def label_index(self) -> dict[Label, int]:
-        idx = {lab: i for i, lab in enumerate(self.labels)}
+    def label_index(self) -> dict[str, int]:
+        """Point id by label text, in id order: ``list(label_index)`` is the
+        labels' texts."""
+        idx = {lab.text: i for i, lab in enumerate(self.labels)}
         if len(idx) != len(self.labels):
             raise ParameterError("labels are not distinct")
         return idx
@@ -194,15 +196,14 @@ class Design:
             if not 0 <= label < self.v:
                 raise ParameterError(f"point id {label} out of range")
             return label
-        if isinstance(label, str):
-            try:
-                label = parse_label(label)
-            except ValueError:
-                raise ParameterError(f"malformed point label {label!r}") from None
+        text = label if isinstance(label, str) else label.text
+        if text in self.label_index:
+            return self.label_index[text]
         try:
-            return self.label_index[label]
-        except KeyError:
-            raise ParameterError(f"no point labelled {label.text}") from None
+            parse_label(text)
+        except ValueError:
+            raise ParameterError(f"malformed point label {text!r}") from None
+        raise ParameterError(f"no point labelled {text}")
 
     @cached_property
     def incidence(self) -> tuple[tuple[Block, ...], ...]:

@@ -7,8 +7,10 @@ other non-empty line is a block, written as point labels.  Emission is
 deterministic and canonical, so emit(parse(emit(x))) == emit(x) holds
 byte-for-byte.
 
-``parse_design`` and ``parse_resolution`` read each run of block lines of
-canonical text, as the emitters write it, at once (``_items``).
+Every reader reads through ``_items``, where a line also ends at every
+other line boundary of Python's ``str``.  A run of block lines of canonical text, as
+the emitters write it, is read at once; other text is first rewritten a
+piece at a time, one line of single-spaced tokens for each line.
 
 Resolutions and star certificates for the derived design at a point are
 expressed in the ids of the parent design (the punctured point simply does
@@ -61,10 +63,10 @@ _LINE_CHUNK = 1 << 16
 _EMIT_CHUNK = 4096
 
 
-def _pieces(text: str, start: int = 0):
-    r"""``text[start:]`` cut into pieces that end just after a "\n" (the
-    last one may end without it)."""
-    n = len(text)
+def _pieces(text: str):
+    r"""``text`` cut into pieces that end just after a "\n" (the last one
+    may end without it), so that each splits into exactly its own lines."""
+    start, n = 0, len(text)
     while start < n:
         end = text.find("\n", start + _LINE_CHUNK - 1)
         end = n if end < 0 else end + 1
@@ -72,55 +74,42 @@ def _pieces(text: str, start: int = 0):
         start = end
 
 
-def _numbered_lines(text: str, start: int = 0, first: int = 1):
-    r"""``enumerate(text[start:].splitlines(), first)``, split a piece at a
-    time: "\n" ends a line for ``str.splitlines`` whatever surrounds it, so
-    each piece splits into exactly its own lines, and only one's are held."""
-    return enumerate(chain.from_iterable(map(str.splitlines, _pieces(text, start))), first)
-
-
-def _tokenized(text: str, start: int = 0, first: int = 1):
-    """(line number, ``raw.split("#", 1)[0].split()``) of every line from
-    offset ``start`` (line ``first``) on that is not blank or a comment; only
-    a line holding a '#' is cut."""
-    for no, raw in _numbered_lines(text, start, first):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tok = raw.split()
-        if tok:
-            yield no, tok
-
-
 # "#" and the ASCII whitespace besides " " and "\n": not in canonical text
 _IRREGULAR = "#\t\r\v\f\x1c\x1d\x1e\x1f"
 # a line starting with a capital letter, as a keyword line does and no label
 _HEAD = re.compile(r"\n([A-Z][^\n]*)")
+# ids that know no label: every line comes from ``_items`` as its tokens
+_NO_IDS = {}.__getitem__
 
 
 def _items(text: str, ids: Callable[[str], int], ascending: bool = False):
-    r"""``_tokenized(text)``, except that each run of block lines of
-    canonical text is one item, (its first line number, its blocks as tuples
-    of ``ids``), cut at keyword lines and ``_pieces`` boundaries; from the
-    first run that is not canonical on, the items are ``_tokenized``'s."""
-    if not (text.endswith("\n") and text.isascii()) or any(map(text.__contains__, _IRREGULAR)):
-        yield from _tokenized(text)
-        return
-    start, no = 0, 1
+    r"""(line number, tokens) of each line, numbered from 1 at every line
+    boundary of ``str``, that holds any before its first '#'; except that
+    each run of block lines between keyword lines that ``_run_blocks``
+    accepts is one item, (its first line number, its blocks as tuples of
+    ``ids``).  Text that is not canonical is rewritten a ``_pieces`` piece
+    at a time, one line of single-spaced tokens for each line; runs end at
+    pieces too."""
+    irregular = any(map(text.__contains__, _IRREGULAR))
+    canonical = text.endswith("\n") and text.isascii() and not irregular
+    no = 1
     for piece in _pieces(text):
+        if not canonical:
+            lines = piece.splitlines()
+            piece = "".join(" ".join(raw.split("#", 1)[0].split()) + "\n" for raw in lines)
         # "\n" before every line: odd parts are keyword lines, others runs
         for i, part in enumerate(_HEAD.split("\n" + piece[:-1])):
             if i % 2:  # a keyword line
-                item = part.split()
+                yield no, part.split()
+                no += 1
             elif part:
-                item = _run_blocks(part, ids, ascending)
-                if item is None:
-                    yield from _tokenized(text, start, no)
-                    return
-            else:
-                continue
-            yield no, item
-            start += len(part) + i % 2
-            no += 1 if i % 2 else len(item)
+                blocks = _run_blocks(part, ids, ascending)
+                if blocks is not None:
+                    yield no, blocks
+                else:  # each line as its tokens
+                    numbered = enumerate(map(str.split, part[1:].split("\n")), no)
+                    yield from ((n, tok) for n, tok in numbered if tok)
+                no += part.count("\n")
 
 
 def _run_blocks(run: str, ids: Callable[[str], int], ascending: bool) -> list[Block] | None:
@@ -156,10 +145,8 @@ def _int(text: str, key: str, no: int) -> int:
 
 def file_kind(text: str) -> str | None:
     """The value of the first KIND line, or None if the file has none."""
-    for no, tok in _tokenized(text):
-        if tok[0] == "KIND":
-            return _value(tok, no)
-    return None
+    kinds = (_value(tok, no) for no, tok in _items(text, _NO_IDS) if tok[0] == "KIND")
+    return next(kinds, None)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +257,7 @@ def _block_line(text: str, i: int) -> int:
     """The line number of block line ``i`` (counted from 0) of a design file
     whose other lines are all headers.  It is looked up only when a block is
     rejected, so a parse keeps no line number per block."""
-    numbers = (no for no, tok in _tokenized(text) if tok[0] not in _KEYWORDS)
+    numbers = (no for no, tok in _items(text, _NO_IDS) if tok[0] not in _KEYWORDS)
     return next(islice(numbers, i, None))
 
 
@@ -295,7 +282,7 @@ def emit_design(design: Design) -> str:
     line per block.  Block lines are joined ``_EMIT_CHUNK`` at a time and
     the pieces joined once more, so no list of every line's string is ever
     held."""
-    names = [lab.text for lab in design.labels]
+    names = list(design.label_index)
     lines = [
         f"KIND {design.kind}",
         f"T {design.t}",
@@ -323,7 +310,7 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
     design is *not* checked here (verification is the caller's job), but
     labels must resolve and classes within a point must not be ragged.
     """
-    index = {lab.text: i for i, lab in enumerate(companion.labels)}
+    index = companion.label_index
     ids = index.__getitem__
     sections: dict[str, tuple[int, list[list[Block]]]] = {}  # POINT line, classes
     current: list[list[Block]] | None = None
@@ -390,7 +377,7 @@ def _close_class(cls, no: int) -> None:
 
 
 def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
-    names = [lab.text for lab in companion.labels]
+    names = list(companion.label_index)
     lines = ["KIND RES"]
     for point, classes in sections.items():
         lines.append(f"POINT {point}")
@@ -418,7 +405,7 @@ def resolution_for_point(d: Design, x, classes: tuple[tuple[Block, ...], ...]) -
 
 def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
     """Star-point certificates keyed by point label text, in file order."""
-    index = {lab.text: i for i, lab in enumerate(companion.labels)}
+    index = companion.label_index
     ids = index.__getitem__
     n_class = (companion.v - 1) // 3
 
@@ -457,12 +444,15 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
         )
         point, special, groups = None, None, []
 
-    for no, tok in _tokenized(text):
+    for no, tok in _items(text, ids, ascending=True):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
             if dest is None:
                 raise ParseError("block line outside SPECIAL or CLASS", no)
-            dest.append(_block_ids(ids, tok, no))
+            if type(key) is tuple:  # a run of blocks
+                dest += tok
+            else:
+                dest.append(_block_ids(ids, tok, no))
         elif key in ("SPECIAL", "GROUP", "COMMON") and point is None:
             raise ParseError(f"{key} before any POINT", no)
         elif key == "KIND":
@@ -497,7 +487,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
 
 def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:
-    names = [lab.text for lab in companion.labels]
+    names = list(companion.label_index)
     lines = ["KIND STAR"]
     for point, cert in certs.items():
         lines.append(f"POINT {point}")

@@ -226,3 +226,17 @@ def test_the_change_runs_from_a_copy_of_its_files(monkeypatch, tmp_path):
     copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "new.py", "pkg/mod.py"]
     assert (dest / "pkg" / "mod.py").read_text() == "x = 1\n"
+
+
+def test_src_lines_counts_as_wc_does(tmp_path):
+    # every newline of the package's top-level modules: a last line without
+    # one is not counted, and data files and subpackages are not read
+    pkg = tmp_path / "src" / "quadsys"
+    (pkg / "data").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "data" / "c.py").write_text("1\n2\n")
+    (pkg / "data" / "d.res").write_text("KIND RES\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+    wc = subprocess.run(["wc", "-l", "a.py", "b.py"], cwd=pkg, capture_output=True, text=True)
+    assert wc.stdout.split()[-2:] == ["4", "total"]

@@ -13,7 +13,6 @@ from quadsys.formats import (
     _KEYWORDS,
     ParseError,
     _int,
-    _tokenized,
     _value,
     emit_design,
     emit_resolution,
@@ -23,6 +22,7 @@ from quadsys.formats import (
     parse_star,
     read_data,
 )
+from quadsys.star import StarGroup, StarPointCertificate
 
 
 def test_design_round_trip_is_byte_stable():
@@ -164,7 +164,19 @@ def test_mixed_size_blocks_emit_one_joined_line_each_and_parse_back(monkeypatch)
 SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def reference_tokens(text):
+    """The line reader (reference): (line number, tokens) of every line
+    that is not blank or a comment, a line ending at every break of
+    ``str.splitlines`` and at its first '#'."""
+    for no, raw in enumerate(text.splitlines(), 1):
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            yield no, tok
+
+
 def test_line_reader_matches_splitlines(monkeypatch):
+    # with ids that know no label, no run is read as blocks: every line
+    # comes as its tokens, through the rewrite of irregular text or not
     rng = random.Random(20261018)
     words = ["", "", "a", "0 1 2 3", "KIND SQS", " # note", "\t"]
     corpus = ["", "\n", "x", "\r\n\r\n", "a\r", "\r\r\n\n", "a\rb\nc",
@@ -178,11 +190,14 @@ def test_line_reader_matches_splitlines(monkeypatch):
         corpus.append("".join(parts))
     assert any(text.endswith("a") for text in corpus)  # no final newline
     assert any("\n\n" in text for text in corpus)  # an empty line
+    corpus += [text + "\n" for text in corpus if text.isascii()]
+    regular = [t.endswith("\n") and not any(map(t.__contains__, formats._IRREGULAR)) for t in corpus]
+    assert any(regular) and not all(regular)  # both ways through _items
     for size in (1, 2, 3, 5):
         monkeypatch.setattr(formats, "_LINE_CHUNK", size)
         for text in corpus:
-            want = list(enumerate(text.splitlines(), 1))
-            assert list(formats._numbered_lines(text)) == want, (size, text)
+            want = list(reference_tokens(text))
+            assert list(formats._items(text, {}.__getitem__)) == want, (size, text)
 
 
 def _noisy(text, rng):
@@ -232,7 +247,7 @@ def reference_parse_design(text):
     groups = []
     blocks = []
     block_lines = []
-    for no, tok in _tokenized(text):
+    for no, tok in reference_tokens(text):
         key = tok[0]
         if key == "KIND":
             kind = _value(tok, no)
@@ -440,15 +455,26 @@ def _both_readers(parse, text, *args):
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(formats, "_items", lambda text, ids, ascending=False: _tokenized(text))
+        m.setattr(formats, "_items", lambda text, ids, ascending=False: reference_tokens(text))
         slow = outcome()
     return fast, slow
 
 
-def _blocks_in_runs(text, design, ascending):
-    """How many blocks of ``text`` the fast path reads as runs."""
-    ids = {lab.text: i for i, lab in enumerate(design.labels)}.__getitem__
-    return sum(len(tok) for _, tok in formats._items(text, ids, ascending) if type(tok[0]) is tuple)
+def _blocks_in_runs(parse, text, *args):
+    """How many blocks ``parse(text, *args)`` gets from ``_items`` as runs."""
+    runs = []
+    items = formats._items
+
+    def counted(*a, **kw):
+        for no, tok in items(*a, **kw):
+            if type(tok[0]) is tuple:
+                runs.append(len(tok))
+            yield no, tok
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(formats, "_items", counted)
+        parse(text, *args)
+    return sum(runs)
 
 
 def _same_by_both_readers(design_text, res_texts=()):
@@ -456,12 +482,12 @@ def _same_by_both_readers(design_text, res_texts=()):
     of them must come through the fast path.  Returns the design."""
     design, slow = _both_readers(parse_design, design_text)
     assert design == slow and isinstance(design, formats.Design)
-    assert _blocks_in_runs(design_text, design, False) == len(design.blocks)
+    assert _blocks_in_runs(parse_design, design_text) == len(design.blocks)
     for text in res_texts:
         sections, slow = _both_readers(parse_resolution, text, design)
         assert sections == slow and isinstance(sections, dict)
         blocks = sum(len(c) for classes in sections.values() for c in classes)
-        assert _blocks_in_runs(text, design, True) == blocks
+        assert _blocks_in_runs(parse_resolution, text, design) == blocks
     return design
 
 
@@ -562,6 +588,65 @@ def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_
     assert {"parsed", "unknown", "POINT", "empty", "duplicate"} <= outcomes, kinds
 
 
+def _star_texts(tmp_path):
+    """(design, star text) of ``gen sqs28``, and of the same relabelled by
+    a seeded permutation of its point ids, as bench/rdsqs112.py writes it."""
+    from quadsys.cli import main
+
+    out = tmp_path / "sqs28.design"
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "sqs28", "--out", str(out)]) == 0
+    d, cert = parse_design(out.read_text()), catalog.sqs28_star()
+    perm = list(range(d.v))
+    random.Random("rdsqs112:7").shuffle(perm)
+
+    def move(b):
+        return tuple(sorted(perm[p] for p in b))
+
+    moved = make_design(d.t, d.sizes, d.labels, [move(b) for b in d.blocks], d.kind)
+    per_point = {
+        d.labels[perm[x]].text: StarPointCertificate(
+            point=perm[x],
+            special=tuple(sorted(map(move, pc.special))),
+            groups=tuple(StarGroup(common=move(g.common),
+                                   classes=tuple(tuple(sorted(map(move, c))) for c in g.classes))
+                         for g in pc.groups))
+        for x, pc in sorted(cert.per_point.items(), key=lambda kv: perm[kv[0]])
+    }
+    return [(d, out.with_suffix(".star").read_text()), (moved, emit_star(moved, per_point))]
+
+
+def test_every_star_triple_comes_through_a_run(tmp_path):
+    for design, text in _star_texts(tmp_path):
+        certs, slow = _both_readers(parse_star, text, design)
+        assert certs == slow and len(certs) == 28
+        triples = sum(len(c.special) + sum(len(k) for g in c.groups for k in g.classes)
+                      for c in certs.values())
+        assert _blocks_in_runs(parse_star, text, design) == triples == 28 * (9 + 27 * 9)
+
+
+def test_parse_star_matches_the_line_reader_on_mutated_star_files(tmp_path):
+    rng = random.Random(20261020)
+    kinds = set()
+    for design, text in _star_texts(tmp_path):
+        # the first four POINT sections are a star file of their own
+        lines = text.splitlines(keepends=True)
+        heads = [i for i, line in enumerate(lines) if line.startswith("POINT ")]
+        short, other = "".join(lines[:heads[4]]), "".join(lines[:1] + lines[heads[4]:heads[6]])
+        commons = [i for i, line in enumerate(lines[:heads[4]]) if line.startswith("COMMON ")]
+        i = rng.choice(commons)
+        mutants = list(_point_file_mutants(short, other, rng))
+        mutants.append(("dropped COMMON", "".join(lines[:i] + lines[i + 1:heads[4]])))
+        for kind, mutant in mutants:
+            fast, slow = _both_readers(parse_star, mutant, design)
+            assert fast == slow, kind
+            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0].split(" ")[0]))
+    outcomes = {outcome for _, outcome in kinds}
+    # accepted files, unknown labels, cut groups and classes, a CLASS with no
+    # COMMON, a keyword line out of place and a duplicate POINT
+    assert {"parsed", "unknown", "each", "class", "CLASS", "K", "duplicate"} <= outcomes, kinds
+
+
 def test_parse_resolution_peak_stays_near_what_it_keeps():
     # each run is one class, mapped and regrouped on its own: the peak is
     # what is kept plus one class's labels, not the whole file's
@@ -576,6 +661,25 @@ def test_parse_resolution_peak_stays_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert len(sections) == 42
+    assert peak - base <= 2 * (kept - base)
+
+
+def test_parse_resolution_rewrites_irregular_text_a_piece_at_a_time():
+    # CRLF text is rewritten to canonical lines a piece at a time, so the
+    # bound of canonical text holds (1.6 times what is kept); a rewrite of
+    # the whole file at once reads 2.5 times
+    design = catalog.rdgdd42()
+    text = read_data("rdgdd42_derived.res").replace("\n", "\r\n")
+    assert len(text) > 2 * formats._LINE_CHUNK
+    want = parse_resolution(text, design)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sections = parse_resolution(text, design)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sections == want and len(sections) == 42
     assert peak - base <= 2 * (kept - base)
 
 

@@ -17,12 +17,13 @@ checkouts do, and both read the standard library's bytecode.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values, each side's median [Q1, Q3] and "lower in k of N" (ties
 count for neither side); with the seeds, ``nproc``, the Python version and
-each run's verdict (``correct``) and attempted and failed operations.  From
-each run's ``run record:`` line it keeps ``cpus_usable`` and, where the
-workload states one, ``output_sha256``, per side.  The command exits 1 if
-the two runs of a pair wrote different outputs, if a run of the change is
-not correct, or if the change fails a larger share of its operations than
-the parent.  An existing file keeps the workloads this run
+each run's verdict (``correct``) and attempted and failed operations, and
+each side's ``src_lines``, what ``wc -l src/quadsys/*.py`` counts in its
+copy.  From each run's ``run record:`` line it keeps ``cpus_usable`` and,
+where the workload states one, ``output_sha256``, per side.  The command
+exits 1 if the two runs of a pair wrote different outputs, if a run of the
+change is not correct, or if the change fails a larger share of its
+operations than the parent.  An existing file keeps the workloads this run
 does not measure, so one file can collect several runs.
 
 After a workload's pairs, ``TRACED_PAIRS`` alternating pairs of
@@ -215,6 +216,12 @@ def copy_worktree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+def src_lines(checkout: Path) -> int:
+    """The lines of ``src/quadsys/*.py`` in ``checkout``, counted as ``wc -l``
+    counts them: one per newline."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "quadsys").glob("*.py"))
+
+
 def _order(i: int) -> tuple[str, str]:
     """The sides of pair i in the order they run: the parent first when i is even."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -280,6 +287,7 @@ def main(argv=None) -> int:
             "seconds": args.seconds,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
+            "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         })
         workloads = record.setdefault("workloads", {})
         for k, workload in enumerate(args.workload):
