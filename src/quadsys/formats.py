@@ -1,21 +1,24 @@
 """Line-oriented text formats for designs, resolutions, and star certificates.
 
-All files are UTF-8 with LF line endings, '#' starts a comment, tokens are
-whitespace-separated.  Lines beginning with a structural keyword (KIND, T,
-V, K, POINTS, GROUP, POINT, CLASS, SPECIAL, COMMON) carry structure; every
-other non-empty line is a block, written as point labels.  Emission is
-deterministic and canonical, so emit(parse(emit(x))) == emit(x) holds
+All files are UTF-8, '#' starts a comment, tokens are whitespace-separated.
+Lines beginning with a structural keyword (KIND, T, V, K, POINTS, GROUP,
+POINT, CLASS, SPECIAL, COMMON) carry structure; every other non-empty line
+is a block, written as point labels.  Emission is deterministic and
+canonical ("\n" line ends), so emit(parse(emit(x))) == emit(x) holds
 byte-for-byte.
 
-Every reader reads through ``_items``, where a line also ends at every
-other line boundary of Python's ``str``.  A run of block lines of canonical text, as
+Every reader reads through ``_items``, where a line ends at every line
+boundary of Python's ``str``.  A run of block lines of canonical text, as
 the emitters write it, is read at once; other text is first rewritten a
-piece at a time, one line of single-spaced tokens for each line.
+piece at a time, one line of single-spaced tokens for each line.  Both
+certificate formats are read one POINT section at a time by ``_sections``:
+a fault of a line alone is reported at that line as it is read, and one
+that needs the whole section once the section ends, after the next POINT
+line's own checks.
 
 Resolutions and star certificates for the derived design at a point are
-expressed in the ids of the parent design (the punctured point simply does
-not occur); this keeps file labels and verification in one coordinate
-system.
+in the ids of the parent design, where the punctured point does not occur,
+so file labels and verification share one coordinate system.
 """
 
 from __future__ import annotations
@@ -57,19 +60,21 @@ class ParseError(DesignError):
 
 
 # characters per piece of text split at once; a piece runs on to the
-# next "\n", so it may be longer
+# next line break, so it may be longer
 _LINE_CHUNK = 1 << 16
 # block lines per piece of an emitted design joined at once
 _EMIT_CHUNK = 4096
+# a line break of ``str.splitlines``, "\r\n" as one
+_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _pieces(text: str):
-    r"""``text`` cut into pieces that end just after a "\n" (the last one
-    may end without it), so that each splits into exactly its own lines."""
+    """``text`` cut into pieces that end just after the first line break at
+    or after ``_LINE_CHUNK`` characters, so each splits into its own lines."""
     start, n = 0, len(text)
     while start < n:
-        end = text.find("\n", start + _LINE_CHUNK - 1)
-        end = n if end < 0 else end + 1
+        brk = _BREAK.search(text, start + _LINE_CHUNK - 1)
+        end = brk.end() if brk else n
         yield text[start:end]
         start = end
 
@@ -163,9 +168,8 @@ def parse_design(text: str) -> Design:
     header checks run first, then ``make_design`` checks each block once;
     only a rejected block makes the text be read again for its line.
     """
-    kind = None
-    t = t_line = None
-    v = v_line = None
+    kind = t = v = None
+    heads: dict[str, int] = {}  # the line of each KIND, T, V and K header
     sizes: list[int] = []
     labels: list[Label] = []
     index: dict[str, int] = {}
@@ -184,16 +188,18 @@ def parse_design(text: str) -> Design:
             except KeyError:
                 late.append(len(blocks))
                 blocks.append(tok)
+        elif key in ("KIND", "T", "V", "K") and heads.setdefault(key, no) != no:
+            raise ParseError(f"duplicate {key} line", no)
         elif key == "KIND":
             kind = _value(tok, no)
             if kind not in _DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
-            t, t_line = _int(_value(tok, no), key, no), no
+            t = _int(_value(tok, no), key, no)
             if t < 0:
                 raise ParseError(f"T {t} is negative", no)
         elif key == "V":
-            v, v_line = _int(_value(tok, no), key, no), no
+            v = _int(_value(tok, no), key, no)
         elif key == "K":
             if len(tok) < 2:
                 raise ParseError("K needs at least one block size", no)
@@ -215,9 +221,9 @@ def parse_design(text: str) -> Design:
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
-        raise ParseError(f"V {v} does not match {len(labels)} labels", v_line)
+        raise ParseError(f"V {v} does not match {len(labels)} labels", heads["V"])
     if t > max(sizes):
-        raise ParseError(f"T {t} is above every block size in K={sizes}", t_line)
+        raise ParseError(f"T {t} is above every block size in K={sizes}", heads["T"])
     try:
         for i in late:
             blocks[i] = tuple(map(ids, blocks[i]))
@@ -304,60 +310,19 @@ def emit_design(design: Design) -> str:
 
 
 def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Block, ...], ...]]:
-    """Per-point lists of classes, keyed by point label text.
-
-    Classes are returned in file order; class membership of the companion
-    design is *not* checked here (verification is the caller's job), but
-    labels must resolve and classes within a point must not be ragged.
-    """
-    index = companion.label_index
-    ids = index.__getitem__
-    sections: dict[str, tuple[int, list[list[Block]]]] = {}  # POINT line, classes
-    current: list[list[Block]] | None = None
-    cls: list[Block] | None = None
-    cls_line = 0
-    for no, tok in _items(text, ids, ascending=True):
-        key = tok[0]
-        if key not in _KEYWORDS:
-            if cls is None:
-                raise ParseError("block line outside a CLASS", no)
-            if type(key) is tuple:  # a run of blocks
-                cls += tok
-            else:
-                cls.append(_block_ids(ids, tok, no))
-        elif key == "KIND":
-            if _value(tok, no) != "RES":
-                raise ParseError(f"expected KIND RES, got {tok[1]!r}", no)
-        elif key == "POINT":
-            if len(tok) != 2:
-                raise ParseError("POINT takes exactly one label", no)
-            _close_class(cls, cls_line)
-            if tok[1] not in index and tok[1] != WHOLE:
-                raise ParseError(f"unknown point label {tok[1]!r}", no)
-            if tok[1] in sections:
-                raise ParseError(f"duplicate POINT {tok[1]}", no)
-            current = []
-            sections[tok[1]] = (no, current)
-            cls = None
-        elif key == "CLASS":
-            if current is None:
-                raise ParseError("CLASS before any POINT", no)
-            _close_class(cls, cls_line)
-            cls, cls_line = [], no
-            current.append(cls)
-        else:
-            raise ParseError(f"{key} not valid in a resolution file", no)
-    _close_class(cls, cls_line)
-    if not sections:
-        raise ParseError("no POINT section found", 1)
+    """Per-point classes in file order, keyed by point label text.  Labels
+    must resolve and a point's classes must not be empty or ragged; class
+    membership of the companion is the verifier's to check."""
     out = {}
-    for point, (no, classes) in sections.items():
-        arities = {len(c) for c in classes}
+    for point, no, heads in _sections(text, companion, _RES):
+        for _, line, _, cls in heads:
+            if not cls:
+                raise ParseError("empty CLASS section", line)
+            cls.sort()
+        arities = {len(cls) for *_, cls in heads}
         if len(arities) > 1:
             raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", no)
-        for c in classes:
-            c.sort()
-        out[point] = tuple(map(tuple, classes))
+        out[point] = tuple(tuple(cls) for *_, cls in heads)
     return out
 
 
@@ -370,10 +335,58 @@ def _block_ids(ids: Callable[[str], int], tok: list[str], no: int) -> Block:
         raise ParseError(f"unknown label {exc.args[0]!r}", no) from None
 
 
-def _close_class(cls, no: int) -> None:
-    """An empty CLASS section is an error on its own header line ``no``."""
-    if cls is not None and not cls:
-        raise ParseError("empty CLASS section", no)
+# a certificate format: KIND value, name in messages, headers (True where
+# block lines follow), where block lines go, POINT values besides labels
+_RES = ("RES", "resolution", {"CLASS": True}, "a CLASS", (WHOLE,))
+_STAR = ("STAR", "star", {"SPECIAL": True, "GROUP": False, "COMMON": False, "CLASS": True},
+         "SPECIAL or CLASS", ())
+
+
+def _sections(text: str, companion: Design, fmt: tuple):
+    """(point text, POINT line, headers) of each POINT section of a
+    certificate file of format ``fmt``, yielded once the section ends.  A
+    header is (keyword, line, its other tokens, its blocks as sorted
+    companion ids, or None if it takes none).  A line's own faults raise at
+    it as it is read; a POINT line's value is checked before the section
+    it ends is yielded, and what needs a whole section is the caller's.
+    """
+    kind, name, takes, outside, others = fmt
+    index = companion.label_index
+    ids = index.__getitem__
+    seen: set[str] = set()
+    point = point_line = blocks = None  # blocks: where block lines go
+    for no, tok in _items(text, ids, ascending=True):
+        key = tok[0]
+        if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
+            if blocks is None:
+                raise ParseError(f"block line outside {outside}", no)
+            if type(key) is tuple:  # a run of blocks
+                blocks += tok
+            else:
+                blocks.append(_block_ids(ids, tok, no))
+        elif key == "KIND":
+            if _value(tok, no) != kind:
+                raise ParseError(f"expected KIND {kind}, got {tok[1]!r}", no)
+        elif key == "POINT":
+            x = _value(tok, no)
+            if x not in index and x not in others:
+                raise ParseError(f"unknown point label {x!r}", no)
+            if x in seen:
+                raise ParseError(f"duplicate POINT {x}", no)
+            if point is not None:
+                yield point, point_line, heads
+            seen.add(x)
+            point, point_line, heads, blocks = x, no, [], None
+        elif key not in takes:
+            raise ParseError(f"{key} not valid in a {name} file", no)
+        elif point is None:
+            raise ParseError(f"{key} before any POINT", no)
+        else:
+            blocks = [] if takes[key] else None
+            heads.append((key, no, tok[1:], blocks))
+    if point is None:
+        raise ParseError("no POINT section found", 1)
+    yield point, point_line, heads
 
 
 def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
@@ -382,17 +395,14 @@ def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ..
     for point, classes in sections.items():
         lines.append(f"POINT {point}")
         for cls in classes:
-            lines.append("CLASS")
-            lines.extend(_blocks_text(names, sorted(cls)))
+            lines += ["CLASS", *_blocks_text(names, sorted(cls))]
     return "\n".join(lines) + "\n"
 
 
 def resolution_for_point(d: Design, x, classes: tuple[tuple[Block, ...], ...]) -> Resolution:
-    """A Resolution object for the derived design at x, in parent ids; at
-    x = ``WHOLE``, for the design itself (every point, every block).
-
-    For a GDD the whole group of x leaves the ground set.
-    """
+    """A Resolution object for the derived design at x, in parent ids (for
+    a GDD the whole group of x leaves the ground set); at x = ``WHOLE``, for
+    the design itself (every point, every block)."""
     if x == WHOLE:
         return Resolution(ground=tuple(range(d.v)), classes=classes, target=d.blocks)
     ground, target = derived_frame(d, x)
@@ -404,85 +414,45 @@ def resolution_for_point(d: Design, x, classes: tuple[tuple[Block, ...], ...]) -
 
 
 def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
-    """Star-point certificates keyed by point label text, in file order."""
+    """Star-point certificates keyed by point label text, in file order.
+
+    A POINT section holds one SPECIAL class, and a group for each COMMON
+    line: its triple and the CLASS sections up to the next COMMON or GROUP
+    line.  A GROUP line only ends a group; its number is not read.
+    """
     index = companion.label_index
-    ids = index.__getitem__
     n_class = (companion.v - 1) // 3
-
     points: dict[str, StarPointCertificate] = {}
-    point = None
-    point_line = group_line = 0
-    special: list[Block] | None = None
-    groups: list[StarGroup] = []
-    common: Block | None = None
-    classes: list[tuple[int, list[Block]]] | None = None  # (CLASS line, triples)
-    dest: list[Block] | None = None  # where block lines go: SPECIAL or the last CLASS
-
-    def close_group() -> None:
-        nonlocal common, classes
-        if common is None:
-            return
-        if len(classes) != 3:
-            raise ParseError("each GROUP needs exactly 3 CLASS sections", group_line)
-        for no, c in classes:
-            if len(c) != n_class:
-                raise ParseError(f"class has {len(c)} triples, expected {n_class}", no)
-        groups.append(StarGroup(common=common, classes=tuple(tuple(c) for _, c in classes)))
-        common, classes = None, None
-
-    def close_point() -> None:
-        nonlocal point, special, groups
-        if point is None:
-            return
-        close_group()
+    for point, no, heads in _sections(text, companion, _STAR):
+        special = classes = None
+        groups = []  # (COMMON line, its triple, its classes)
+        for key, line, rest, blocks in heads:
+            if key == "SPECIAL":
+                if special is not None:
+                    raise ParseError("second SPECIAL class in a POINT", line)
+                special = blocks
+            elif key == "CLASS":
+                if classes is None:
+                    raise ParseError("CLASS before COMMON in a GROUP", line)
+                classes.append((line, blocks))
+            elif key == "COMMON":
+                classes = []
+                groups.append((line, _block_ids(index.__getitem__, rest, line), classes))
+            else:  # GROUP ends the group before it
+                classes = None
+        for line, _, classes in groups:
+            if len(classes) != 3:
+                raise ParseError("each GROUP needs exactly 3 CLASS sections", line)
+            for cls_line, cls in classes:
+                if len(cls) != n_class:
+                    raise ParseError(f"class has {len(cls)} triples, expected {n_class}", cls_line)
         if special is None or len(special) != n_class:
-            raise ParseError(f"SPECIAL class needs {n_class} triples", point_line)
+            raise ParseError(f"SPECIAL class needs {n_class} triples", no)
         if len(groups) != n_class:
-            raise ParseError(f"expected {n_class} GROUP sections, got {len(groups)}", point_line)
-        points[point] = StarPointCertificate(
-            point=index[point], special=tuple(special), groups=tuple(groups)
-        )
-        point, special, groups = None, None, []
-
-    for no, tok in _items(text, ids, ascending=True):
-        key = tok[0]
-        if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
-            if dest is None:
-                raise ParseError("block line outside SPECIAL or CLASS", no)
-            if type(key) is tuple:  # a run of blocks
-                dest += tok
-            else:
-                dest.append(_block_ids(ids, tok, no))
-        elif key in ("SPECIAL", "GROUP", "COMMON") and point is None:
-            raise ParseError(f"{key} before any POINT", no)
-        elif key == "KIND":
-            if _value(tok, no) != "STAR":
-                raise ParseError(f"expected KIND STAR, got {tok[1]!r}", no)
-        elif key == "POINT":
-            close_point()
-            if _value(tok, no) not in index:
-                raise ParseError(f"unknown point label {tok[1]!r}", no)
-            if tok[1] in points:
-                raise ParseError(f"duplicate POINT {tok[1]}", no)
-            point, point_line, dest = tok[1], no, None
-        elif key == "SPECIAL":
-            special = dest = []
-        elif key == "GROUP":
-            close_group()
-            dest = None
-        elif key == "COMMON":
-            close_group()
-            common, group_line, classes, dest = _block_ids(ids, tok[1:], no), no, [], None
-        elif key == "CLASS":
-            if classes is None:
-                raise ParseError("CLASS before COMMON in a GROUP", no)
-            dest = []
-            classes.append((no, dest))
-        else:
-            raise ParseError(f"{key} not valid in a star file", no)
-    close_point()
-    if not points:
-        raise ParseError("no POINT section found", 1)
+            raise ParseError(f"expected {n_class} GROUP sections, got {len(groups)}", no)
+        groups = tuple(StarGroup(common, tuple(tuple(c) for _, c in classes))
+                       for _, common, classes in groups)
+        points[point] = StarPointCertificate(point=index[point], special=tuple(special), groups=groups)
     return points
 
 
@@ -490,15 +460,11 @@ def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:
     names = list(companion.label_index)
     lines = ["KIND STAR"]
     for point, cert in certs.items():
-        lines.append(f"POINT {point}")
-        lines.append("SPECIAL")
-        lines.extend(_blocks_text(names, cert.special))
+        lines += [f"POINT {point}", "SPECIAL", *_blocks_text(names, cert.special)]
         for gi, grp in enumerate(cert.groups, start=1):
-            lines.append(f"GROUP {gi}")
-            lines.append("COMMON " + " ".join(map(names.__getitem__, grp.common)))
+            lines += [f"GROUP {gi}", "COMMON " + " ".join(map(names.__getitem__, grp.common))]
             for cls in grp.classes:
-                lines.append("CLASS")
-                lines.extend(_blocks_text(names, sorted(cls)))
+                lines += ["CLASS", *_blocks_text(names, sorted(cls))]
     return "\n".join(lines) + "\n"
 
 
@@ -507,10 +473,7 @@ def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:
 
 
 def data_dir() -> Path:
-    override = os.environ.get("DESIGN_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
+    return Path(os.environ.get("DESIGN_DATA_DIR") or Path(__file__).resolve().parent / "data")
 
 
 def read_data(name: str) -> str:

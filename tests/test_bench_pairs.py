@@ -3,6 +3,7 @@ itself is never run here."""
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -240,3 +241,29 @@ def test_src_lines_counts_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 4
     wc = subprocess.run(["wc", "-l", "a.py", "b.py"], cwd=pkg, capture_output=True, text=True)
     assert wc.stdout.split()[-2:] == ["4", "total"]
+
+
+def test_tier1_runs_once_in_a_copy_and_reads_pytest_counts(monkeypatch, tmp_path):
+    # the Tier-1 command runs from the copy with src on the path, writing no
+    # bytecode; the counts come from pytest's last line, errors as failures
+    seen = []
+    last_lines = ["2 failed, 325 passed, 1 skipped, 3 warnings, 1 error in 31.20s",
+                  "329 passed in 29.51s"]
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.append((argv[1:], cwd, env["PYTHONPATH"], env["PYTHONDONTWRITEBYTECODE"],
+                     "PYTHONPYCACHEPREFIX" in env))
+        return subprocess.CompletedProcess(argv, 1, f"..F.\n{last_lines.pop(0)}\n", "")
+
+    monkeypatch.setenv("PYTHONPATH", "extra")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.tier1(tmp_path / "change")
+    assert {k: run[k] for k in ("passed", "failed", "skipped")} == {
+        "passed": 325, "failed": 3, "skipped": 1}
+    assert run["seconds"] >= 0
+    assert seen == [(["-m", "pytest", "-q", "--continue-on-collection-errors",
+                      "-p", "no:cacheprovider"],
+                     tmp_path / "change", os.pathsep.join(["src", "extra"]), "1", False)]
+    monkeypatch.delenv("PYTHONPATH")
+    assert bench_pairs.tier1(tmp_path)["passed"] == 329 and seen[-1][2] == "src"

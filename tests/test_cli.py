@@ -119,8 +119,9 @@ def run_cli_process(*argv):
         ("KIND SQS\nT 3\nV 4.0\nK 4\n", 3),
         ("KIND SQS\nT 3\nK\n", 3),
         ("KIND SQS\nT 3\nK 4 y\n", 3),
+        ("KIND SQS\nT 3\nT 2\nK 4\n", 3),
     ],
-    ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y"],
+    ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y", "T twice"],
 )
 def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     path = tmp_path / "bad.design"

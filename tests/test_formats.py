@@ -101,6 +101,24 @@ def test_parse_design_rejects_a_strength_above_every_block_size():
     assert parse_design(good.replace("T 3", "T 4", 1)).t == 4
 
 
+@pytest.mark.parametrize("header", ["KIND SQS", "T 3", "V 8", "K 4", "T 2", "K 3 4"])
+def test_a_repeated_design_header_is_a_parse_error_on_its_second_line(header):
+    # the last one used to win, so T 2 after T 3 verified sqs8 at t = 2
+    lines = emit_design(catalog.sqs8()).splitlines(keepends=True)
+    key = header.split()[0]
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    text = "".join(lines[:5] + [header + "\n"] + lines[5:])
+    assert at < 5
+    with pytest.raises(ParseError, match=rf"^line 6: duplicate {key} line$"):
+        parse_design(text)
+    # POINTS may still be spread over several lines
+    points = lines[4].split()
+    assert points[0] == "POINTS" and len(points) == 9
+    spread = lines[:4] + [" ".join(points[:5]) + "\n", "POINTS " + " ".join(points[5:]) + "\n"]
+    spread += lines[5:]
+    assert parse_design("".join(spread)) == catalog.sqs8()
+
+
 def test_parse_design_requires_headers():
     with pytest.raises(ParseError):
         parse_design("0 1 2\n")
@@ -247,8 +265,13 @@ def reference_parse_design(text):
     groups = []
     blocks = []
     block_lines = []
+    header_lines = {}
     for no, tok in reference_tokens(text):
         key = tok[0]
+        if key in ("KIND", "T", "V", "K"):  # each at most once
+            if key in header_lines:
+                raise ParseError(f"duplicate {key} line", no)
+            header_lines[key] = no
         if key == "KIND":
             kind = _value(tok, no)
             if kind not in _DESIGN_KINDS:
@@ -435,7 +458,8 @@ def test_parse_design_matches_the_reference_parser():
     # the corpus reaches accepted files, every per-block error, header errors
     # and GROUP lines that do not partition the points
     for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS",
-                   "above every block size", "already in a GROUP", "in no GROUP"):
+                   "above every block size", "already in a GROUP", "in no GROUP",
+                   "duplicate KIND line", "duplicate T line", "duplicate V line", "duplicate K line"):
         assert any(needed in outcome for outcome in outcomes), needed
 
 
@@ -665,22 +689,24 @@ def test_parse_resolution_peak_stays_near_what_it_keeps():
 
 
 def test_parse_resolution_rewrites_irregular_text_a_piece_at_a_time():
-    # CRLF text is rewritten to canonical lines a piece at a time, so the
-    # bound of canonical text holds (1.6 times what is kept); a rewrite of
-    # the whole file at once reads 2.5 times
+    # text with CRLF or bare CR line ends is rewritten to canonical lines a
+    # piece at a time, so the bound of canonical text holds (1.6 and 1.75
+    # times what is kept); a rewrite of the whole file at once reads 2.5 times
     design = catalog.rdgdd42()
-    text = read_data("rdgdd42_derived.res").replace("\n", "\r\n")
-    assert len(text) > 2 * formats._LINE_CHUNK
-    want = parse_resolution(text, design)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sections = parse_resolution(text, design)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sections == want and len(sections) == 42
-    assert peak - base <= 2 * (kept - base)
+    for brk in ("\r\n", "\r"):
+        text = read_data("rdgdd42_derived.res").replace("\n", brk)
+        assert len(text) > 2 * formats._LINE_CHUNK
+        want = parse_resolution(text, design)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sections = parse_resolution(text, design)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sections == want and len(sections) == 42
+        assert peak - base <= 2 * (kept - base), repr(brk)
+        del text, want, sections  # so none is freed inside the next measure
 
 
 def test_resolution_round_trip_is_byte_stable():
@@ -760,6 +786,39 @@ def test_parse_star_names_the_offending_header_line():
         parse_star(cut, d)
     with pytest.raises(ParseError, match="line 2: COMMON before any POINT"):
         parse_star("KIND STAR\nCOMMON 0_0 0_1 0_2\n", d)
+
+
+def test_a_second_special_class_at_a_point_is_a_parse_error(tmp_path, capsys):
+    from quadsys.cli import main
+
+    design = tmp_path / "sqs28.design"
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "sqs28", "--out", str(design)]) == 0
+    lines = design.with_suffix(".star").read_text().splitlines(keepends=True)
+    assert lines[1:3] == ["POINT 0_0\n", "SPECIAL\n"]
+    first_class = lines.index("CLASS\n")
+    # a SPECIAL section of two triples of a class before the true one,
+    # which now opens on line 6
+    extra = lines[:2] + ["SPECIAL\n"] + lines[first_class + 1:first_class + 3] + lines[2:]
+    with pytest.raises(ParseError, match=r"^line 6: second SPECIAL class in a POINT$"):
+        parse_star("".join(extra), catalog.sqs28())
+    star = tmp_path / "extra.star"
+    star.write_text("".join(extra))
+    capsys.readouterr()
+    assert main(["verify", str(design), str(star)]) == 2
+    assert capsys.readouterr() == ("", f"error: {star}: line 6: second SPECIAL class in a POINT\n")
+
+
+def test_group_lines_are_optional_in_a_star_file():
+    # a COMMON line opens each group; a GROUP line only ends one, and its
+    # number is never read
+    d = catalog.sqs28()
+    text = read_data("sqs28_star.star")
+    bare = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("GROUP"))
+    assert len(bare.splitlines()) == len(text.splitlines()) - 28 * 9
+    assert parse_star(bare, d) == parse_star(text, d)
+    renumbered = text.replace("GROUP 1\n", "GROUP 7 x\n")
+    assert renumbered != text and parse_star(renumbered, d) == parse_star(text, d)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,11 @@ change is not correct, or if the change fails a larger share of its
 operations than the parent.  An existing file keeps the workloads this run
 does not measure, so one file can collect several runs.
 
+Once every workload is measured, the Tier-1 command of ROADMAP.md runs once
+in each copy, writing no bytecode and no pytest cache, and the file records
+``tier1``: each side's passed, failed (errors included) and skipped tests
+and its wall seconds.
+
 After a workload's pairs, ``TRACED_PAIRS`` alternating pairs of
 ``bench/run.py --trace 1`` runs, on the first pairs' seeds, record the
 per-layer metrics of ``BENCHMARK.json`` under ``per_layer``: for every layer
@@ -42,11 +47,13 @@ import json
 import os
 import platform
 import random
+import re
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +63,8 @@ RECORD = "run record: "
 KEPT = ("cpus_usable", "output_sha256")
 # alternating traced pairs per workload, for the per-layer metrics
 TRACED_PAIRS = 3
+# the Tier-1 command of ROADMAP.md, with no pytest cache left in the copy
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -222,6 +231,24 @@ def src_lines(checkout: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "quadsys").glob("*.py"))
 
 
+def tier1(checkout: Path) -> dict:
+    """Passed, failed and skipped tests of one Tier-1 run in ``checkout``,
+    errors counted as failed, read from pytest's last line; and its wall
+    seconds."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True, text=True,
+                          env=env, timeout=3600)
+    seconds = time.perf_counter() - start
+    counts = {"passed": 0, "failed": 0, "skipped": 0}
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    for n, outcome in re.findall(r"(\d+) (passed|failed|skipped|error)", last):
+        counts["failed" if outcome == "error" else outcome] += int(n)
+    return {**counts, "seconds": round(seconds, 2)}
+
+
 def _order(i: int) -> tuple[str, str]:
     """The sides of pair i in the order they run: the parent first when i is even."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -295,6 +322,11 @@ def main(argv=None) -> int:
             workloads[workload] = measure(sides, workload, seeds, args.seconds,
                                           spec["end_to_end"], spec["per_layer"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
+        record["tier1"] = {side: tier1(checkout) for side, checkout in sides.items()}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        for side, run in record["tier1"].items():
+            print(f"tier1 {side}: {run['passed']} passed, {run['failed']} failed, "
+                  f"{run['skipped']} skipped in {run['seconds']:.1f} s")
     finally:
         for checkout in sides.values():
             shutil.rmtree(checkout, ignore_errors=True)
