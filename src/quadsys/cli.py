@@ -238,22 +238,13 @@ def _check_coverage(d: Design) -> VerifyReport:
     return rep
 
 
-def _parse_certificate(text: str, design: Design):
-    """(kind, what ``formats`` parses of a KIND RES or KIND STAR file)."""
-    kind = formats.file_kind(text)
-    parse = {"RES": formats.parse_resolution, "STAR": formats.parse_star}.get(kind)
-    if parse is None:
-        raise ParameterError("a certificate needs a KIND RES or KIND STAR line")
-    return kind, parse(text, design)
-
-
 def cmd_verify(args) -> int:
     design = _parse_file(args.design, formats.parse_design)
     # the whole certificate is read before the first proof, so one that
     # fails to parse leaves stdout empty
     kind = None
     if args.certificate:
-        kind, parsed = _parse_file(args.certificate, _parse_certificate, design)
+        kind, parsed = _parse_file(args.certificate, formats.parse_certificate, design)
     coverage = _check_coverage(design)
     ok = coverage.passed
     if kind == "RES":

@@ -1,11 +1,11 @@
 """Line-oriented text formats for designs, resolutions, and star certificates.
 
 All files are UTF-8, '#' starts a comment, tokens are whitespace-separated.
-Lines beginning with a structural keyword (KIND, T, V, K, POINTS, GROUP,
-POINT, CLASS, SPECIAL, COMMON) carry structure; every other non-empty line
-is a block, written as point labels.  Emission is deterministic and
-canonical ("\n" line ends), so emit(parse(emit(x))) == emit(x) holds
-byte-for-byte.
+A line that starts with a keyword carries structure, and ``_checked`` checks
+its count of values and its repeats by one table for all formats; every
+other non-empty line is a block, written as point labels.  Emission is
+deterministic and canonical ("\n" line ends), so emit(parse(emit(x))) ==
+emit(x) holds byte-for-byte.
 
 Every reader reads through ``_items``, where a line ends at every line
 boundary of Python's ``str``.  A run of block lines of canonical text, as
@@ -44,7 +44,13 @@ from .core import (
 )
 from .star import StarGroup, StarPointCertificate
 
-_KEYWORDS = {"KIND", "T", "V", "K", "POINTS", "GROUP", "POINT", "CLASS", "SPECIAL", "COMMON"}
+# the values each keyword takes: none (0), exactly one (1), or one or more,
+# each one named; and, for each that may appear only once (SPECIAL: once in
+# each POINT section), the error at a second line of it
+_KEYWORDS = {"KIND": 1, "T": 1, "V": 1, "K": "block size", "POINTS": "label", "GROUP": "label",
+             "POINT": 1, "CLASS": 0, "SPECIAL": 0, "COMMON": "label"}
+_ONCE = {"KIND": "duplicate KIND line", "T": "duplicate T line", "V": "duplicate V line",
+         "K": "duplicate K line", "SPECIAL": "second SPECIAL class in a POINT"}
 _DESIGN_KINDS = {"SQS", "STS", "GDD", "TD", "RAW"}
 # the POINT label of a resolution of the design itself, not of a derived design
 WHOLE = "*"
@@ -134,11 +140,24 @@ def _run_blocks(run: str, ids: Callable[[str], int], ascending: bool) -> list[Bl
     return list(zip(*cols))
 
 
-def _value(tok: list[str], no: int) -> str:
-    """The one value of a header line such as ``KIND SQS``."""
-    if len(tok) != 2:
-        raise ParseError(f"{tok[0]} takes exactly one value", no)
-    return tok[1]
+def _checked(text: str, ids: Callable[[str], int], once: dict[str, int], ascending: bool = False):
+    """``_items`` of ``text``, each keyword line checked against ``_ONCE``
+    (``once`` holds the line of each such keyword met) and ``_KEYWORDS``."""
+    for no, tok in _items(text, ids, ascending):
+        key = tok[0]
+        if key in _KEYWORDS:
+            takes = _KEYWORDS[key]
+            if key in _ONCE and once.setdefault(key, no) != no:
+                raise ParseError(_ONCE[key], no)
+            if takes == 0 and len(tok) > 1:
+                raise ParseError(f"{key} takes no value", no)
+            if takes == 1 and len(tok) != 2:
+                raise ParseError(f"{key} takes exactly one value", no)
+            if takes and len(tok) == 1:  # one or more, each a ``takes``
+                raise ParseError(f"{key} needs at least one {takes}", no)
+            if key == "POINT":  # a new section
+                once.pop("SPECIAL", None)
+        yield no, tok
 
 
 def _int(text: str, key: str, no: int) -> int:
@@ -146,12 +165,6 @@ def _int(text: str, key: str, no: int) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"{key} value {text!r} is not an integer", no) from None
-
-
-def file_kind(text: str) -> str | None:
-    """The value of the first KIND line, or None if the file has none."""
-    kinds = (_value(tok, no) for no, tok in _items(text, _NO_IDS) if tok[0] == "KIND")
-    return next(kinds, None)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +182,7 @@ def parse_design(text: str) -> Design:
     only a rejected block makes the text be read again for its line.
     """
     kind = t = v = None
-    heads: dict[str, int] = {}  # the line of each KIND, T, V and K header
+    heads: dict[str, int] = {}  # the line of each KIND, T, V and K header, as _checked keeps it
     sizes: list[int] = []
     labels: list[Label] = []
     index: dict[str, int] = {}
@@ -177,7 +190,7 @@ def parse_design(text: str) -> Design:
     groups: list[tuple[int, tuple[str, ...]]] = []
     blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
     late: list[int] = []  # positions in blocks of the token lists
-    for no, tok in _items(text, ids):
+    for no, tok in _checked(text, ids, heads):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
             if type(key) is tuple:  # a run of blocks
@@ -188,21 +201,17 @@ def parse_design(text: str) -> Design:
             except KeyError:
                 late.append(len(blocks))
                 blocks.append(tok)
-        elif key in ("KIND", "T", "V", "K") and heads.setdefault(key, no) != no:
-            raise ParseError(f"duplicate {key} line", no)
         elif key == "KIND":
-            kind = _value(tok, no)
+            kind = tok[1]
             if kind not in _DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
-            t = _int(_value(tok, no), key, no)
+            t = _int(tok[1], key, no)
             if t < 0:
                 raise ParseError(f"T {t} is negative", no)
         elif key == "V":
-            v = _int(_value(tok, no), key, no)
+            v = _int(tok[1], key, no)
         elif key == "K":
-            if len(tok) < 2:
-                raise ParseError("K needs at least one block size", no)
             sizes = [_int(x, key, no) for x in tok[1:]]
         elif key == "POINTS":
             for x in tok[1:]:
@@ -244,8 +253,6 @@ def parse_design(text: str) -> Design:
         return design
     seen: set[str] = set()
     for no, cell in groups:
-        if not cell:
-            raise ParseError("GROUP needs at least one label", no)
         for x in cell:
             if x not in index:
                 raise ParseError(f"unknown label {x!r} in GROUP", no)
@@ -355,7 +362,7 @@ def _sections(text: str, companion: Design, fmt: tuple):
     ids = index.__getitem__
     seen: set[str] = set()
     point = point_line = blocks = None  # blocks: where block lines go
-    for no, tok in _items(text, ids, ascending=True):
+    for no, tok in _checked(text, ids, {}, ascending=True):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
             if blocks is None:
@@ -365,10 +372,10 @@ def _sections(text: str, companion: Design, fmt: tuple):
             else:
                 blocks.append(_block_ids(ids, tok, no))
         elif key == "KIND":
-            if _value(tok, no) != kind:
+            if tok[1] != kind:
                 raise ParseError(f"expected KIND {kind}, got {tok[1]!r}", no)
         elif key == "POINT":
-            x = _value(tok, no)
+            x = tok[1]
             if x not in index and x not in others:
                 raise ParseError(f"unknown point label {x!r}", no)
             if x in seen:
@@ -428,8 +435,6 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
         groups = []  # (COMMON line, its triple, its classes)
         for key, line, rest, blocks in heads:
             if key == "SPECIAL":
-                if special is not None:
-                    raise ParseError("second SPECIAL class in a POINT", line)
                 special = blocks
             elif key == "CLASS":
                 if classes is None:
@@ -454,6 +459,15 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
                        for _, common, classes in groups)
         points[point] = StarPointCertificate(point=index[point], special=tuple(special), groups=groups)
     return points
+
+
+def parse_certificate(text: str, companion: Design):
+    """(kind, sections) of a certificate file, read as its first KIND line says."""
+    kind = next((tok[1] for _, tok in _checked(text, _NO_IDS, {}) if tok[0] == "KIND"), None)
+    parse = {"RES": parse_resolution, "STAR": parse_star}.get(kind)
+    if parse is None:
+        raise ParameterError("a certificate needs a KIND RES or KIND STAR line")
+    return kind, parse(text, companion)
 
 
 def emit_star(companion: Design, certs: dict[str, StarPointCertificate]) -> str:

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from quadsys import (
     Gdd,
     catalog,
     cli,
+    formats,
     quadruple,
     resolver,
     verify_star_point,
@@ -120,8 +122,14 @@ def run_cli_process(*argv):
         ("KIND SQS\nT 3\nK\n", 3),
         ("KIND SQS\nT 3\nK 4 y\n", 3),
         ("KIND SQS\nT 3\nT 2\nK 4\n", 3),
+        ("KIND SQS x\nT 3\nK 4\n", 1),
+        ("KIND SQS\nT 3 4\nK 4\n", 2),
+        ("KIND SQS\nT 3\nV 4 4\nK 4\n", 3),
+        ("KIND SQS\nT 3\nK 4\nPOINTS\n", 4),
+        ("KIND SQS\nT 3\nK 4\nGROUP\n", 4),
     ],
-    ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y", "T twice"],
+    ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y", "T twice",
+         "KIND SQS x", "T 3 4", "V 4 4", "bare POINTS", "bare GROUP"],
 )
 def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     path = tmp_path / "bad.design"
@@ -794,6 +802,60 @@ def test_a_parse_error_names_its_file_in_every_subcommand(generated, tmp_path, c
     assert not out.exists()
 
 
+# (certificate, its line to change, counted from 0, the new line or, for a
+# line inserted there, "+" and the line, the error)
+_CERTIFICATE_KEYWORDS = {
+    "RES KIND x": ("sqs22.res", 0, "KIND RES x", "line 1: KIND takes exactly one value"),
+    "RES bare KIND": ("sqs22.res", 0, "KIND", "line 1: KIND takes exactly one value"),
+    "RES second KIND": ("sqs22.res", 2, "+KIND RES", "line 3: duplicate KIND line"),
+    "RES POINT 0 x": ("sqs22.res", 1, "POINT 0 x", "line 2: POINT takes exactly one value"),
+    "RES bare POINT": ("sqs22.res", 1, "POINT", "line 2: POINT takes exactly one value"),
+    "RES CLASS 5 junk": ("sqs22.res", 2, "CLASS 5 junk", "line 3: CLASS takes no value"),
+    "STAR KIND x": ("sqs28.star", 0, "KIND STAR x", "line 1: KIND takes exactly one value"),
+    "STAR bare KIND": ("sqs28.star", 0, "KIND", "line 1: KIND takes exactly one value"),
+    "STAR second KIND": ("sqs28.star", 2, "+KIND STAR", "line 3: duplicate KIND line"),
+    "STAR POINT 0_0 x": ("sqs28.star", 1, "POINT 0_0 x", "line 2: POINT takes exactly one value"),
+    "STAR bare POINT": ("sqs28.star", 1, "POINT", "line 2: POINT takes exactly one value"),
+    "SPECIAL 1_0 x": ("sqs28.star", 2, "SPECIAL 1_0 x", "line 3: SPECIAL takes no value"),
+    "STAR CLASS 5": ("sqs28.star", 14, "CLASS 5", "line 15: CLASS takes no value"),
+    "bare GROUP": ("sqs28.star", 12, "GROUP", "line 13: GROUP needs at least one label"),
+    "bare COMMON": ("sqs28.star", 13, "COMMON", "line 14: COMMON needs at least one label"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFICATE_KEYWORDS))
+def test_a_certificate_keyword_with_a_value_too_many_or_too_few_exits_2(generated, tmp_path,
+                                                                         capsys, case):
+    # the value counts of every keyword of both certificate formats; the
+    # tokens of a star GROUP line are not read, and a COMMON line takes a
+    # triple, which the star check proves (the test below)
+    source, at, line, message = _CERTIFICATE_KEYWORDS[case]
+    lines = (generated / source).read_text().splitlines()
+    insert = line.startswith("+")
+    line = line.lstrip("+")
+    assert insert or lines[at].split()[0] == line.split()[0]
+    lines[at:at + (not insert)] = [line]
+    bad = tmp_path / source
+    bad.write_text("\n".join(lines) + "\n")
+    design = generated / source.replace(".res", ".design").replace(".star", ".design")
+    capsys.readouterr()
+    assert main(["verify", str(design), str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
+def test_a_star_common_line_with_a_label_too_many_fails_the_star_check(generated, tmp_path,
+                                                                       capsys):
+    text = (generated / "sqs28.star").read_text()
+    assert "\nCOMMON 3_3 5_2 6_1\n" in text
+    bad = tmp_path / "bad.star"
+    bad.write_text(text.replace("\nCOMMON 3_3 5_2 6_1\n", "\nCOMMON 3_3 5_2 6_1 0_1\n", 1))
+    capsys.readouterr()
+    assert main(["verify", str(generated / "sqs28.design"), str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("FAIL star certificate")
+    assert "common triples do not equal the special class" in err
+
+
 def test_gen_unknown_name_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "nope.design"
     assert main(["gen", "nope", "--out", str(out)]) == 2
@@ -1121,3 +1183,132 @@ def test_verify_catches_every_certificate_mutation_at_its_point(
                 or f"error: star certificate at {point} failed" in err
             )
             assert code == 1 and named, (mutate.__name__, point, out[-300:], err[:300])
+
+
+# ---------------------------------------------------------------------------
+# input mutation corpus: every subcommand ends in exit 0, 1 or 2 on mutated
+# inputs, with one error: line for exit 2 and no exception out of main
+
+# tokens a mutation puts in: unknown and malformed labels, integers and
+# every keyword
+_MUTANT_TOKENS = ("99_9", "x", "07", "0", "-1", "KIND", "T", "V", "K", "POINTS", "GROUP", "POINT",
+                  "CLASS", "SPECIAL", "COMMON", "RES", "STAR", "SQS")
+
+
+def _line_mutant(text, rng):
+    """1 or 2 seeded line mutations of ``text``; half of them land on a
+    keyword line, each keyword of the file as likely as any other, whose
+    values are cut, extended or changed."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        heads = {}
+        for i, line in enumerate(lines):
+            if line[:1].isupper():
+                heads.setdefault(line.split()[0], []).append(i)
+        if heads and rng.random() < 0.5:
+            i = rng.choice(heads[rng.choice(sorted(heads))])
+        else:
+            i = rng.randrange(len(lines))
+        tok = lines[i].split() or [""]
+        op = rng.choice(("bare", "extra", "drop", "replace", "delete", "duplicate", "swap"))
+        if op == "bare":
+            lines[i] = tok[0]
+        elif op == "extra":
+            lines[i] = " ".join(tok + [rng.choice(_MUTANT_TOKENS)])
+        elif op in ("drop", "replace"):
+            j = rng.randrange(len(tok))
+            tok[j:j + 1] = [rng.choice(_MUTANT_TOKENS)] if op == "replace" else []
+            lines[i] = " ".join(tok)
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        else:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(argv):
+    """The exit code and stderr of ``main(argv)``, in process; an exit 2
+    must print exactly one ``error:`` line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+def test_every_subcommand_ends_in_0_1_or_2_on_mutated_inputs(generated, construct_out, tmp_path,
+                                                            monkeypatch):
+    rng = random.Random(20261020)
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    for name in ("sqs8", "rdgdd24"):
+        run_cli("gen", name, "--out", str(gen / f"{name}.design"))
+    for name in ("sqs22.design", "sqs22.res", "sqs28.design", "sqs28.star"):
+        shutil.copy(generated / name, gen / name)
+    read_at_once = []  # the blocks of each run of block lines read at once
+    run_blocks = formats._run_blocks
+
+    def counted(*args):
+        blocks = run_blocks(*args)
+        read_at_once.append(len(blocks or ()))
+        return blocks
+
+    monkeypatch.setattr(formats, "_run_blocks", counted)
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    outcomes = []
+
+    def mutated(path, n):
+        text = path.read_text()
+        for _ in range(n):
+            bad.write_text(_line_mutant(text, rng))
+            yield bad
+
+    def keyword_mutants(path):
+        """A line of each keyword of ``path`` with no value, and with one more."""
+        lines = path.read_text().splitlines()
+        for key in sorted({line.split()[0] for line in lines if line[:1].isupper()}):
+            i = rng.choice([i for i, line in enumerate(lines) if line.split()[0] == key])
+            for line in (key, f"{lines[i]} {rng.choice(_MUTANT_TOKENS)}"):
+                bad.write_text("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n")
+                yield bad
+
+    # designs, through verify, derive and resolve
+    for name, point in (("sqs8", "0"), ("sqs22", "inf_0"), ("rdgdd24", "0_0"), ("sqs28", "0_0")):
+        for design in keyword_mutants(gen / f"{name}.design"):
+            outcomes.append(_outcome(["verify", design]))
+        for design in mutated(gen / f"{name}.design", 25):
+            outcomes.append(_outcome(["verify", design]))
+            outcomes.append(_outcome(["derive", design, point, "--out", out]))
+            outcomes.append(_outcome(["resolve", design, "--point", point, "--budget", "20"]))
+    # certificates, through verify
+    for cert in ("sqs22.res", "rdgdd24.res", "sqs28.star"):
+        design = gen / (cert.split(".")[0] + ".design")
+        for path in chain(keyword_mutants(gen / cert), mutated(gen / cert, 20)):
+            outcomes.append(_outcome(["verify", design, path]))
+    # the star certificate and its design, through construct
+    star, design = gen / "sqs28.star", gen / "sqs28.design"
+    for path in mutated(star, 4):
+        outcomes.append(_outcome(["construct", path, out / "star", "--design", design]))
+    for path in mutated(design, 4):
+        outcomes.append(_outcome(["construct", star, out / "design", "--design", path]))
+    # a point file of the construct tree, through report
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    shutil.copy(construct_out[1] / "design.design", tree / "design.design")
+    for path in mutated(construct_out[1] / "point_19_0.res", 3):
+        shutil.copy(path, tree / "point_19_0.res")
+        outcomes.append(_outcome(["report", tree]))
+    codes = [code for code, _ in outcomes]
+    assert {0, 1, 2} <= set(codes)
+    assert sum(read_at_once) > 0  # the block-run reader was reached
+    errors = "".join(err for code, err in outcomes if code == 2)
+    for needed in ("KIND takes exactly one value", "POINT takes exactly one value",
+                   "CLASS takes no value", "SPECIAL takes no value",
+                   "POINTS needs at least one label", "GROUP needs at least one label",
+                   "COMMON needs at least one label", "duplicate KIND line"):
+        assert needed in errors, needed

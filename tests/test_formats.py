@@ -9,11 +9,7 @@ import pytest
 from quadsys import Gdd, catalog, formats
 from quadsys.core import make_design, parse_label
 from quadsys.formats import (
-    _DESIGN_KINDS,
-    _KEYWORDS,
     ParseError,
-    _int,
-    _value,
     emit_design,
     emit_resolution,
     emit_star,
@@ -254,6 +250,33 @@ def test_certificate_readers_match_the_reference_tokens(monkeypatch, chunk):
         assert parse(noisy, companion) == want
 
 
+# the reference parser's own copy of the header rules
+REFERENCE_KEYWORDS = {"KIND", "T", "V", "K", "POINTS", "GROUP", "POINT", "CLASS", "SPECIAL",
+                      "COMMON"}
+REFERENCE_DESIGN_KINDS = {"SQS", "STS", "GDD", "TD", "RAW"}
+
+
+def reference_header(tok, no):
+    """The values of header line ``no``, ``tok``: KIND, T, V and POINT take
+    exactly one, CLASS and SPECIAL none, and every other keyword one or
+    more."""
+    key, values = tok[0], tok[1:]
+    if key in ("KIND", "T", "V", "POINT") and len(values) != 1:
+        raise ParseError(f"{key} takes exactly one value", no)
+    if key in ("CLASS", "SPECIAL") and values:
+        raise ParseError(f"{key} takes no value", no)
+    if key in ("K", "POINTS", "GROUP", "COMMON") and not values:
+        raise ParseError(f"{key} needs at least one {'block size' if key == 'K' else 'label'}", no)
+    return values
+
+
+def reference_int(text, key, no):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{key} value {text!r} is not an integer", no) from None
+
+
 def reference_parse_design(text):
     """The parser that read every block line as label tokens and mapped
     them to ids only once the whole file was read (reference)."""
@@ -268,37 +291,41 @@ def reference_parse_design(text):
     header_lines = {}
     for no, tok in reference_tokens(text):
         key = tok[0]
+        if key not in REFERENCE_KEYWORDS:
+            blocks.append(tuple(tok))
+            block_lines.append(no)
+            continue
+        # a header is checked for a repeat, then for its count of values,
+        # and only then for whether a design file may hold it
         if key in ("KIND", "T", "V", "K"):  # each at most once
             if key in header_lines:
                 raise ParseError(f"duplicate {key} line", no)
             header_lines[key] = no
+        values = reference_header(tok, no)
+        if key not in ("KIND", "T", "V", "K", "POINTS", "GROUP"):
+            raise ParseError(f"{key} not valid in a design file", no)
         if key == "KIND":
-            kind = _value(tok, no)
-            if kind not in _DESIGN_KINDS:
+            kind = values[0]
+            if kind not in REFERENCE_DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
         elif key == "T":
-            t, t_line = _int(_value(tok, no), key, no), no
+            t, t_line = reference_int(values[0], key, no), no
+            if t < 0:
+                raise ParseError(f"T {t} is negative", no)
         elif key == "V":
-            v, v_line = _int(_value(tok, no), key, no), no
+            v, v_line = reference_int(values[0], key, no), no
         elif key == "K":
-            if len(tok) < 2:
-                raise ParseError("K needs at least one block size", no)
-            sizes = [_int(x, key, no) for x in tok[1:]]
+            sizes = [reference_int(x, key, no) for x in values]
         elif key == "POINTS":
-            for x in tok[1:]:
+            for x in values:
                 try:
                     labels.append(parse_label(x))
                 except ValueError:
                     raise ParseError(f"malformed point label {x!r}", no) from None
             if len(set(labels)) != len(labels):
                 raise ParseError("duplicate label in POINTS", no)
-        elif key == "GROUP":
-            groups.append((no, tuple(tok[1:])))
-        elif key in _KEYWORDS:
-            raise ParseError(f"{key} not valid in a design file", no)
         else:
-            blocks.append(tuple(tok))
-            block_lines.append(no)
+            groups.append((no, tuple(values)))
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
@@ -324,8 +351,6 @@ def reference_parse_design(text):
     # in file order; a label left out is named at the last GROUP line
     group_line = {}
     for no, cell in groups:
-        if not cell:
-            raise ParseError("GROUP needs at least one label", no)
         for x in cell:
             if x not in index:
                 raise ParseError(f"unknown label {x!r} in GROUP", no)
@@ -459,7 +484,8 @@ def test_parse_design_matches_the_reference_parser():
     # and GROUP lines that do not partition the points
     for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS",
                    "above every block size", "already in a GROUP", "in no GROUP",
-                   "duplicate KIND line", "duplicate T line", "duplicate V line", "duplicate K line"):
+                   "duplicate KIND line", "duplicate T line", "duplicate V line",
+                   "duplicate K line", "POINTS needs at least one label", "takes exactly one value"):
         assert any(needed in outcome for outcome in outcomes), needed
 
 
@@ -595,6 +621,14 @@ def _point_file_mutants(text, other, rng):
     yield "duplicate POINT", text + "\n".join(lines[1:]) + "\n"
     yield "no final newline", text[:-1]
     yield "two POINT sections", text + other.split("\n", 1)[1]
+    # headers with a token too many or too few
+    assert lines[0].startswith("KIND ") and lines[1].startswith("POINT ")
+    yield "second KIND", "\n".join(lines[:2] + lines[:1] + lines[2:]) + "\n"
+    yield "bare KIND", "\n".join(["KIND"] + lines[1:]) + "\n"
+    yield "bare POINT", "\n".join(lines[:1] + ["POINT"] + lines[2:]) + "\n"
+    yield "POINT with two values", "\n".join(lines[:1] + [lines[1] + " x"] + lines[2:]) + "\n"
+    i = classes[len(classes) // 2]
+    yield "CLASS with a value", "\n".join(lines[:i] + ["CLASS 5"] + lines[i + 1:]) + "\n"
 
 
 def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_tree):
@@ -606,10 +640,13 @@ def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_
         for kind, mutant in _point_file_mutants(text, other, rng):
             fast, slow = _both_readers(parse_resolution, mutant, design)
             assert fast == slow, kind
-            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0].split(" ")[0]))
+            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0]))
     # the corpus reaches accepted files and each error of the reader
-    outcomes = {outcome for _, outcome in kinds}
+    outcomes = {outcome.split(" ")[0] for _, outcome in kinds}
     assert {"parsed", "unknown", "POINT", "empty", "duplicate"} <= outcomes, kinds
+    messages = {outcome for _, outcome in kinds}
+    assert {"duplicate KIND line", "KIND takes exactly one value", "POINT takes exactly one value",
+            "CLASS takes no value"} <= messages, kinds
 
 
 def _star_texts(tmp_path):
@@ -661,14 +698,25 @@ def test_parse_star_matches_the_line_reader_on_mutated_star_files(tmp_path):
         i = rng.choice(commons)
         mutants = list(_point_file_mutants(short, other, rng))
         mutants.append(("dropped COMMON", "".join(lines[:i] + lines[i + 1:heads[4]])))
+        # the star headers with a token too many or too few
+        mutants.append(("bare COMMON", "".join(lines[:i] + ["COMMON\n"] + lines[i + 1:heads[4]])))
+        mutants.append(("bare GROUP", "".join(lines[:i - 1] + ["GROUP\n"] + lines[i:heads[4]])))
+        assert lines[2] == "SPECIAL\n" and lines[i - 1].startswith("GROUP ")
+        mutants.append(("SPECIAL with a value",
+                        "".join(lines[:2] + ["SPECIAL 1_0\n"] + lines[3:heads[4]])))
         for kind, mutant in mutants:
             fast, slow = _both_readers(parse_star, mutant, design)
             assert fast == slow, kind
-            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0].split(" ")[0]))
-    outcomes = {outcome for _, outcome in kinds}
+            kinds.add((kind, "parsed" if isinstance(fast, dict) else fast[0]))
+    outcomes = {outcome.split(" ")[0] for _, outcome in kinds}
     # accepted files, unknown labels, cut groups and classes, a CLASS with no
     # COMMON, a keyword line out of place and a duplicate POINT
     assert {"parsed", "unknown", "each", "class", "CLASS", "K", "duplicate"} <= outcomes, kinds
+    # and each header with a token too many or too few
+    messages = {outcome for _, outcome in kinds}
+    assert {"duplicate KIND line", "KIND takes exactly one value", "POINT takes exactly one value",
+            "CLASS takes no value", "SPECIAL takes no value", "COMMON needs at least one label",
+            "GROUP needs at least one label"} <= messages, kinds
 
 
 def test_parse_resolution_peak_stays_near_what_it_keeps():
@@ -823,7 +871,9 @@ def test_group_lines_are_optional_in_a_star_file():
 
 @pytest.mark.parametrize(
     "text,message",
-    [("KIND\n", "line 1: KIND takes"), ("KIND STAR\nPOINT\n", "line 2: POINT takes")],
+    [("KIND\n", "line 1: KIND takes"), ("KIND STAR\nPOINT\n", "line 2: POINT takes"),
+     ("KIND STAR\nPOINT 0_0\nGROUP\n", "line 3: GROUP needs at least one label"),
+     ("KIND STAR\nPOINT 0_0\nCOMMON\n", "line 3: COMMON needs at least one label")],
 )
 def test_parse_star_rejects_header_without_value(text, message):
     with pytest.raises(ParseError, match=message):
