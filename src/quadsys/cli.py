@@ -5,7 +5,14 @@ coverage, none mean Steiner coverage, and a certificate's KIND line picks
 its check (RES: every section, STAR: the star certificate).  ``verify`` on
 a RES file and ``report`` make the same claims through ``_check_sections``:
 one per section, then ``every point resolved k/v`` unless the only
-sections are ``POINT *``.
+sections are ``POINT *``, then ``overlarge set of KTS(v-1)`` once one
+section passed at every point of an S(3, 4, v) that passed its Steiner
+check.  There a section passes if ``section_ranks`` accepts it and its
+point owns every rank (``owner_table``, ``owns``): the owner route.  Any
+other section (one that failed there, a ``POINT *`` one, a GDD's, or one
+of a design that failed its Steiner check) takes the frame route,
+``verify_resolution`` against the derived frame, which words every
+failing line.
 
 Every input file is read by ``_parse_file``, so a parse error names its
 file: ``error: FILE: line N: ...``.  Exit codes: 0 all checks passed, 1 a
@@ -18,10 +25,18 @@ wall time, never output.
 in the process that proved it; with --jobs > 1 a worker takes the four
 points over one star point at a time, so it plans them once.  ``report``
 proves its point files on one worker per usable CPU (so ``taskset`` bounds
-them), at most one per file; each worker reads its own files.  Workers are
-forked by ``_map_jobs``, which deals each of them every n-th run of items
-and reads their pickled results back in item order; a worker that dies
-without sending its results is an error (exit 2), never a traceback.
+them), at most one per file; each worker reads its own files.  On an
+S(3, 4, v) by the header of ``design.design`` (its keyword lines before
+the first block), the workers fork once the header is read and rank their
+files with its labels while the parent parses and proves the design and
+fills the owner table; other designs are proved first, and their workers
+take the frame route.  Workers are forked by ``_jobs``, which deals each
+of them every n-th run of items, reads their pickled results back in item
+order and, when left by any path (a design that fails to parse after the
+fork included), closes their pipes and reaps every one; ``_map_jobs`` is
+``_jobs`` as a generator that forks at its first ``next()``.  A worker
+that dies without sending its results is an error (exit 2), never a
+traceback.
 
 Each subcommand imports only what it runs.  Importing this module loads
 ``core``, ``formats`` and ``star``, which is all that ``verify``, ``derive``
@@ -30,13 +45,14 @@ and ``report`` use.  ``construct`` imports ``quadruple`` (and with it
 ``catalog``, which builds on ``quadruple``; ``resolve`` imports
 ``resolver``.
 """
-
 from __future__ import annotations
 
 import argparse
 import errno
 import os
 import sys
+from contextlib import contextmanager, nullcontext, suppress
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -47,6 +63,9 @@ from .core import (
     ParameterError,
     VerifyReport,
     derived_design,
+    owner_table,
+    owns,
+    section_ranks,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -65,16 +84,26 @@ def _claim(name: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
-def _parse_file(path, parse, *args):
-    """``parse`` of the text of the input file ``path``.  A file that is
-    not UTF-8 or fails to parse is a usage error that names the file."""
+def _read_text(path) -> str:
+    """The text of the input file ``path``; a file that is not UTF-8 is a
+    usage error that names it."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         detail = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
-    except (formats.ParseError, ParameterError) as exc:
-        detail = str(exc)
     raise ParameterError(f"{path}: {detail}")
+
+
+def _parse_file(path, parse, *args, text: str | None = None):
+    """``parse`` of the text of the input file ``path``, or of ``text`` if
+    it was read already.  A file that fails to parse is a usage error that
+    names it."""
+    if text is None:
+        text = _read_text(path)
+    try:
+        return parse(text, *args)
+    except (formats.ParseError, ParameterError) as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -115,18 +144,27 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-# what every job reads, set by _map_jobs before any job runs or worker forks
+# what every job reads, set by _jobs before any job runs or worker forks
 _SHARED = None
+# bytes a worker's pipe holds, so that a worker need not wait while its
+# parent is busy with work of its own (report's 112 rankings take 0.9 MB)
+_PIPE_BYTES = 1 << 20
 
 
-def _verify_res_section(item) -> tuple[str, bool, str]:
-    point, classes = item
-    res = formats.resolution_for_point(_SHARED, point, classes)
-    rep = verify_resolution(res)
+def _resolution_claim(design: Design, point: str, classes) -> tuple[str, bool, str]:
+    """(point, passed, detail) of the frame route: ``verify_resolution`` of
+    the classes at ``point`` against the frame that
+    ``formats.resolution_for_point`` cuts from ``design``."""
+    rep = verify_resolution(formats.resolution_for_point(design, point, classes))
     detail = f"classes={len(classes)}"
     if not rep.passed:
         detail += f" {rep.violations[:2]}"
     return point, rep.passed, detail
+
+
+def _verify_res_section(item) -> tuple[str, bool, str]:
+    """``_resolution_claim`` of a section (point, classes) of ``_SHARED``."""
+    return _resolution_claim(_SHARED, *item)
 
 
 def _verify_res_file(path) -> list[tuple[str, bool, str]]:
@@ -135,18 +173,57 @@ def _verify_res_file(path) -> list[tuple[str, bool, str]]:
     return [_verify_res_section(item) for item in sections.items()]
 
 
-def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
-    """``func`` over ``items`` in order, with ``shared`` as ``_SHARED``: in
-    this process for one job (or no ``os.fork``), else in n forked workers,
-    worker w taking runs w, w + n, ... of ``chunk`` items.  Runs are read in
-    item order, so the first failed one raises here (a worker that dies first
-    is a ``ChildProcessError``); the workers are then stopped and reaped."""
+def _ranked(item) -> tuple[str, int, object]:
+    """(point, class count, ``section_ranks``) of a section (point,
+    classes), with the v and labels of ``_SHARED``; no ranks at WHOLE."""
+    point, classes = item
+    if point == formats.WHOLE:
+        return point, len(classes), None
+    return point, len(classes), section_ranks(_SHARED.v, _SHARED.label_index[point], classes)
+
+
+def _ranked_file(path) -> list[tuple[str, int, object]]:
+    """``_ranked`` of each section of the point file ``path``, read with the
+    labels of ``_SHARED``."""
+    return list(map(_ranked, _parse_file(path, formats.parse_resolution, _SHARED).items()))
+
+
+def _owner_claims(design: Design, owner, ranked, reread):
+    """(point, passed, detail) of each (point, class count, ranks) of
+    ``ranked``: passed by the owner table ``owner`` where the point owns
+    every rank, else the frame route's claim on its classes in
+    ``reread()``, which is called at most once, so a failing line reads as
+    it always has.  With no table (the Steiner check failed), every section
+    takes the frame route."""
+    sections = None
+    for point, n, ranks in ranked:
+        if owner is not None and ranks is not None and owns(owner, design.label_index[point], ranks):
+            yield point, True, f"classes={n}"
+            continue
+        if sections is None:
+            sections = reread()
+        yield _resolution_claim(design, point, sections[point])
+
+
+def _is_sqs(d: Design) -> bool:
+    """Whether ``d`` claims to be an S(3, 4, v), the shape of the owner route."""
+    return d.t == 3 and d.sizes == {4} and not d.groups
+
+
+@contextmanager
+def _jobs(jobs: int, func, items, shared, chunk: int = 1):
+    """The results of ``func`` over ``items``, in order, with ``shared`` as
+    ``_SHARED``: in this process for one job (or no ``os.fork``), else from
+    n workers forked on entry, worker w taking runs w, w + n, ... of
+    ``chunk`` items.  Runs are read in item order, so the first failed one
+    raises there (a worker that dies first is a ``ChildProcessError``).  On
+    exit, by any path, the workers are stopped and reaped."""
     global _SHARED
     _SHARED = shared
     if jobs <= 1 or not hasattr(os, "fork"):
-        yield from map(func, items)
+        yield map(func, items)
         return
-    import pickle
+    import fcntl
 
     items = list(items)
     runs = [items[i:i + chunk] for i in range(0, len(items), chunk)]
@@ -155,6 +232,8 @@ def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
     try:
         for w in range(n):
             fd, out = os.pipe()
+            with suppress(AttributeError, OSError):  # where the system lets the pipe grow
+                fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             pid = os.fork()
             if pid == 0:
                 os.close(fd)
@@ -163,24 +242,39 @@ def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
                 _work(out, func, runs[w::n])
             os.close(out)
             workers[pid] = os.fdopen(fd, "rb")
-        pids = list(workers)
-        for i in range(len(runs)):
-            pid = pids[i % n]
-            try:
-                ok, value = pickle.load(workers[pid])
-            except (EOFError, pickle.UnpicklingError):
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                workers.pop(pid).close()
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise ChildProcessError(f"a worker {how} before it sent its results") from None
-            if not ok:
-                raise value
-            yield from value
+        yield _results(workers, len(runs))
     finally:
         for pipe in workers.values():
             pipe.close()
         for pid in workers:
             os.waitpid(pid, 0)
+
+
+def _results(workers: dict, n_runs: int):
+    """The results of ``n_runs`` runs, read one run at a time from the
+    pipes of ``workers`` in turn."""
+    import pickle
+
+    pids = list(workers)
+    for i in range(n_runs):
+        pid = pids[i % len(pids)]
+        try:
+            ok, value = pickle.load(workers[pid])
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(pid).close()
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"a worker {how} before it sent its results") from None
+        if not ok:
+            raise value
+        yield from value
+
+
+def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
+    """``_jobs`` as one generator: the workers fork at its first ``next()``
+    and are reaped when it ends or is closed."""
+    with _jobs(jobs, func, items, shared, chunk) as results:
+        yield from results
 
 
 def _work(fd: int, func, runs) -> None:
@@ -204,13 +298,15 @@ def _work(fd: int, func, runs) -> None:
         os._exit(1)  # the parent reports the run it did not get
 
 
-def _check_sections(d: Design, results) -> bool:
-    """One claim per (point, passed, detail) result of
-    ``_verify_res_section``, in order: the derived resolution at the point,
-    framed as ``d`` frames it, or at ``formats.WHOLE`` the resolution of
-    the design itself, passes ``verify_resolution``.  Then, unless every
-    section is a WHOLE one, the claim that each point has exactly one
-    section.  Returns whether every claim passed.
+def _check_sections(d: Design, results, owner: bool = False) -> bool:
+    """One claim per (point, passed, detail) result, in order: the derived
+    resolution at the point, framed as ``d`` frames it, or at
+    ``formats.WHOLE`` the resolution of the design itself, passes.  Then,
+    unless every section is a WHOLE one, the claim that each point has
+    exactly one section.  With ``owner`` (``d`` is an S(3, 4, v) that
+    passed the Steiner check), a tree of one passing section at every point
+    and no WHOLE one also claims the overlarge set of KTS(v - 1) that the
+    derived designs make.  Returns whether every claim passed.
     """
     ok, points, whole = True, [], False
     for point, passed, detail in results:
@@ -223,6 +319,8 @@ def _check_sections(d: Design, results) -> bool:
     if points or not whole:
         every = sorted(points) == sorted(d.label_index)
         ok &= _claim("every point resolved", every, f"{len(points)}/{d.v}")
+        if owner and ok and not whole:
+            _claim(f"overlarge set of KTS({d.v - 1})", True)
     return ok
 
 
@@ -251,7 +349,12 @@ def cmd_verify(args) -> int:
         items = sorted(
             parsed.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
         )
-        ok &= _check_sections(design, _map_jobs(args.jobs, _verify_res_section, items, design))
+        if coverage.passed and _is_sqs(design):
+            ranked = _map_jobs(args.jobs, _ranked, items, design)
+            claims = _owner_claims(design, owner_table(design), ranked, lambda: parsed)
+            ok &= _check_sections(design, claims, owner=True)
+        else:
+            ok &= _check_sections(design, _map_jobs(args.jobs, _verify_res_section, items, design))
     elif kind == "STAR":
         star = StarCertificate(design, {c.point: c for c in parsed.values()})
         rep = verify_star(star, None if design.groups else coverage)
@@ -358,14 +461,33 @@ def cmd_resolve(args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
-    design = _parse_file(out_dir / "design.design", formats.parse_design)
-    ok = _check_coverage(design).passed
-    design.incidence  # built before the workers fork, so each inherits it
+    path = out_dir / "design.design"
     paths = sorted(out_dir.glob("point_*.res"))
     jobs = min(len(os.sched_getaffinity(0)), len(paths))
-    results = _map_jobs(jobs, _verify_res_file, paths, design)
-    ok &= _check_sections(design, chain.from_iterable(results))
-    return OK if ok else FAIL
+    text = _read_text(path)
+    head = _parse_file(path, formats.parse_design, True, text=text)
+    early = head is not None and _is_sqs(head)
+    # on an S(3, 4, v) by its header, the workers rank the point files while
+    # this process reads and proves the design and fills the owner table
+    with _jobs(jobs, _ranked_file, paths, head) if early else nullcontext() as ranked:
+        design = _parse_file(path, formats.parse_design, text=text)
+        del text
+        coverage = _check_coverage(design)
+        if _is_sqs(design):
+            if not early or design.labels != head.labels:  # ranked too late or on other labels
+                ranked = _map_jobs(jobs, _ranked_file, paths, design)
+            owner = owner_table(design) if coverage.passed else None
+            claims = chain.from_iterable(
+                _owner_claims(design, owner, sections,
+                              partial(_parse_file, p, formats.parse_resolution, design))
+                for p, sections in zip(paths, ranked)
+            )
+            ok = _check_sections(design, claims, owner is not None)
+        else:
+            design.incidence  # built before the workers fork, so each inherits it
+            results = _map_jobs(jobs, _verify_res_file, paths, design)
+            ok = _check_sections(design, chain.from_iterable(results))
+    return OK if coverage.passed and ok else FAIL
 
 
 # ---------------------------------------------------------------------------

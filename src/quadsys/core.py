@@ -22,6 +22,10 @@ lowest rank first.
 does not already imply the answer: when a non-cross t-set is covered,
 some block is shorter than t, or t < 2.  ``verify_resolution`` decides by
 set tests, and by the tallies that name its witnesses where those cannot.
+In an S(3, 4, v) each 3-set lies in one block, whose fourth point owns it,
+so the derived designs at the v points partition the 3-sets:
+``owner_table`` holds each 3-set's owner by colex rank, and a resolution of
+the derived design at x is proved by ``section_ranks`` and ``owns``.
 """
 
 from __future__ import annotations
@@ -562,6 +566,67 @@ def verify_gdd(d: Design) -> VerifyReport:
             break
     rep.counts["groups"] = len(d.groups)
     return rep
+
+
+@lru_cache(maxsize=16)
+def _comb_tables(v: int) -> tuple[list[int], list[int]]:
+    """C(p, 2) and C(p, 3) for p in 0..v-1: the colex rank of a 3-set
+    a < b < c is a + C(b, 2) + C(c, 3)."""
+    return [math.comb(p, 2) for p in range(v)], [math.comb(p, 3) for p in range(v)]
+
+
+def owner_table(d: Design):
+    """The owner of each 3-set of an S(3, 4, v) ``d`` that passed
+    ``verify_steiner``, by colex rank: the fourth point of the one block
+    through it.  The derived design at x is then exactly the 3-sets that x
+    owns.  One byte a rank up to v = 256, else two (``array('H')``)."""
+    from array import array
+
+    t2, t3 = _comb_tables(d.v)
+    n = math.comb(d.v, 3)
+    owner = bytearray(n) if d.v <= 256 else array("H", bytes(2 * n))
+    for a, b, c, x in d.blocks:
+        ab = a + t2[b]
+        cx = t2[c] + t3[x]
+        owner[ab + t3[c]] = x
+        owner[ab + t3[x]] = c
+        owner[a + cx] = b
+        owner[b + cx] = a
+    return owner
+
+
+def section_ranks(v: int, x: int, classes: Sequence[Sequence[Block]]) -> "array | None":
+    """The colex ranks of the blocks of ``classes``, as ``array('I')``, if
+    each class partitions the points 0..v-1 other than x into 3-sets, and
+    the ranks are distinct and (v - 1)(v - 2)/6 in number; else None.
+
+    In an S(3, 4, v) that passed ``verify_steiner``, the classes are a
+    resolution of the derived design at x exactly when they pass here and
+    x owns every rank (``owner_table``): the ranks are then as many as that
+    design's triples, all distinct and all among them."""
+    ground = set(range(v))
+    ground.discard(x)
+    for cls in classes:
+        if sum(map(len, cls)) != v - 1 or set().union(*cls) != ground:
+            return None
+    blocks = list(itertools.chain.from_iterable(classes))
+    if set(map(len, blocks)) != {3}:
+        return None
+    from array import array
+
+    t2, t3 = _comb_tables(v)
+    flat = list(itertools.chain.from_iterable(blocks))
+    a, b, c = flat[0::3], flat[1::3], flat[2::3]
+    ranks = array("I", map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
+                           map(t3.__getitem__, c)))
+    if len(ranks) != (v - 1) * (v - 2) // 6 or len(set(ranks)) != len(ranks):
+        return None
+    return ranks
+
+
+def owns(owner, x: int, ranks: Sequence[int]) -> bool:
+    """Whether x owns every rank of ``ranks`` in the table ``owner``."""
+    return _getter(ranks)(owner).count(x) == len(ranks)
 
 
 def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, object] | None:

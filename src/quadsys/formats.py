@@ -161,25 +161,30 @@ def _checked(text: str, ids: Callable[[str], int], once: dict[str, int], ascendi
 
 
 def _int(text: str, key: str, no: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{key} value {text!r} is not an integer", no) from None
+    """A header integer: ASCII digits, with a "-" before them or not."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ParseError(f"{key} value {text!r} is not an integer", no)
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
 # designs
 
 
-def parse_design(text: str) -> Design:
+def parse_design(text: str, head: bool = False) -> Design | None:
     """The design a design file states: with GROUP lines, a ``Gdd`` whose
-    GROUP lines partition the POINTS labels.
+    GROUP lines partition the POINTS labels.  With ``head``, only the header
+    is read, the keyword lines before the first block line: the result is
+    the plain design it states with no blocks, or None if it holds a GROUP
+    line or lacks a KIND, T, K or POINTS line.
 
     Block lines are mapped to point ids as they are read, through a label
     index that grows at every POINTS line; a line naming a label of a later
     POINTS line is kept as tokens and resolved once the file is read.  The
-    header checks run first, then ``make_design`` checks each block once;
-    only a rejected block makes the text be read again for its line.
+    header checks run first.  If every block came from a run of ascending
+    ids of a size in K, and the runs are in block order, the blocks are
+    kept as read; else ``make_design`` checks each block once.  Only a
+    rejected block makes the text be read again for its line.
     """
     kind = t = v = None
     heads: dict[str, int] = {}  # the line of each KIND, T, V and K header, as _checked keeps it
@@ -190,12 +195,17 @@ def parse_design(text: str) -> Design:
     groups: list[tuple[int, tuple[str, ...]]] = []
     blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
     late: list[int] = []  # positions in blocks of the token lists
-    for no, tok in _checked(text, ids, heads):
+    run_sizes: set[int] = set()  # the block size of each run, 0 for a block line read alone
+    for no, tok in _checked(text, ids, heads, ascending=True):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
+            if head:
+                break
             if type(key) is tuple:  # a run of blocks
                 blocks += tok
+                run_sizes.add(len(key))
                 continue
+            run_sizes.add(0)
             try:
                 blocks.append(tuple(map(ids, tok)))
             except KeyError:
@@ -213,6 +223,8 @@ def parse_design(text: str) -> Design:
             v = _int(tok[1], key, no)
         elif key == "K":
             sizes = [_int(x, key, no) for x in tok[1:]]
+            if min(sizes) < 1:
+                raise ParseError(f"K size {min(sizes)} is below 1", no)
         elif key == "POINTS":
             for x in tok[1:]:
                 try:
@@ -227,16 +239,24 @@ def parse_design(text: str) -> Design:
             groups.append((no, tuple(tok[1:])))
         else:
             raise ParseError(f"{key} not valid in a design file", no)
+    if head:
+        whole = kind is not None and t is not None and sizes and labels and not groups
+        return Design(t, frozenset(sizes), tuple(labels), (), kind) if whole else None
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
         raise ParseError(f"V {v} does not match {len(labels)} labels", heads["V"])
     if t > max(sizes):
         raise ParseError(f"T {t} is above every block size in K={sizes}", heads["T"])
+    # runs alone (no late block), each of ascending ids of a size in K, in order
+    proved = run_sizes.issubset(sizes) and all(map(operator.le, blocks, islice(blocks, 1, None)))
     try:
         for i in late:
             blocks[i] = tuple(map(ids, blocks[i]))
-        design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
+        if proved:
+            design = Design(t, frozenset(sizes), tuple(labels), tuple(blocks), kind)
+        else:
+            design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
     except (KeyError, ParameterError):  # name the first failing line in file order
         for i, b in enumerate(blocks):
             if isinstance(b, list):

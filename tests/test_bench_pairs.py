@@ -267,3 +267,39 @@ def test_tier1_runs_once_in_a_copy_and_reads_pytest_counts(monkeypatch, tmp_path
                      tmp_path / "change", os.pathsep.join(["src", "extra"]), "1", False)]
     monkeypatch.delenv("PYTHONPATH")
     assert bench_pairs.tier1(tmp_path)["passed"] == 329 and seen[-1][2] == "src"
+
+
+def test_aa_pairs_run_the_parent_against_its_copy_on_the_first_seeds(monkeypatch, tmp_path, capsys):
+    # bench/run.py is stubbed: each run's check_s is read from its checkout
+    calls = []
+    check_s = {"parent": 1.0, "change": 0.8, "aa": 1.1}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seed, trace = argv[argv.index("--seed") + 1], argv[argv.index("--trace") + 1]
+        calls.append((cwd.name, int(seed), int(trace)))
+        return subprocess.CompletedProcess(argv, 0, _stdout(2, "ab", check_s[cwd.name]), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    metrics = [{"name": "check_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    sides = {side: tmp_path / side for side in ("parent", "change", "aa")}
+    entry = bench_pairs.measure(sides, "rdsqs112", [5, 6, 7], 1.0, metrics, [], aa_pairs=2)
+    untraced = [c[:2] for c in calls if c[2] == 0]
+    assert untraced == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+                        ("parent", 7), ("change", 7),
+                        ("parent", 5), ("aa", 5), ("aa", 6), ("parent", 6)]
+    assert entry["metrics"]["check_s"]["lower"] == "3 of 3"
+    aa = entry["aa"]
+    assert aa["seeds"] == [5, 6] and aa["parent_first"] == [True, False]
+    assert aa["metrics"]["check_s"]["pairs"] == [[1.0, 1.1], [1.0, 1.1]]
+    assert aa["metrics"]["check_s"]["median_change"] == pytest.approx(0.1)
+    assert aa["metrics"]["check_s"]["lower"] == "0 of 2"
+    assert bench_pairs.print_summary("rdsqs112", entry) == 0
+    out = capsys.readouterr().out
+    assert "rdsqs112 check_s (A/A): 1 [1, 1] -> 1.1 [1.1, 1.1], lower in 0 of 2\n" in out
+    # an A/A run that is not correct is no fault of the change
+    aa["correct"]["change"][0] = False
+    assert bench_pairs.change_faults(entry) == []
+    # without A/A pairs the record and the runs are as before
+    calls.clear()
+    entry = bench_pairs.measure(sides, "rdsqs112", [5, 6, 7], 1.0, metrics, [])
+    assert "aa" not in entry and all(c[0] != "aa" for c in calls)

@@ -19,6 +19,7 @@ from quadsys import (
     Gdd,
     catalog,
     cli,
+    core,
     formats,
     quadruple,
     resolver,
@@ -127,13 +128,20 @@ def run_cli_process(*argv):
         ("KIND SQS\nT 3\nV 4 4\nK 4\n", 3),
         ("KIND SQS\nT 3\nK 4\nPOINTS\n", 4),
         ("KIND SQS\nT 3\nK 4\nGROUP\n", 4),
+        # header integers are ASCII digits, and a block size is at least 1
+        ("KIND SQS\nT 3\nK 4 99_9\n", 3),
+        ("KIND SQS\nT 3\nK 4 -1\n", 3),
+        ("KIND SQS\nT 3\nK 4 0\n", 3),
+        ("KIND SQS\nT +3\nK 4\n", 2),
+        ("KIND SQS\nT 3\nK \u0664\n", 3),
     ],
     ids=["bare KIND", "bare T", "T x", "T -1", "bare V", "V 4.0", "bare K", "K 4 y", "T twice",
-         "KIND SQS x", "T 3 4", "V 4 4", "bare POINTS", "bare GROUP"],
+         "KIND SQS x", "T 3 4", "V 4 4", "bare POINTS", "bare GROUP", "K 4 99_9", "K 4 -1",
+         "K 4 0", "T +3", "K non-ASCII digit"],
 )
 def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
     path = tmp_path / "bad.design"
-    path.write_text(header + "POINTS 0 1 2 3\n0 1 2 3\n")
+    path.write_text(header + "POINTS 0 1 2 3\n0 1 2 3\n", encoding="utf-8")
     proc = run_cli_process("verify", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -181,7 +189,9 @@ def test_gen_sqs22_with_certificate_and_rdsqs_verify(tmp_path):
     assert res.exists()
     code, out = run_cli("verify", str(design), str(res))
     assert code == 0
-    assert out.count("PASS") == 24  # steiner + coverage + 22 points
+    assert out.count("PASS") == 25  # steiner + 22 points + every point + the overlarge set
+    assert out.splitlines()[-2:] == ["PASS every point resolved 22/22",
+                                     "PASS overlarge set of KTS(21)"]
 
 
 def test_jobs_flag_does_not_change_output(tmp_path):
@@ -499,7 +509,7 @@ def test_no_subcommand_imports_a_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == lines[-1] == "[]"
-    assert lines[-2] == "PASS every point resolved 112/112"
+    assert lines[-3:-1] == ["PASS every point resolved 112/112", "PASS overlarge set of KTS(111)"]
 
 
 def test_construct_on_two_jobs_deals_out_whole_star_points(tmp_path, monkeypatch):
@@ -628,11 +638,12 @@ def test_report_of_a_point_file_that_is_a_directory_or_of_none(construct_out, tm
     assert code == 1 and err == "" and out.splitlines()[-1] == "FAIL every point resolved 0/112"
 
 
-def _sqs22_point_files(out_dir):
-    """A report directory of SQS(22) resolutions, one file per point."""
+def _catalog_point_files(out_dir, name="sqs22"):
+    """A report directory of the shipped resolutions of the catalog design
+    ``name``, one file per point."""
     out_dir.mkdir()
-    run_cli("gen", "sqs22", "--out", str(out_dir / "design.design"))
-    d = catalog.sqs22()
+    run_cli("gen", name, "--out", str(out_dir / "design.design"))
+    d = catalog.GENERATORS[name]()
     sections = parse_resolution((out_dir / "design.res").read_text(), d)
     (out_dir / "design.res").unlink()
     for point, classes in sections.items():
@@ -644,7 +655,7 @@ def test_report_on_a_pool_prints_each_claim_once_through_a_pipe(tmp_path):
     # a worker that flushed the stdout buffer it inherits would print the
     # claims made before the fork a second time
     out_dir = tmp_path / "out"
-    _sqs22_point_files(out_dir)
+    _catalog_point_files(out_dir)
     code = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -660,10 +671,10 @@ def test_report_on_a_pool_prints_each_claim_once_through_a_pipe(tmp_path):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert len(lines) == len(set(lines)) == 24
+    assert len(lines) == len(set(lines)) == 25
     assert lines[0].startswith("PASS steiner coverage ")
     assert sum(line.startswith("PASS derived resolution at ") for line in lines) == 22
-    assert lines[-1] == "PASS every point resolved 22/22"
+    assert lines[-2:] == ["PASS every point resolved 22/22", "PASS overlarge set of KTS(21)"]
 
 
 def test_a_parse_error_in_a_pool_job_reaches_the_caller_intact():
@@ -714,14 +725,31 @@ def test_a_worker_that_dies_is_an_error_not_a_traceback(how, says):
 
 
 def test_a_dead_report_worker_exits_2_with_one_error_line(tmp_path, monkeypatch):
+    # an SQS tree: the workers rank the point files for the owner route
     out_dir = tmp_path / "out"
-    _sqs22_point_files(out_dir)
-    verify_file = cli._verify_res_file
+    _catalog_point_files(out_dir)
+    ranked_file = cli._ranked_file
     die = _dies_at(out_dir / "point_5.res", _exit_3)
+    monkeypatch.setattr(cli, "_ranked_file", lambda path: ranked_file(die(path)))
+    code, out, err = report_on(out_dir, {0, 1})
+    assert code == 2
+    assert err == "error: a worker exited with status 3 before it sent its results\n"
+    with pytest.raises(ChildProcessError):  # both workers were reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_report_worker_on_a_gdd_tree_exits_2_with_one_error_line(tmp_path, monkeypatch):
+    # a GDD tree takes today's route, each worker proving its files whole
+    out_dir = tmp_path / "out"
+    _catalog_point_files(out_dir, "rdgdd24")
+    verify_file = cli._verify_res_file
+    die = _dies_at(out_dir / "point_5_0.res", _exit_3)
     monkeypatch.setattr(cli, "_verify_res_file", lambda path: verify_file(die(path)))
     code, out, err = report_on(out_dir, {0, 1})
     assert code == 2
     assert err == "error: a worker exited with status 3 before it sent its results\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_jobs_run_in_process_without_fork(monkeypatch):
@@ -733,9 +761,10 @@ def test_jobs_run_in_process_without_fork(monkeypatch):
 def test_report_needs_every_point_once(tmp_path):
     # a second copy of one point must not stand in for a missing point
     out_dir = tmp_path / "out"
-    _sqs22_point_files(out_dir)
+    _catalog_point_files(out_dir)
     code, out = run_cli("report", str(out_dir))
-    assert code == 0 and out.splitlines()[-1] == "PASS every point resolved 22/22"
+    assert code == 0 and out.splitlines()[-2:] == ["PASS every point resolved 22/22",
+                                                   "PASS overlarge set of KTS(21)"]
     assert "PASS derived resolution at 7 classes=10" in out
     (out_dir / "point_7.res").write_text((out_dir / "point_8.res").read_text())
     code, out = run_cli("report", str(out_dir))
@@ -745,6 +774,131 @@ def test_report_needs_every_point_once(tmp_path):
         path.unlink()
     code, out = run_cli("report", str(out_dir))
     assert code == 1 and out.splitlines()[-1] == "FAIL every point resolved 0/22"
+
+
+# ---------------------------------------------------------------------------
+# the owner route: on an S(3, 4, v) the workers rank each point file's
+# triples while the parent reads the design and fills the owner table
+
+
+def _relabelled(text, swap):
+    """``text`` with each token that ``swap`` maps replaced by its image."""
+    return "".join(" ".join(swap.get(tok, tok) for tok in line.split()) + "\n"
+                   for line in text.splitlines())
+
+
+def test_report_fails_at_each_point_whose_section_it_does_not_own(construct_out, tmp_path):
+    out_dir = tmp_path / "out"
+    shutil.copytree(construct_out[1], out_dir)
+    design = parse_design((out_dir / "design.design").read_text())
+
+    def edit(label, change):
+        path = out_dir / f"point_{label}.res"
+        lines = path.read_text().splitlines()
+        i = lines.index("CLASS") + 1  # the first two triples of the first class
+        lines[i], lines[i + 1] = change(lines[i], lines[i + 1])
+        path.write_text("\n".join(lines) + "\n")
+
+    # a label swapped between two block lines of one class: still a class
+    edit("19_0", lambda one, two: (" ".join(two.split()[:1] + one.split()[1:]),
+                                   " ".join(one.split()[:1] + two.split()[1:])))
+    # one triple repeated and the one after it dropped
+    edit("7_3", lambda one, two: (one, one))
+    # the point files of x and y, each the other's relabelled by (x y):
+    # each section resolves 3-sets on its own ground, but not its own 3-sets
+    x, y = "3_1", "20_2"
+    texts = {p: (out_dir / f"point_{p}.res").read_text() for p in (x, y)}
+    for p, q in ((x, y), (y, x)):
+        (out_dir / f"point_{p}.res").write_text(_relabelled(texts[q], {x: y, y: x}))
+        (classes,) = parse_resolution(_relabelled(texts[q], {x: y, y: x}), design).values()
+        assert core.section_ranks(design.v, design.label_index[p], classes) is not None
+    code, out, err = report_both_ways(out_dir)
+    assert code == 1 and err == ""
+    # each failing line is the frame route's claim, word for word
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    want = []
+    for path in sorted(out_dir.glob("point_*.res")):
+        for point, classes in parse_resolution(path.read_text(), design).items():
+            point, passed, detail = cli._resolution_claim(design, point, classes)
+            if not passed:
+                want.append(f"FAIL derived resolution at {point} {detail}")
+    assert failed == want and len(want) == 4
+    assert [line.split()[4] for line in failed] == ["19_0", "20_2", "3_1", "7_3"]
+    assert out.splitlines()[-1] == "PASS every point resolved 112/112"
+
+
+def test_a_design_that_breaks_after_its_header_exits_2_and_reaps_every_worker(
+    construct_out, tmp_path
+):
+    out_dir = tmp_path / "out"
+    shutil.copytree(construct_out[1], out_dir)
+    path = out_dir / "design.design"
+    lines = path.read_text().splitlines()
+    lines[-1] = " ".join(["99_9"] + lines[-1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = report_both_ways(out_dir)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line {len(lines)}: unknown label '99_9'\n"
+    with pytest.raises(ChildProcessError):  # the workers forked on the header are reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_report_on_an_sqs_that_fails_its_steiner_check_proves_each_section_by_frame(tmp_path):
+    out_dir = tmp_path / "out"
+    _catalog_point_files(out_dir)
+    path = out_dir / "design.design"
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-2]  # a block repeated, another gone
+    path.write_text("\n".join(lines) + "\n")
+    design = parse_design(path.read_text())
+    code, out, err = report_both_ways(out_dir)
+    assert code == 1 and err == ""
+    want = []
+    for res in sorted(out_dir.glob("point_*.res")):
+        for point, classes in parse_resolution(res.read_text(), design).items():
+            point, passed, detail = cli._resolution_claim(design, point, classes)
+            want.append(f"{'PASS' if passed else 'FAIL'} derived resolution at {point} {detail}")
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL steiner coverage ")
+    assert lines[1:] == want + ["PASS every point resolved 22/22"]
+    assert 0 < sum(line.startswith("FAIL") for line in want) < 22
+
+
+def test_report_ranks_the_point_files_again_when_the_header_lacks_labels(tmp_path):
+    # labels on a POINTS line after the blocks: the workers ranked on the
+    # header's labels, so the point files are ranked again on the design's
+    out_dir = tmp_path / "out"
+    _catalog_point_files(out_dir)
+    code, canonical, err = report_both_ways(out_dir)
+    assert (code, err) == (0, "")
+    assert canonical.splitlines()[-1] == "PASS overlarge set of KTS(21)"
+    path = out_dir / "design.design"
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("POINTS "))
+    labels = lines[at].split()[1:]
+    lines[at] = "POINTS " + " ".join(labels[:11])
+    path.write_text("\n".join(lines + ["POINTS " + " ".join(labels[11:])]) + "\n")
+    assert report_both_ways(out_dir) == (0, canonical, "")
+    # a GDD takes the frame route and makes no overlarge-set claim
+    gdd = tmp_path / "gdd"
+    _catalog_point_files(gdd, "rdgdd24")
+    code, out, err = report_both_ways(gdd)
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS every point resolved 24/24"
+
+
+def test_verify_proves_an_sqs_resolution_by_owner_on_any_number_of_jobs(tmp_path):
+    design = tmp_path / "sqs22.design"
+    run_cli("gen", "sqs22", "--out", str(design))
+    res = tmp_path / "sqs22.res"
+    one, two = (run_cli("verify", str(design), str(res), "--jobs", jobs) for jobs in "12")
+    assert one == two and one[1].splitlines()[-1] == "PASS overlarge set of KTS(21)"
+    # a certificate with a POINT * section claims no overlarge set
+    text = res.read_text()
+    whole = emit_resolution(catalog.sqs22(), {formats.WHOLE: catalog.sqs22_resolutions()["0"].classes})
+    res.write_text(text + whole.split("\n", 1)[1])
+    code, out = run_cli("verify", str(design), str(res))
+    assert code == 1 and "overlarge" not in out
+    assert out.splitlines()[-1] == "PASS every point resolved 22/22"
 
 
 def test_verify_needs_a_section_at_every_point(tmp_path):

@@ -622,6 +622,67 @@ def test_verify_resolution_flags_missing_class():
     assert any("missing" in kind for kind, _ in rep.violations)
 
 
+# the owner route: in an S(3, 4, v) the derived designs partition the 3-sets
+
+
+@pytest.mark.parametrize("name", ["sqs8", "sqs14", "sqs16", "sqs22"])
+def test_each_point_owns_exactly_the_triples_of_its_derived_design(name):
+    d = catalog.GENERATORS[name]()
+    owner = core.owner_table(d)
+    assert type(owner) is bytearray and len(owner) == math.comb(d.v, 3)
+    owned = {x: [] for x in range(d.v)}
+    for r, x in enumerate(owner):
+        owned[x].append(r)
+    for x in range(d.v):
+        _, target = derived_frame(d, x)
+        assert owned[x] == sorted(map(subset_rank, target))
+
+
+def test_section_ranks_prove_a_resolution_only_with_the_owner_table():
+    d = catalog.sqs22()
+    owner = core.owner_table(d)
+    for label, res in catalog.sqs22_resolutions().items():
+        x = d.point(label)
+        ranks = core.section_ranks(d.v, x, res.classes)
+        assert sorted(ranks) == sorted(map(subset_rank, res.target))
+        assert core.owns(owner, x, ranks)
+        assert not core.owns(owner, (x + 1) % d.v, ranks)
+    res = catalog.sqs22_resolutions()["0"]
+    x = d.point("0")
+    classes = [list(c) for c in res.classes]
+    # a class that does not partition the other points, or holds a pair
+    swapped = [c[:] for c in classes]
+    swapped[0][0], swapped[1][0] = swapped[1][0], swapped[0][0]
+    assert core.section_ranks(d.v, x, swapped) is None
+    pair = [c[:] for c in classes]
+    a, b, c = pair[0][0]
+    pair[0][0:1] = [(a, b), (c,)]
+    assert core.section_ranks(d.v, x, pair) is None
+    # a class too few, or one repeated: the ranks are too few or not distinct
+    assert core.section_ranks(d.v, x, classes[:-1]) is None
+    assert core.section_ranks(d.v, x, classes + classes[:1]) is None
+    assert core.section_ranks(d.v, x, []) is None
+    # a section of the right shape at the wrong point: x does not own it
+    y = d.point("1")
+    moved = core.section_ranks(d.v, y, catalog.sqs22_resolutions()["1"].classes)
+    assert moved is not None and not core.owns(owner, x, moved)
+
+
+def test_the_owner_route_on_sqs4_and_beyond_one_byte():
+    # SQS(4) is one block: each point's section is one class of one triple
+    d = make_design(3, {4}, plain_labels(range(4)), [(0, 1, 2, 3)], "SQS")
+    owner = core.owner_table(d)
+    assert list(owner) == [3, 2, 1, 0]  # the owners of 012, 013, 023, 123
+    for x in range(4):
+        ranks = core.section_ranks(4, x, [[tuple(p for p in range(4) if p != x)]])
+        assert list(ranks) == [3 - x] and core.owns(owner, x, ranks)
+    # past 256 points an owner takes two bytes
+    big = make_design(3, {4}, plain_labels(range(300)), [(0, 1, 2, 299)], "RAW")
+    owner = core.owner_table(big)
+    assert owner.typecode == "H" and len(owner) == math.comb(300, 3)
+    assert owner[subset_rank((0, 1, 2))] == 299 and owner[subset_rank((0, 1, 299))] == 2
+
+
 # Counter-based references for the sort-and-compare kernels: the previous
 # implementations of is_partition and verify_resolution, kept as written.
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from quadsys import Gdd, catalog, formats
+from quadsys import Gdd, catalog, core, formats
 from quadsys.core import make_design, parse_label
 from quadsys.formats import (
     ParseError,
@@ -113,6 +113,55 @@ def test_a_repeated_design_header_is_a_parse_error_on_its_second_line(header):
     spread = lines[:4] + [" ".join(points[:5]) + "\n", "POINTS " + " ".join(points[5:]) + "\n"]
     spread += lines[5:]
     assert parse_design("".join(spread)) == catalog.sqs8()
+
+
+def test_the_header_of_a_design_file_is_read_alone():
+    d = catalog.sqs22()
+    text = emit_design(d)
+    head = parse_design(text, True)
+    assert (head.t, head.sizes, head.labels, head.blocks, head.kind) == (3, {4}, d.labels, (), "SQS")
+    lines = text.splitlines()
+    # a block line after the header is not read; a GDD or a header that
+    # lacks its POINTS line gives no header design
+    broken = "\n".join(lines[:6] + ["0 1 2 99_9"] + lines[6:]) + "\n"
+    assert parse_design(broken, True) == head
+    with pytest.raises(ParseError):
+        parse_design(broken)
+    assert parse_design(emit_design(catalog.rdgdd24()), True) is None
+    late = [line for line in lines if not line.startswith("POINTS ")] + lines[4:5]
+    assert parse_design("\n".join(late) + "\n", True) is None
+    # a fault of a header line is the full parse's, at the same line
+    bad = "\n".join(lines[:3] + ["K 4 0"] + lines[4:]) + "\n"
+    for only_head in (True, False):
+        with pytest.raises(ParseError, match="^line 4: K size 0 is below 1$"):
+            parse_design(bad, only_head)
+
+
+def test_parse_design_keeps_proved_runs_and_checks_anything_else_in_make_design(monkeypatch):
+    # blocks all read as ascending runs of a size in K, in order, are kept
+    # as read; any other block list goes through make_design's checks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["blocks"]))
+        return make_design(*args, **kwargs)
+
+    monkeypatch.setattr(formats, "make_design", counted)
+    d = catalog.sqs22()
+    lines = emit_design(d).splitlines()
+    assert parse_design("\n".join(lines) + "\n") == d and calls == []
+    first = lines.index(next(line for line in lines if line[:1].isdigit()))
+    edits = {
+        "blocks out of order": lines[:first] + [lines[first + 1], lines[first]] + lines[first + 2:],
+        "a block not ascending": lines[:first] + [" ".join(reversed(lines[first].split()))]
+                                 + lines[first + 1:],
+        "a size not in K": [line.replace("K 4", "K 3 5") for line in lines],
+    }
+    for name, edited in edits.items():
+        calls.clear()
+        outcome = _outcome(parse_design, "\n".join(edited) + "\n")
+        assert calls == [len(d.blocks)], name
+        assert outcome == d if name != "a size not in K" else outcome[0] is ParseError, name
 
 
 def test_parse_design_requires_headers():
@@ -271,10 +320,11 @@ def reference_header(tok, no):
 
 
 def reference_int(text, key, no):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{key} value {text!r} is not an integer", no) from None
+    """A header integer: an optional "-", then ASCII digits only."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        raise ParseError(f"{key} value {text!r} is not an integer", no)
+    return int(text)
 
 
 def reference_parse_design(text):
@@ -316,6 +366,8 @@ def reference_parse_design(text):
             v, v_line = reference_int(values[0], key, no), no
         elif key == "K":
             sizes = [reference_int(x, key, no) for x in values]
+            if min(sizes) < 1:
+                raise ParseError(f"K size {min(sizes)} is below 1", no)
         elif key == "POINTS":
             for x in values:
                 try:
@@ -629,6 +681,28 @@ def _point_file_mutants(text, other, rng):
     yield "POINT with two values", "\n".join(lines[:1] + [lines[1] + " x"] + lines[2:]) + "\n"
     i = classes[len(classes) // 2]
     yield "CLASS with a value", "\n".join(lines[:i] + ["CLASS 5"] + lines[i + 1:]) + "\n"
+    # mutations that parse and change what a section claims
+    def replaced(changes):
+        out = list(lines)
+        for i, line in changes.items():
+            out[i] = line
+        return "\n".join(out) + "\n"
+
+    spans = [range(c + 1, end) for c, end in zip(classes, classes[1:] + [len(lines)])]
+    one, two = rng.sample(spans, 2)
+    i, j = rng.choice(one), rng.choice(two)
+    yield "a triple repeated over another", replaced({j: lines[i]})
+    yield "two triples swapped between classes", replaced({i: lines[j], j: lines[i]})
+    i, j = rng.sample(one, 2)
+    (a, *bc), (d, *ef) = lines[i].split(" "), lines[j].split(" ")
+    yield "a label swapped in a class", replaced({i: " ".join([d, *bc]), j: " ".join([a, *ef])})
+    # another point's section relabelled by the transposition of the two
+    # points: a resolution on the right ground, of the wrong triples
+    x, y = lines[1].split()[1], other.split("\n", 2)[1].split()[1]
+    swap = {x: y, y: x}
+    yield "relabelled by a transposition", "".join(
+        " ".join(swap.get(tok, tok) for tok in line.split(" ")) + "\n"
+        for line in other.splitlines())
 
 
 def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_tree):
@@ -647,6 +721,34 @@ def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_
     messages = {outcome for _, outcome in kinds}
     assert {"duplicate KIND line", "KIND takes exactly one value", "POINT takes exactly one value",
             "CLASS takes no value"} <= messages, kinds
+
+
+def test_the_owner_route_and_the_frame_route_agree_on_mutated_point_files(construct_tree):
+    # the frame route proves a section against derived_frame's target; the
+    # owner route by its ranks and the owner table: same verdict everywhere
+    rng = random.Random(20261021)
+    design = parse_design(construct_tree[0])
+    owner = core.owner_table(design)
+    verdicts = {}
+    for _ in range(3):
+        text, other = rng.sample(construct_tree[1:], 2)
+        for kind, mutant in _point_file_mutants(text, other, rng):
+            try:
+                sections = parse_resolution(mutant, design)
+            except ParseError:
+                continue
+            for point, classes in sections.items():
+                x = design.label_index[point]
+                ranks = core.section_ranks(design.v, x, classes)
+                by_owner = ranks is not None and core.owns(owner, x, ranks)
+                res = formats.resolution_for_point(design, point, classes)
+                assert by_owner == core.verify_resolution(res).passed, (kind, point)
+                verdicts.setdefault(kind, set()).add(by_owner)
+    assert verdicts["comment"] == verdicts["two POINT sections"] == {True}
+    for kind in ("four labels", "a label moved up a line", "a triple repeated over another",
+                 "two triples swapped between classes", "a label swapped in a class",
+                 "relabelled by a transposition"):
+        assert verdicts[kind] == {False}, kind
 
 
 def _star_texts(tmp_path):

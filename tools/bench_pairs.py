@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to one JSON file.
 
     python3 tools/bench_pairs.py PARENT_REV --workload W [--workload W ...]
-        --pairs N --seconds S --out BENCH_<n>.json
+        --pairs N --seconds S [--aa-pairs M] --out BENCH_<n>.json
 
 The files of the parent revision are extracted with ``git archive`` under
 ``.bench_work/``, the files of this working tree (tracked, and untracked but
@@ -30,6 +30,12 @@ Once every workload is measured, the Tier-1 command of ROADMAP.md runs once
 in each copy, writing no bytecode and no pytest cache, and the file records
 ``tier1``: each side's passed, failed (errors included) and skipped tests
 and its wall seconds.
+
+With ``--aa-pairs M`` (default 0: no A/A block), a second copy of the
+parent is extracted too, and after a workload's pairs M alternating pairs
+run the parent against that copy, on the first seeds.  They are recorded
+under ``aa`` with the same statistics, the copy in the change's place, so
+a claimed gap can be read against the noise floor of the same sitting.
 
 After a workload's pairs, ``TRACED_PAIRS`` alternating pairs of
 ``bench/run.py --trace 1`` runs, on the first pairs' seeds, record the
@@ -194,12 +200,14 @@ def change_faults(entry: dict) -> list[str]:
 
 
 def print_summary(workload: str, entry: dict) -> int:
-    """Print a workload record's metrics, correct runs and failed shares;
-    1 if its pairs wrote different outputs or the change has a fault, else 0."""
-    for name, m in entry["metrics"].items():
-        p, c = m["parent"], m["change"]
-        print(f"{workload} {name}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
-              f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
+    """Print a workload record's metrics, its A/A metrics if any, correct
+    runs and failed shares; 1 if its pairs wrote different outputs or the
+    change has a fault, else 0.  The A/A pairs count for neither."""
+    for block, tag in ((entry, ""), (entry.get("aa", {"metrics": {}}), " (A/A)")):
+        for name, m in block["metrics"].items():
+            p, c = m["parent"], m["change"]
+            print(f"{workload} {name}{tag}: {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                  f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], lower in {m['lower']}")
     for name, m in entry.get("per_layer", {"metrics": {}})["metrics"].items():
         print(f"{workload} {name} (traced): {m['parent']['median']:.4g} -> "
               f"{m['change']['median']:.4g}, lower in {m['lower']}")
@@ -254,10 +262,10 @@ def _order(i: int) -> tuple[str, str]:
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
-def measure(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
-            metrics: list[dict], layers: list[dict]) -> dict:
-    """The record of one workload, run in the checkouts ``sides["parent"]``
-    and ``sides["change"]``."""
+def _pairs(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+           metrics: list[dict], name: str = "pair") -> dict:
+    """``collect`` of one alternating pair per seed, run in the checkouts
+    ``sides["parent"]`` and ``sides["change"]``."""
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         for side in _order(i):
@@ -265,10 +273,22 @@ def measure(sides: dict[str, Path], workload: str, seeds: list[int], seconds: fl
             # a whole oracle record lists every instance, and this process's
             # peak RSS is the floor of every RUSAGE_SELF peak a run reports
             runs[side].append(({k: record[k] for k in KEPT if k in record}, result))
-            print(f"{workload} pair {i} seed {seed} {side}: "
+            print(f"{workload} {name} {i} seed {seed} {side}: "
                   + " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                              for m in metrics), flush=True)
-    entry = collect(seeds, runs, metrics)
+    return collect(seeds, runs, metrics)
+
+
+def measure(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+            metrics: list[dict], layers: list[dict], aa_pairs: int = 0) -> dict:
+    """The record of one workload, run in the checkouts ``sides["parent"]``
+    and ``sides["change"]``; with ``aa_pairs``, also that many pairs of the
+    parent against its copy ``sides["aa"]``, under ``aa``."""
+    entry = _pairs(sides, workload, seeds, seconds, metrics)
+    if aa_pairs:
+        copies = {"parent": sides["parent"], "change": sides["aa"]}
+        entry["aa"] = _pairs(copies, workload, [seeds[0] + i for i in range(aa_pairs)], seconds,
+                             metrics, "A/A pair")
     traced = {"parent": [], "change": []}
     for i, seed in enumerate(seeds[:TRACED_PAIRS]):
         for side in _order(i):
@@ -284,10 +304,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--aa-pairs", type=int, default=0,
+                    help="pairs of the parent against a second copy of itself (default 0)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         ap.error("--pairs and --seconds must be positive")
+    if args.aa_pairs < 0:
+        ap.error("--aa-pairs must be 0 or more")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
     if unknown:
@@ -298,12 +322,16 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     rev = _git("rev-parse", args.parent_rev)
     sides = {"parent": WORK / f"parent-{rev[:12]}", "change": WORK / "change"}
+    if args.aa_pairs:
+        sides["aa"] = WORK / f"parent-{rev[:12]}-aa"
     for checkout in sides.values():
         shutil.rmtree(checkout, ignore_errors=True)
         checkout.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    for side, checkout in sides.items():
+        if side != "change":  # the parent, and its copy for the A/A pairs
+            subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
     copy_worktree(sides["change"])
     try:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -314,15 +342,15 @@ def main(argv=None) -> int:
             "seconds": args.seconds,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
-            "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
+            "src_lines": {side: src_lines(sides[side]) for side in ("parent", "change")},
         })
         workloads = record.setdefault("workloads", {})
         for k, workload in enumerate(args.workload):
             seeds = [first + 1000 * k + i for i in range(args.pairs)]
             workloads[workload] = measure(sides, workload, seeds, args.seconds,
-                                          spec["end_to_end"], spec["per_layer"])
+                                          spec["end_to_end"], spec["per_layer"], args.aa_pairs)
             args.out.write_text(json.dumps(record, indent=1) + "\n")
-        record["tier1"] = {side: tier1(checkout) for side, checkout in sides.items()}
+        record["tier1"] = {side: tier1(sides[side]) for side in ("parent", "change")}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         for side, run in record["tier1"].items():
             print(f"tier1 {side}: {run['passed']} passed, {run['failed']} failed, "
