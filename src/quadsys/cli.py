@@ -7,11 +7,11 @@ a RES file and ``report`` make the same claims through ``_check_sections``:
 one per section, then ``every point resolved k/v`` unless the only
 sections are ``POINT *``, then ``overlarge set of KTS(v-1)`` once one
 section passed at every point of an S(3, 4, v) that passed its Steiner
-check.  There a section passes if ``section_ranks`` accepts it and its
-point owns every rank (``owner_table``, ``owns``): the owner route.  Any
-other section (one that failed there, a ``POINT *`` one, a GDD's, or one
-of a design that failed its Steiner check) takes the frame route,
-``verify_resolution`` against the derived frame, which words every
+check.  There a section passes if its point owns every rank that
+``section_ranks`` gives its triples (``owner_table``, ``owns``): the owner
+route.  Any other section (one that failed there, a ``POINT *`` one, a
+GDD's, or one of a design that failed its Steiner check) takes the frame
+route, ``verify_resolution`` against the derived frame, which words every
 failing line.
 
 Every input file is read by ``_parse_file``, so a parse error names its
@@ -21,22 +21,23 @@ verification failed (witnesses go to stderr), 2 usage, parse or OS errors
 invocations on the same inputs are byte-identical, and --jobs only changes
 wall time, never output.
 
-``construct`` writes each point's resolution file as soon as it is proved,
-in the process that proved it; with --jobs > 1 a worker takes the four
-points over one star point at a time, so it plans them once.  ``report``
-proves its point files on one worker per usable CPU (so ``taskset`` bounds
-them), at most one per file; each worker reads its own files.  On an
-S(3, 4, v) by the header of ``design.design`` (its keyword lines before
-the first block), the workers fork once the header is read and rank their
-files with its labels while the parent parses and proves the design and
-fills the owner table; other designs are proved first, and their workers
-take the frame route.  Workers are forked by ``_jobs``, which deals each
-of them every n-th run of items, reads their pickled results back in item
-order and, when left by any path (a design that fails to parse after the
-fork included), closes their pipes and reaps every one; ``_map_jobs`` is
-``_jobs`` as a generator that forks at its first ``next()``.  A worker
-that dies without sending its results is an error (exit 2), never a
-traceback.
+``construct`` proves each point by the owner route, on the owner table of
+the process that proves it, and writes its file; with --jobs > 1 a worker
+takes the four points over one star point at a time, so it plans them
+once.  ``report`` proves its point files on one worker per usable CPU (so
+``taskset`` bounds them), at most one per file; each worker reads its own
+files.  On an S(3, 4, v) by the header of ``design.design`` (its keyword
+lines before the first block), the workers fork once the header is read
+and rank their files with its labels (``formats.point_ids``, else
+``parse_resolution``) while the parent parses and proves the design and
+fills the owner table; other designs, and one that fails its Steiner
+check, are proved first, and workers forked then take the frame route.
+Workers are forked by ``_jobs``, which deals each of them every n-th run of
+items, reads their pickled results back in item order and, when left by any
+path (a design that fails to parse after the fork included), closes their
+pipes and reaps every one; ``_map_jobs`` is ``_jobs`` as a generator that
+forks at its first ``next()``.  A worker that dies without sending its
+results is an error (exit 2), never a traceback.
 
 Each subcommand imports only what it runs.  Importing this module loads
 ``core``, ``formats`` and ``star``, which is all that ``verify``, ``derive``
@@ -51,7 +52,7 @@ import argparse
 import errno
 import os
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -62,6 +63,7 @@ from .core import (
     DesignError,
     ParameterError,
     VerifyReport,
+    class_ranks,
     derived_design,
     owner_table,
     owns,
@@ -174,18 +176,24 @@ def _verify_res_file(path) -> list[tuple[str, bool, str]]:
 
 
 def _ranked(item) -> tuple[str, int, object]:
-    """(point, class count, ``section_ranks``) of a section (point,
-    classes), with the v and labels of ``_SHARED``; no ranks at WHOLE."""
+    """(point, class count, ``class_ranks``) of a section (point, classes),
+    with the v and labels of ``_SHARED``; no ranks at WHOLE."""
     point, classes = item
     if point == formats.WHOLE:
         return point, len(classes), None
-    return point, len(classes), section_ranks(_SHARED.v, _SHARED.label_index[point], classes)
+    return point, len(classes), class_ranks(_SHARED.v, _SHARED.label_index[point], classes)
 
 
 def _ranked_file(path) -> list[tuple[str, int, object]]:
-    """``_ranked`` of each section of the point file ``path``, read with the
-    labels of ``_SHARED``."""
-    return list(map(_ranked, _parse_file(path, formats.parse_resolution, _SHARED).items()))
+    """(point, class count, ranks) of the point file ``path`` on the labels
+    of ``_SHARED``: ``section_ranks`` of its ``formats.point_ids`` where both
+    take it, else ``_ranked`` of each section ``parse_resolution`` reads."""
+    text = _read_text(path)
+    read = formats.point_ids(text, _SHARED)
+    ranks = read and section_ranks(_SHARED.v, _SHARED.label_index[read[0]], read[2])
+    if ranks:
+        return [(read[0], read[1], ranks)]
+    return list(map(_ranked, _parse_file(path, formats.parse_resolution, _SHARED, text=text).items()))
 
 
 def _owner_claims(design: Design, owner, ranked, reread):
@@ -193,11 +201,10 @@ def _owner_claims(design: Design, owner, ranked, reread):
     ``ranked``: passed by the owner table ``owner`` where the point owns
     every rank, else the frame route's claim on its classes in
     ``reread()``, which is called at most once, so a failing line reads as
-    it always has.  With no table (the Steiner check failed), every section
-    takes the frame route."""
+    it always has."""
     sections = None
     for point, n, ranks in ranked:
-        if owner is not None and ranks is not None and owns(owner, design.label_index[point], ranks):
+        if ranks is not None and owns(owner, design.label_index[point], ranks):
             yield point, True, f"classes={n}"
             continue
         if sections is None:
@@ -377,16 +384,16 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 
-def _point_job(p: int) -> tuple[int, bool, int]:
-    """Prove the resolution at point p and write its point file into the
-    output directory; (p, passed, class count) goes back for the manifest."""
+def _point_job(p: int) -> tuple[bool, str]:
+    """Prove the resolution at point p by the owner route and write its point
+    file into the output directory; (passed, its manifest line) goes back."""
     asm, out_dir = _SHARED
-    res = asm.point_resolution(p)
-    rep = verify_resolution(res)
+    classes = asm.point_classes(p)
+    passed = owns(asm.owner, p, class_ranks(asm.design.v, p, classes))
     label = asm.design.labels[p].text
-    text = formats.emit_resolution(asm.design, {label: res.classes})
+    text = formats.emit_resolution(asm.design, {label: classes})
     (out_dir / f"point_{label}.res").write_text(text, encoding="utf-8")
-    return p, rep.passed, len(res.classes)
+    return passed, f"point {label} classes={len(classes)} {'PASS' if passed else 'FAIL'}"
 
 
 def cmd_construct(args) -> int:
@@ -419,11 +426,8 @@ def cmd_construct(args) -> int:
     resolved = 0
     # the four fibres of a star point go to one worker, which plans them once
     jobs = _map_jobs(args.jobs, _point_job, range(asm.design.v), (asm, out_dir), chunk=4)
-    for p, passed, n_classes in jobs:
-        label = asm.design.labels[p].text
-        manifest.append(
-            f"point {label} classes={n_classes} {'PASS' if passed else 'FAIL'}"
-        )
+    for passed, line in jobs:
+        manifest.append(line)
         resolved += passed
     manifest.append(f"resolved_points {resolved}/{asm.design.v}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
@@ -469,21 +473,23 @@ def cmd_report(args) -> int:
     early = head is not None and _is_sqs(head)
     # on an S(3, 4, v) by its header, the workers rank the point files while
     # this process reads and proves the design and fills the owner table
-    with _jobs(jobs, _ranked_file, paths, head) if early else nullcontext() as ranked:
+    with ExitStack() as ranking:
+        ranked = ranking.enter_context(_jobs(jobs, _ranked_file, paths, head)) if early else None
         design = _parse_file(path, formats.parse_design, text=text)
         del text
         coverage = _check_coverage(design)
-        if _is_sqs(design):
+        if _is_sqs(design) and coverage.passed:
             if not early or design.labels != head.labels:  # ranked too late or on other labels
                 ranked = _map_jobs(jobs, _ranked_file, paths, design)
-            owner = owner_table(design) if coverage.passed else None
+            owner = owner_table(design)
             claims = chain.from_iterable(
                 _owner_claims(design, owner, sections,
                               partial(_parse_file, p, formats.parse_resolution, design))
                 for p, sections in zip(paths, ranked)
             )
-            ok = _check_sections(design, claims, owner is not None)
-        else:
+            ok = _check_sections(design, claims, owner=True)
+        else:  # the frame route, on workers forked once the rank workers are reaped
+            ranking.close()
             design.incidence  # built before the workers fork, so each inherits it
             results = _map_jobs(jobs, _verify_res_file, paths, design)
             ok = _check_sections(design, chain.from_iterable(results))

@@ -25,7 +25,8 @@ set tests, and by the tallies that name its witnesses where those cannot.
 In an S(3, 4, v) each 3-set lies in one block, whose fourth point owns it,
 so the derived designs at the v points partition the 3-sets:
 ``owner_table`` holds each 3-set's owner by colex rank, and a resolution of
-the derived design at x is proved by ``section_ranks`` and ``owns``.
+the derived design at x is proved by ``owns`` of the ``section_ranks`` of
+its triples' ids (``class_ranks`` of its classes as blocks).
 """
 
 from __future__ import annotations
@@ -595,38 +596,44 @@ def owner_table(d: Design):
     return owner
 
 
-def section_ranks(v: int, x: int, classes: Sequence[Sequence[Block]]) -> "array | None":
-    """The colex ranks of the blocks of ``classes``, as ``array('I')``, if
-    each class partitions the points 0..v-1 other than x into 3-sets, and
-    the ranks are distinct and (v - 1)(v - 2)/6 in number; else None.
+def section_ranks(v: int, x: int, flat: Sequence[int]) -> "array | None":
+    """The colex ranks of the triples ``flat[0:3]``, ``flat[3:6]``, ... of
+    the ids ``flat``, as ``array('I')``, if each run of v - 1 ids (a class)
+    is the points 0..v-1 other than x, each triple ascends, and the ranks
+    are distinct and (v - 1)(v - 2)/6 in number; else None.
 
     In an S(3, 4, v) that passed ``verify_steiner``, the classes are a
     resolution of the derived design at x exactly when they pass here and
-    x owns every rank (``owner_table``): the ranks are then as many as that
-    design's triples, all distinct and all among them."""
-    ground = set(range(v))
-    ground.discard(x)
-    for cls in classes:
-        if sum(map(len, cls)) != v - 1 or set().union(*cls) != ground:
-            return None
-    blocks = list(itertools.chain.from_iterable(classes))
-    if set(map(len, blocks)) != {3}:
+    x owns every rank (``owner_table``, ``owns``): the ranks are then as
+    many as that design's triples, all distinct and all among them."""
+    n = v - 1
+    if not flat or n % 3 or len(flat) != n * (n - 1) // 2:
+        return None
+    ground = set(range(v)) - {x}
+    a, b, c = flat[0::3], flat[1::3], flat[2::3]
+    if not (all(set(flat[i:i + n]) == ground for i in range(0, len(flat), n))
+            and all(map(operator.lt, a, b)) and all(map(operator.lt, b, c))):
         return None
     from array import array
 
     t2, t3 = _comb_tables(v)
-    flat = list(itertools.chain.from_iterable(blocks))
-    a, b, c = flat[0::3], flat[1::3], flat[2::3]
-    ranks = array("I", map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
-                           map(t3.__getitem__, c)))
-    if len(ranks) != (v - 1) * (v - 2) // 6 or len(set(ranks)) != len(ranks):
+    ranks = list(map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
+                     map(t3.__getitem__, c)))
+    return array("I", ranks) if len(set(ranks)) == len(ranks) else None
+
+
+def class_ranks(v: int, x: int, classes: Sequence[Sequence[Block]]) -> "array | None":
+    """``section_ranks`` of ``classes`` as blocks, if every block holds 3
+    points and every class (v - 1)/3 blocks; else None."""
+    blocks = list(itertools.chain.from_iterable(classes))
+    if any(len(cls) != (v - 1) // 3 for cls in classes) or set(map(len, blocks)) - {3}:
         return None
-    return ranks
+    return section_ranks(v, x, list(itertools.chain.from_iterable(blocks)))
 
 
-def owns(owner, x: int, ranks: Sequence[int]) -> bool:
-    """Whether x owns every rank of ``ranks`` in the table ``owner``."""
-    return _getter(ranks)(owner).count(x) == len(ranks)
+def owns(owner, x: int, ranks: Sequence[int] | None) -> bool:
+    """Whether x owns every rank of ``ranks`` (None: not ranked) in ``owner``."""
+    return ranks is not None and _getter(ranks)(owner).count(x) == len(ranks)
 
 
 def is_partition(blocks: Sequence[Block], ground: Sequence[int]) -> tuple[str, object] | None:

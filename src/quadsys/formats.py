@@ -14,7 +14,8 @@ piece at a time, one line of single-spaced tokens for each line.  Both
 certificate formats are read one POINT section at a time by ``_sections``:
 a fault of a line alone is reported at that line as it is read, and one
 that needs the whole section once the section ends, after the next POINT
-line's own checks.
+line's own checks.  ``point_ids`` reads a point file as ``emit_resolution``
+writes it with one match, to the flat ids ``core.section_ranks`` takes.
 
 Resolutions and star certificates for the derived design at a point are
 in the ids of the parent design, where the punctured point does not occur,
@@ -351,6 +352,25 @@ def parse_resolution(text: str, companion: Design) -> dict[str, tuple[tuple[Bloc
             raise ParseError(f"ragged classes at POINT {point}: sizes {sorted(arities)}", no)
         out[point] = tuple(tuple(cls) for *_, cls in heads)
     return out
+
+
+def point_ids(text: str, companion: Design) -> tuple[str, int, list[int]] | None:
+    """(point, class count, its triples' ids in file order) of a point file
+    of one section as ``emit_resolution`` writes it, with (v - 1)/3 lines of
+    three labels of ``companion`` in each class; else None, and
+    ``parse_resolution`` reads it.  Whether each triple's ids ascend is
+    ``core.section_ranks``'s to check."""
+    v, index = companion.v, companion.label_index
+    form = r"KIND RES\nPOINT (\S+)\n((?:CLASS\n(?:\S+ \S+ \S+\n){%d})+)" % (v // 3)
+    m = re.fullmatch(form, text) if v > 3 and v % 3 == 1 else None
+    if m is None or m[1] not in index:
+        return None
+    words = m[2].split()
+    del words[::v]  # each class is a CLASS word and its v - 1 labels
+    try:
+        return m[1], len(words) // (v - 1), list(map(index.__getitem__, words))
+    except KeyError:
+        return None
 
 
 def _block_ids(ids: Callable[[str], int], tok: list[str], no: int) -> Block:

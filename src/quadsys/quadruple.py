@@ -19,7 +19,7 @@ For an input SQS(v) on points X, the output design on X x Z4 is
 and the per-point parallel classes of the derived KTS(4v-1) are assembled
 from the template's derived classes, steered by the star certificate's
 class structure and a deterministic first/second-occurrence ledger.
-Every assembled resolution is proved by ``verify_resolution`` where it is
+Every assembled resolution is proved by ``core``'s owner route where it is
 used (``construct_rdsqs_4v``, the ``construct`` command); nothing rests on
 the construction being correct on paper.
 """
@@ -29,13 +29,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from . import gf16
 from .core import (
     Block,
     ConstructionError,
+    DataIntegrityError,
     Design,
     Gdd,
     Label,
@@ -43,10 +44,13 @@ from .core import (
     Resolution,
     VerifyReport,
     _getters,
+    class_ranks,
     derived_frame,
     lift,
     lift_map,
     make_design,
+    owner_table,
+    owns,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -331,10 +335,10 @@ def occurrence_map(pc: StarPointCertificate) -> dict[tuple[int, int, Block], int
 class QuadrupleAssembly:
     """An SQS(4v) and the assembly of one resolution per point.
 
-    ``point_resolution`` only assembles; ``verify_resolution``, run where
-    the classes are used, is their proof.  The four fibres (x, 0..3) of a
-    star point x share one plan, worked out from x's certificate when a
-    point of x is first asked for; only the current x's plan is held.
+    ``point_classes`` only assembles; the owner route, run where they are
+    used, is their proof.  The four fibres (x, 0..3) of a star point x
+    share one plan, worked out from x's certificate when a point of x is
+    first asked for; only the current x's plan is held.
     Construction is deterministic: given the same certificate, every block
     list, class list, and report is identical between runs.
     """
@@ -393,12 +397,16 @@ class QuadrupleAssembly:
             self._plan = tuple((tuple(c), tuple(f)) for c, f in fibres)
         return self._plan
 
-    def point_resolution(self, p: int) -> Resolution:
+    @cached_property
+    def owner(self):
+        """``owner_table`` of the design, built in the process that proves."""
+        return owner_table(self.design)
+
+    def point_classes(self, p: int) -> tuple[tuple[Block, ...], ...]:
         """The 2v-1 classes of the derived design at point p, unproved: the
         getters of each step of the plan of p's fibre applied to its map."""
         x, i = divmod(p, 4)
         steps_by_class, last_steps = self._plan_for(x)[i]
-        ground, target = derived_frame(self.design, p)
         classes = [
             tuple(sorted([f(m) for m, fs in steps for f in fs])) for steps in steps_by_class
         ]
@@ -406,7 +414,12 @@ class QuadrupleAssembly:
         last.append(tuple(q for q in range(4 * x, 4 * x + 4) if q != p))
         last.sort()
         classes.append(tuple(last))
-        return Resolution(ground=ground, classes=tuple(classes), target=target)
+        return tuple(classes)
+
+    def point_resolution(self, p: int) -> Resolution:
+        """``point_classes`` at p against the derived frame at p."""
+        ground, target = derived_frame(self.design, p)
+        return Resolution(ground=ground, classes=self.point_classes(p), target=target)
 
 
 def checked_assembly(cert: StarCertificate) -> QuadrupleAssembly:
@@ -420,11 +433,10 @@ def checked_assembly(cert: StarCertificate) -> QuadrupleAssembly:
 
 
 def construct_rdsqs_4v(cert: StarCertificate) -> QuadrupleAssembly:
-    """``checked_assembly`` plus all 4v derived resolutions verified; fails
-    loudly otherwise."""
+    """``checked_assembly`` plus all 4v derived resolutions proved by the
+    owner route (``class_ranks``, ``owns``); fails loudly otherwise."""
     asm = checked_assembly(cert)
     for p in range(asm.design.v):
-        verify_resolution(asm.point_resolution(p)).require(
-            f"derived resolution at {asm.design.labels[p].text}"
-        )
+        if not owns(asm.owner, p, class_ranks(asm.design.v, p, asm.point_classes(p))):
+            raise DataIntegrityError(f"derived resolution at {asm.design.labels[p].text} failed")
     return asm

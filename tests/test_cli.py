@@ -488,6 +488,32 @@ def test_construct_writes_each_point_file_as_it_is_proved(tmp_path, monkeypatch)
     assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
 
 
+def test_construct_fails_at_exactly_the_point_whose_classes_are_corrupted(tmp_path, monkeypatch):
+    # a negative control of the owner route: one triple swapped between the
+    # first two classes at one point, on one job and on two
+    design = tmp_path / "sqs28.design"
+    run_cli("gen", "sqs28", "--out", str(design))
+    point_classes = quadruple.QuadrupleAssembly.point_classes
+
+    def corrupted(self, p):
+        classes = point_classes(self, p)
+        if p != 45:
+            return classes
+        one, two = list(classes[0]), list(classes[1])
+        one[0], two[0] = two[0], one[0]
+        return (tuple(sorted(one)), tuple(sorted(two))) + classes[2:]
+
+    monkeypatch.setattr(quadruple.QuadrupleAssembly, "point_classes", corrupted)
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code, _ = run_cli("construct", str(tmp_path / "sqs28.star"), str(out_dir),
+                          "--design", str(design), "--jobs", jobs)
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert code == 1 and [line for line in manifest if "FAIL" in line] == [
+            "point 11_1 classes=55 FAIL"]
+        assert manifest[-1] == "resolved_points 111/112"
+
+
 def test_no_subcommand_imports_a_process_pool(tmp_path):
     # importing the cli loads no multiprocessing, and every subcommand, with
     # construct and report on two workers, leaves concurrent.futures unloaded
@@ -811,7 +837,7 @@ def test_report_fails_at_each_point_whose_section_it_does_not_own(construct_out,
     for p, q in ((x, y), (y, x)):
         (out_dir / f"point_{p}.res").write_text(_relabelled(texts[q], {x: y, y: x}))
         (classes,) = parse_resolution(_relabelled(texts[q], {x: y, y: x}), design).values()
-        assert core.section_ranks(design.v, design.label_index[p], classes) is not None
+        assert core.class_ranks(design.v, design.label_index[p], classes) is not None
     code, out, err = report_both_ways(out_dir)
     assert code == 1 and err == ""
     # each failing line is the frame route's claim, word for word
@@ -862,6 +888,37 @@ def test_report_on_an_sqs_that_fails_its_steiner_check_proves_each_section_by_fr
     assert lines[0].startswith("FAIL steiner coverage ")
     assert lines[1:] == want + ["PASS every point resolved 22/22"]
     assert 0 < sum(line.startswith("FAIL") for line in want) < 22
+
+
+def test_report_on_an_sqs_that_fails_its_steiner_check_proves_on_fresh_workers(tmp_path,
+                                                                             monkeypatch):
+    # the workers that ranked on the header are reaped, and the frame route
+    # runs on workers forked for it, each parsing its own files once
+    out_dir = tmp_path / "out"
+    _catalog_point_files(out_dir)
+    path = out_dir / "design.design"
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-2]
+    path.write_text("\n".join(lines) + "\n")
+    log = tmp_path / "log"
+    verify_file, parse = cli._verify_res_file, formats.parse_resolution
+
+    def record(what, result):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{what} {os.getpid()}\n")
+        return result
+
+    monkeypatch.setattr(cli, "_verify_res_file", lambda p: record("file", verify_file(p)))
+    monkeypatch.setattr(formats, "parse_resolution", lambda *a: record("parse", parse(*a)))
+    code, out, err = report_on(out_dir, {0, 1})
+    assert code == 1 and err == "" and out.startswith("FAIL steiner coverage ")
+    records = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sum(what == "file" for what, _ in records) == 22
+    assert sum(what == "parse" for what, _ in records) == 22  # each file once, on a worker
+    pids = {int(pid) for _, pid in records}
+    assert len(pids) == 2 and os.getpid() not in pids
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_ranks_the_point_files_again_when_the_header_lacks_labels(tmp_path):

@@ -643,7 +643,7 @@ def test_section_ranks_prove_a_resolution_only_with_the_owner_table():
     owner = core.owner_table(d)
     for label, res in catalog.sqs22_resolutions().items():
         x = d.point(label)
-        ranks = core.section_ranks(d.v, x, res.classes)
+        ranks = core.class_ranks(d.v, x, res.classes)
         assert sorted(ranks) == sorted(map(subset_rank, res.target))
         assert core.owns(owner, x, ranks)
         assert not core.owns(owner, (x + 1) % d.v, ranks)
@@ -653,19 +653,61 @@ def test_section_ranks_prove_a_resolution_only_with_the_owner_table():
     # a class that does not partition the other points, or holds a pair
     swapped = [c[:] for c in classes]
     swapped[0][0], swapped[1][0] = swapped[1][0], swapped[0][0]
-    assert core.section_ranks(d.v, x, swapped) is None
+    assert core.class_ranks(d.v, x, swapped) is None
     pair = [c[:] for c in classes]
     a, b, c = pair[0][0]
     pair[0][0:1] = [(a, b), (c,)]
-    assert core.section_ranks(d.v, x, pair) is None
+    assert core.class_ranks(d.v, x, pair) is None
+    # blocks of 2 and 4 points in place of two triples: the same ids in order
+    uneven = [c[:] for c in classes]
+    (p, q, r), (s, t, u) = uneven[0][:2]
+    uneven[0][0:2] = [(p, q), (r, s, t, u)]
+    assert core.class_ranks(d.v, x, uneven) is None
     # a class too few, or one repeated: the ranks are too few or not distinct
-    assert core.section_ranks(d.v, x, classes[:-1]) is None
-    assert core.section_ranks(d.v, x, classes + classes[:1]) is None
-    assert core.section_ranks(d.v, x, []) is None
+    assert core.class_ranks(d.v, x, classes[:-1]) is None
+    assert core.class_ranks(d.v, x, classes + classes[:1]) is None
+    assert core.class_ranks(d.v, x, []) is None
+    # the last triple of a class moved to the front of the next: ragged
+    # classes whose ids, read in order, are those of the resolution
+    ragged = [c[:] for c in classes]
+    ragged[1].insert(0, ragged[0].pop())
+    assert core.class_ranks(d.v, x, ragged) is None
+    # no point owns a section that does not rank
+    assert not core.owns(owner, x, None)
     # a section of the right shape at the wrong point: x does not own it
     y = d.point("1")
-    moved = core.section_ranks(d.v, y, catalog.sqs22_resolutions()["1"].classes)
+    moved = core.class_ranks(d.v, y, catalog.sqs22_resolutions()["1"].classes)
     assert moved is not None and not core.owns(owner, x, moved)
+
+
+def test_section_ranks_on_flat_ids_checks_each_class_triple_and_count():
+    d = catalog.sqs22()
+    res = catalog.sqs22_resolutions()["0"]
+    x = d.point("0")
+    flat = [p for cls in res.classes for b in cls for p in b]
+    ranks = core.section_ranks(d.v, x, flat)
+    assert list(ranks) == list(map(subset_rank, itertools.chain.from_iterable(res.classes)))
+    assert ranks.typecode == "I" and ranks == core.class_ranks(d.v, x, res.classes)
+    # a triple whose ids do not ascend ranks as no 3-set: rejected
+    down = flat[:]
+    down[0:3] = reversed(down[0:3])
+    assert core.section_ranks(d.v, x, down) is None
+    middle = flat[:]
+    middle[0], middle[1] = middle[1], middle[0]
+    assert core.section_ranks(d.v, x, middle) is None
+    # a class that misses a point, an id short, a class too many, none
+    (a, b, c), rest = flat[0:3], flat[3:]
+    assert core.section_ranks(d.v, x, [a, b, b] + rest) is None
+    assert core.section_ranks(d.v, x, flat[:-1]) is None
+    assert core.section_ranks(d.v, x, flat + flat[:d.v - 1]) is None
+    assert core.section_ranks(d.v, x, []) is None
+    # the ids of another point's section: every class misses a point of x's ground
+    y = d.point("1")
+    other = [p for cls in catalog.sqs22_resolutions()["1"].classes for b in cls for p in b]
+    assert core.section_ranks(d.v, x, other) is None and core.section_ranks(d.v, y, other)
+    # no resolution of a derived design exists unless 3 divides v - 1
+    assert core.section_ranks(8, 0, list(range(1, 8)) * 3) is None
+    assert core.section_ranks(1, 0, []) is None
 
 
 def test_the_owner_route_on_sqs4_and_beyond_one_byte():
@@ -674,7 +716,7 @@ def test_the_owner_route_on_sqs4_and_beyond_one_byte():
     owner = core.owner_table(d)
     assert list(owner) == [3, 2, 1, 0]  # the owners of 012, 013, 023, 123
     for x in range(4):
-        ranks = core.section_ranks(4, x, [[tuple(p for p in range(4) if p != x)]])
+        ranks = core.section_ranks(4, x, [p for p in range(4) if p != x])
         assert list(ranks) == [3 - x] and core.owns(owner, x, ranks)
     # past 256 points an owner takes two bytes
     big = make_design(3, {4}, plain_labels(range(300)), [(0, 1, 2, 299)], "RAW")

@@ -703,6 +703,12 @@ def _point_file_mutants(text, other, rng):
     yield "relabelled by a transposition", "".join(
         " ".join(swap.get(tok, tok) for tok in line.split(" ")) + "\n"
         for line in other.splitlines())
+    # one triple moved to the next class: as many triples, ragged classes
+    k = len(classes) // 2
+    moved = lines[:classes[k] + 1] + lines[classes[k] + 2:]
+    moved.insert(classes[k + 1], lines[classes[k] + 1])
+    yield "a triple moved to the next class", "\n".join(moved) + "\n"
+    yield "a comment line at the end", text + "# end\n"
 
 
 def test_the_fast_path_matches_the_line_reader_on_mutated_point_files(construct_tree):
@@ -739,7 +745,7 @@ def test_the_owner_route_and_the_frame_route_agree_on_mutated_point_files(constr
                 continue
             for point, classes in sections.items():
                 x = design.label_index[point]
-                ranks = core.section_ranks(design.v, x, classes)
+                ranks = core.class_ranks(design.v, x, classes)
                 by_owner = ranks is not None and core.owns(owner, x, ranks)
                 res = formats.resolution_for_point(design, point, classes)
                 assert by_owner == core.verify_resolution(res).passed, (kind, point)
@@ -749,6 +755,91 @@ def test_the_owner_route_and_the_frame_route_agree_on_mutated_point_files(constr
                  "two triples swapped between classes", "a label swapped in a class",
                  "relabelled by a transposition"):
         assert verdicts[kind] == {False}, kind
+
+
+def _reader_ranks(text, design):
+    """(point, class count, ranks) of a point file as ``cli._ranked_file``
+    reads it first: ``point_ids`` and ``section_ranks``; None where either
+    declines."""
+    read = formats.point_ids(text, design)
+    if read is None:
+        return None
+    point, n, flat = read
+    ranks = core.section_ranks(design.v, design.label_index[point], flat)
+    return None if ranks is None else (point, n, sorted(ranks))
+
+
+def _tuple_ranks(text, design):
+    """(point, class count, ranks) of each section ``parse_resolution``
+    reads, by ``class_ranks``; the ranks are None where it declines."""
+    out = []
+    for point, classes in parse_resolution(text, design).items():
+        ranks = core.class_ranks(design.v, design.label_index[point], classes)
+        out.append((point, len(classes), None if ranks is None else sorted(ranks)))
+    return out
+
+
+def test_the_point_file_reader_ranks_as_the_line_reader_and_the_tuple_path_do(construct_tree):
+    design = parse_design(construct_tree[0])
+    # every file of the construct tree takes the reader
+    for text in construct_tree[1:]:
+        got = _reader_ranks(text, design)
+        assert got is not None and [got] == _tuple_ranks(text, design)
+    rng = random.Random(20261022)
+    taken = {}
+    for _ in range(3):
+        text, other = rng.sample(construct_tree[1:], 2)
+        for kind, mutant in _point_file_mutants(text, other, rng):
+            got = _reader_ranks(mutant, design)
+            taken.setdefault(kind, set()).add(got is not None)
+            if got is not None:  # then the line reader reads the same ranks
+                assert [got] == _tuple_ranks(mutant, design), kind
+    # it takes a section that ranks on the point's ground, though not of its
+    # own triples, and declines every other mutant: text that is not
+    # canonical or holds more than one section, a label the header lacks,
+    # ragged classes, a triple whose ids do not ascend, and the rest
+    assert {kind for kind, was in taken.items() if True in was} == {"a label swapped in a class"}
+    assert {"CRLF", "comment", "a comment line at the end", "unknown label", "descending block",
+            "a triple moved to the next class"} <= taken.keys()
+
+
+def test_report_says_on_every_mutated_point_file_what_the_line_reader_alone_says(
+    tmp_path, monkeypatch
+):
+    # report's workers try ``point_ids`` first; with it declining every file,
+    # each is read by ``parse_resolution`` alone, as before the reader was
+    # written: the same stdout, stderr and exit code on every mutant
+    from contextlib import redirect_stderr
+
+    from quadsys.cli import main
+
+    d = catalog.sqs22()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "design.design").write_text(emit_design(d))
+    texts = {x: emit_resolution(d, {x: r.classes}) for x, r in catalog.sqs22_resolutions().items()}
+    for x, text in texts.items():
+        (out_dir / f"point_{x}.res").write_text(text)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+
+    def report(reader):
+        out, err = io.StringIO(), io.StringIO()
+        with monkeypatch.context() as m, redirect_stdout(out), redirect_stderr(err):
+            m.setattr(formats, "point_ids", reader)
+            code = main(["report", str(out_dir)])
+        return code, out.getvalue(), err.getvalue()
+
+    rng = random.Random(20261023)
+    codes = set()
+    for _ in range(2):
+        x, y = rng.sample(sorted(texts), 2)
+        for kind, mutant in _point_file_mutants(texts[x], texts[y], rng):
+            (out_dir / f"point_{x}.res").write_text(mutant)
+            got = report(formats.point_ids)
+            assert got == report(lambda text, companion: None), kind
+            codes.add(got[0])
+        (out_dir / f"point_{x}.res").write_text(texts[x])
+    assert codes == {0, 1, 2}
 
 
 def _star_texts(tmp_path):

@@ -280,6 +280,24 @@ def test_corrupted_certificate_fails_loudly(star28):
         assert not verify_resolution(asm.point_resolution(p)).passed, p
 
 
+def test_construct_rdsqs_4v_fails_loudly_at_a_point_whose_classes_are_corrupted(
+    star28, monkeypatch
+):
+    point_classes = QuadrupleAssembly.point_classes
+
+    def corrupted(self, p):  # one triple swapped between two classes at 11_1
+        classes = point_classes(self, p)
+        if p != 45:
+            return classes
+        one, two = list(classes[0]), list(classes[1])
+        one[0], two[0] = two[0], one[0]
+        return (tuple(sorted(one)), tuple(sorted(two))) + classes[2:]
+
+    monkeypatch.setattr(QuadrupleAssembly, "point_classes", corrupted)
+    with pytest.raises(DataIntegrityError, match="^derived resolution at 11_1 failed$"):
+        construct_rdsqs_4v(star28)
+
+
 def test_assembly_rejects_a_certificate_that_fails(star28):
     pc = star28.per_point[5]
     bad = StarPointCertificate(point=5, special=pc.special, groups=pc.groups[1:])
