@@ -7,19 +7,22 @@ a RES file and ``report`` make the same claims through ``_check_sections``:
 one per section, then ``every point resolved k/v`` unless the only
 sections are ``POINT *``, then ``overlarge set of KTS(v-1)`` once one
 section passed at every point of an S(3, 4, v) that passed its Steiner
-check.  There a section passes if its point owns every rank that
-``section_ranks`` gives its triples (``owner_table``, ``owns``): the owner
-route.  Any other section (one that failed there, a ``POINT *`` one, a
-GDD's, or one of a design that failed its Steiner check) takes the frame
-route, ``verify_resolution`` against the derived frame, which words every
-failing line.
+check.  ``verify`` proves each section in one process by the frame route,
+``verify_resolution`` against the derived frame, which words every failing
+line.  ``report`` and ``construct`` take the owner route on such a design:
+a section passes if its point owns every rank that ``section_ranks`` gives
+its triples (``owner_table``, ``owns``).  On that design both routes pass
+exactly the same sections, so in ``report`` a section that fails the owner
+route (and any section of a ``POINT *`` file, a GDD, or a design that
+failed its Steiner check) is proved again by the frame route for its text.
 
 Every input file is read by ``_parse_file``, so a parse error names its
 file: ``error: FILE: line N: ...``.  Exit codes: 0 all checks passed, 1 a
 verification failed (witnesses go to stderr), 2 usage, parse or OS errors
 (one ``error:`` line on stderr).  All outputs are deterministic: repeated
-invocations on the same inputs are byte-identical, and --jobs only changes
-wall time, never output.
+invocations on the same inputs are byte-identical, and ``construct
+--jobs`` and the CPUs ``report`` may use only change wall time, never
+output.
 
 ``construct`` proves each point by the owner route, on the owner table of
 the process that proves it, and writes its file; with --jobs > 1 a worker
@@ -27,17 +30,16 @@ takes the four points over one star point at a time, so it plans them
 once.  ``report`` proves its point files on one worker per usable CPU (so
 ``taskset`` bounds them), at most one per file; each worker reads its own
 files.  On an S(3, 4, v) by the header of ``design.design`` (its keyword
-lines before the first block), the workers fork once the header is read
-and rank their files with its labels (``formats.point_ids``, else
-``parse_resolution``) while the parent parses and proves the design and
-fills the owner table; other designs, and one that fails its Steiner
+lines, which come before its first block), the workers fork once the
+header is read and rank their files with its labels (``formats.point_ids``,
+else ``parse_resolution``) while the parent parses and proves the design
+and fills the owner table; other designs, and one that fails its Steiner
 check, are proved first, and workers forked then take the frame route.
-Workers are forked by ``_jobs``, which deals each of them every n-th run of
-items, reads their pickled results back in item order and, when left by any
-path (a design that fails to parse after the fork included), closes their
-pipes and reaps every one; ``_map_jobs`` is ``_jobs`` as a generator that
-forks at its first ``next()``.  A worker that dies without sending its
-results is an error (exit 2), never a traceback.
+Workers are forked only by ``_jobs``, a context manager that deals each of
+them every n-th run of items, reads their pickled results back in item
+order and, when left by any path (a design that fails to parse after the
+fork included), closes their pipes and reaps every one.  A worker that
+dies without sending its results is an error (exit 2), never a traceback.
 
 Each subcommand imports only what it runs.  Importing this module loads
 ``core``, ``formats`` and ``star``, which is all that ``verify``, ``derive``
@@ -53,7 +55,6 @@ import errno
 import os
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -164,51 +165,42 @@ def _resolution_claim(design: Design, point: str, classes) -> tuple[str, bool, s
     return point, rep.passed, detail
 
 
-def _verify_res_section(item) -> tuple[str, bool, str]:
-    """``_resolution_claim`` of a section (point, classes) of ``_SHARED``."""
-    return _resolution_claim(_SHARED, *item)
-
-
 def _verify_res_file(path) -> list[tuple[str, bool, str]]:
-    """``_verify_res_section`` of each section of the point file ``path``."""
+    """``_resolution_claim`` of each section of the point file ``path`` on
+    ``_SHARED``."""
     sections = _parse_file(path, formats.parse_resolution, _SHARED)
-    return [_verify_res_section(item) for item in sections.items()]
-
-
-def _ranked(item) -> tuple[str, int, object]:
-    """(point, class count, ``class_ranks``) of a section (point, classes),
-    with the v and labels of ``_SHARED``; no ranks at WHOLE."""
-    point, classes = item
-    if point == formats.WHOLE:
-        return point, len(classes), None
-    return point, len(classes), class_ranks(_SHARED.v, _SHARED.label_index[point], classes)
+    return [_resolution_claim(_SHARED, *item) for item in sections.items()]
 
 
 def _ranked_file(path) -> list[tuple[str, int, object]]:
     """(point, class count, ranks) of the point file ``path`` on the labels
     of ``_SHARED``: ``section_ranks`` of its ``formats.point_ids`` where both
-    take it, else ``_ranked`` of each section ``parse_resolution`` reads."""
+    take it, else ``class_ranks`` of each section ``parse_resolution`` reads
+    (no ranks at WHOLE)."""
     text = _read_text(path)
+    v, index = _SHARED.v, _SHARED.label_index
     read = formats.point_ids(text, _SHARED)
-    ranks = read and section_ranks(_SHARED.v, _SHARED.label_index[read[0]], read[2])
+    ranks = read and section_ranks(v, index[read[0]], read[2])
     if ranks:
         return [(read[0], read[1], ranks)]
-    return list(map(_ranked, _parse_file(path, formats.parse_resolution, _SHARED, text=text).items()))
+    sections = _parse_file(path, formats.parse_resolution, _SHARED, text=text)
+    return [(point, len(classes), None if point == formats.WHOLE else
+             class_ranks(v, index[point], classes)) for point, classes in sections.items()]
 
 
-def _owner_claims(design: Design, owner, ranked, reread):
+def _owner_claims(design: Design, owner, path, ranked):
     """(point, passed, detail) of each (point, class count, ranks) of
-    ``ranked``: passed by the owner table ``owner`` where the point owns
-    every rank, else the frame route's claim on its classes in
-    ``reread()``, which is called at most once, so a failing line reads as
-    it always has."""
+    ``ranked``, read from the point file ``path``: passed by the owner table
+    ``owner`` where the point owns every rank, else the frame route's claim
+    on its classes, the file parsed again at most once, so a failing line
+    reads as it always has."""
     sections = None
     for point, n, ranks in ranked:
         if ranks is not None and owns(owner, design.label_index[point], ranks):
             yield point, True, f"classes={n}"
             continue
         if sections is None:
-            sections = reread()
+            sections = _parse_file(path, formats.parse_resolution, design)
         yield _resolution_claim(design, point, sections[point])
 
 
@@ -277,13 +269,6 @@ def _results(workers: dict, n_runs: int):
         yield from value
 
 
-def _map_jobs(jobs: int, func, items, shared, chunk: int = 1):
-    """``_jobs`` as one generator: the workers fork at its first ``next()``
-    and are reaped when it ends or is closed."""
-    with _jobs(jobs, func, items, shared, chunk) as results:
-        yield from results
-
-
 def _work(fd: int, func, runs) -> None:
     """In a forked worker: pickle (True, results) of each run, or (False,
     the exception) of the first that raises, down ``fd``; never returns."""
@@ -305,13 +290,13 @@ def _work(fd: int, func, runs) -> None:
         os._exit(1)  # the parent reports the run it did not get
 
 
-def _check_sections(d: Design, results, owner: bool = False) -> bool:
+def _check_sections(d: Design, results, overlarge: bool) -> bool:
     """One claim per (point, passed, detail) result, in order: the derived
     resolution at the point, framed as ``d`` frames it, or at
     ``formats.WHOLE`` the resolution of the design itself, passes.  Then,
     unless every section is a WHOLE one, the claim that each point has
-    exactly one section.  With ``owner`` (``d`` is an S(3, 4, v) that
-    passed the Steiner check), a tree of one passing section at every point
+    exactly one section.  With ``overlarge`` (``d`` is an S(3, 4, v) that
+    passed its Steiner check), a tree of one passing section at every point
     and no WHOLE one also claims the overlarge set of KTS(v - 1) that the
     derived designs make.  Returns whether every claim passed.
     """
@@ -326,7 +311,7 @@ def _check_sections(d: Design, results, owner: bool = False) -> bool:
     if points or not whole:
         every = sorted(points) == sorted(d.label_index)
         ok &= _claim("every point resolved", every, f"{len(points)}/{d.v}")
-        if owner and ok and not whole:
+        if overlarge and ok and not whole:
             _claim(f"overlarge set of KTS({d.v - 1})", True)
     return ok
 
@@ -356,12 +341,8 @@ def cmd_verify(args) -> int:
         items = sorted(
             parsed.items(), key=lambda kv: -1 if kv[0] == formats.WHOLE else design.point(kv[0])
         )
-        if coverage.passed and _is_sqs(design):
-            ranked = _map_jobs(args.jobs, _ranked, items, design)
-            claims = _owner_claims(design, owner_table(design), ranked, lambda: parsed)
-            ok &= _check_sections(design, claims, owner=True)
-        else:
-            ok &= _check_sections(design, _map_jobs(args.jobs, _verify_res_section, items, design))
+        claims = (_resolution_claim(design, *item) for item in items)
+        ok &= _check_sections(design, claims, overlarge=coverage.passed and _is_sqs(design))
     elif kind == "STAR":
         star = StarCertificate(design, {c.point: c for c in parsed.values()})
         rep = verify_star(star, None if design.groups else coverage)
@@ -425,10 +406,10 @@ def cmd_construct(args) -> int:
     ]
     resolved = 0
     # the four fibres of a star point go to one worker, which plans them once
-    jobs = _map_jobs(args.jobs, _point_job, range(asm.design.v), (asm, out_dir), chunk=4)
-    for passed, line in jobs:
-        manifest.append(line)
-        resolved += passed
+    with _jobs(args.jobs, _point_job, range(asm.design.v), (asm, out_dir), chunk=4) as jobs:
+        for passed, line in jobs:
+            manifest.append(line)
+            resolved += passed
     manifest.append(f"resolved_points {resolved}/{asm.design.v}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     _say(f"wrote {out_dir}/design.design, {asm.design.v} resolution files, manifest.txt")
@@ -473,26 +454,23 @@ def cmd_report(args) -> int:
     early = head is not None and _is_sqs(head)
     # on an S(3, 4, v) by its header, the workers rank the point files while
     # this process reads and proves the design and fills the owner table
-    with ExitStack() as ranking:
-        ranked = ranking.enter_context(_jobs(jobs, _ranked_file, paths, head)) if early else None
+    with ExitStack() as workers:
+        if early:
+            ranked = workers.enter_context(_jobs(jobs, _ranked_file, paths, head))
         design = _parse_file(path, formats.parse_design, text=text)
         del text
         coverage = _check_coverage(design)
-        if _is_sqs(design) and coverage.passed:
-            if not early or design.labels != head.labels:  # ranked too late or on other labels
-                ranked = _map_jobs(jobs, _ranked_file, paths, design)
+        if early and coverage.passed:
             owner = owner_table(design)
             claims = chain.from_iterable(
-                _owner_claims(design, owner, sections,
-                              partial(_parse_file, p, formats.parse_resolution, design))
-                for p, sections in zip(paths, ranked)
+                _owner_claims(design, owner, p, sections) for p, sections in zip(paths, ranked)
             )
-            ok = _check_sections(design, claims, owner=True)
+            ok = _check_sections(design, claims, overlarge=True)
         else:  # the frame route, on workers forked once the rank workers are reaped
-            ranking.close()
+            workers.close()
             design.incidence  # built before the workers fork, so each inherits it
-            results = _map_jobs(jobs, _verify_res_file, paths, design)
-            ok = _check_sections(design, chain.from_iterable(results))
+            results = workers.enter_context(_jobs(jobs, _verify_res_file, paths, design))
+            ok = _check_sections(design, chain.from_iterable(results), overlarge=False)
     return OK if coverage.passed and ok else FAIL
 
 
@@ -531,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("design")
     p.add_argument("certificate", nargs="?", help="resolution or star file")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="write the derived design at a point")

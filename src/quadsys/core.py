@@ -420,7 +420,7 @@ def subset_unrank(rank: int, t: int) -> Block:
     return tuple(reversed(out))
 
 
-def _count(counts, blocks: Iterable[Block], tabs: list[list[int]]) -> None:
+def _count(counts, blocks: Iterable[Block], tabs: Sequence[list[int]]) -> None:
     """Add 1 at the colex rank of every t-subset of every block, t = len(tabs).
 
     Blocks of size 4 at t = 3, the shape of every SQS and TD here, take an
@@ -459,10 +459,17 @@ def _count(counts, blocks: Iterable[Block], tabs: list[list[int]]) -> None:
 LIST_COUNTS_MAX = 1 << 18
 
 
+@lru_cache(maxsize=16)
+def _rank_tables(v: int, t: int) -> tuple[list[int], ...]:
+    """C(p, j) for p in 0..v-1, a list for each j in 1..t, which callers only
+    read: the colex rank of a 3-set a < b < c is C(a, 1) + C(b, 2) + C(c, 3)."""
+    return tuple([math.comb(p, j) for p in range(v)] for j in range(1, t + 1))
+
+
 def _coverage(blocks: Sequence[Block], t: int, v: int) -> bytes:
     """How many blocks cover each t-subset, by colex rank, capped at 255."""
     n = math.comb(v, t)
-    tabs = [[math.comb(p, j + 1) for p in range(v)] for j in range(t)]
+    tabs = _rank_tables(v, t)
     counts = [0] * n if n <= LIST_COUNTS_MAX else bytearray(n)
     try:
         _count(counts, blocks, tabs)
@@ -569,13 +576,6 @@ def verify_gdd(d: Design) -> VerifyReport:
     return rep
 
 
-@lru_cache(maxsize=16)
-def _comb_tables(v: int) -> tuple[list[int], list[int]]:
-    """C(p, 2) and C(p, 3) for p in 0..v-1: the colex rank of a 3-set
-    a < b < c is a + C(b, 2) + C(c, 3)."""
-    return [math.comb(p, 2) for p in range(v)], [math.comb(p, 3) for p in range(v)]
-
-
 def owner_table(d: Design):
     """The owner of each 3-set of an S(3, 4, v) ``d`` that passed
     ``verify_steiner``, by colex rank: the fourth point of the one block
@@ -583,7 +583,7 @@ def owner_table(d: Design):
     owns.  One byte a rank up to v = 256, else two (``array('H')``)."""
     from array import array
 
-    t2, t3 = _comb_tables(d.v)
+    _, t2, t3 = _rank_tables(d.v, 3)
     n = math.comb(d.v, 3)
     owner = bytearray(n) if d.v <= 256 else array("H", bytes(2 * n))
     for a, b, c, x in d.blocks:
@@ -616,7 +616,7 @@ def section_ranks(v: int, x: int, flat: Sequence[int]) -> "array | None":
         return None
     from array import array
 
-    t2, t3 = _comb_tables(v)
+    _, t2, t3 = _rank_tables(v, 3)
     ranks = list(map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
                      map(t3.__getitem__, c)))
     return array("I", ranks) if len(set(ranks)) == len(ranks) else None

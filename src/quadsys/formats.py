@@ -1,21 +1,23 @@
 """Line-oriented text formats for designs, resolutions, and star certificates.
 
 All files are UTF-8, '#' starts a comment, tokens are whitespace-separated.
-A line that starts with a keyword carries structure, and ``_checked`` checks
-its count of values and its repeats by one table for all formats; every
-other non-empty line is a block, written as point labels.  Emission is
-deterministic and canonical ("\n" line ends), so emit(parse(emit(x))) ==
-emit(x) holds byte-for-byte.
+A line that starts with a keyword carries structure; every other non-empty
+line is a block, written as point labels.  In a design file every keyword
+line comes before the first block line.  Emission is deterministic and
+canonical ("\n" line ends), so emit(parse(emit(x))) == emit(x) holds
+byte-for-byte.
 
 Every reader reads through ``_items``, where a line ends at every line
-boundary of Python's ``str``.  A run of block lines of canonical text, as
-the emitters write it, is read at once; other text is first rewritten a
-piece at a time, one line of single-spaced tokens for each line.  Both
-certificate formats are read one POINT section at a time by ``_sections``:
-a fault of a line alone is reported at that line as it is read, and one
-that needs the whole section once the section ends, after the next POINT
-line's own checks.  ``point_ids`` reads a point file as ``emit_resolution``
-writes it with one match, to the flat ids ``core.section_ranks`` takes.
+boundary of Python's ``str`` and each keyword line's count of values and
+its repeats are checked by one table for all formats.  A run of block lines
+of canonical text, as the emitters write it, is read at once; other text is
+first rewritten a piece at a time, one line of single-spaced tokens for
+each line.  Both certificate formats are read one POINT section at a time
+by ``_sections``: a fault of a line alone is reported at that line as it is
+read, and one that needs the whole section once the section ends, after the
+next POINT line's own checks.  ``point_ids`` reads a point file as
+``emit_resolution`` writes it with one match, to the flat ids
+``core.section_ranks`` takes.
 
 Resolutions and star certificates for the derived design at a point are
 in the ids of the parent design, where the punctured point does not occur,
@@ -27,7 +29,7 @@ from __future__ import annotations
 import operator
 import os
 import re
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,7 +42,6 @@ from .core import (
     ParameterError,
     Resolution,
     derived_frame,
-    make_design,
     parse_label,
 )
 from .star import StarGroup, StarPointCertificate
@@ -88,20 +89,23 @@ def _pieces(text: str):
 
 # "#" and the ASCII whitespace besides " " and "\n": not in canonical text
 _IRREGULAR = "#\t\r\v\f\x1c\x1d\x1e\x1f"
-# a line starting with a capital letter, as a keyword line does and no label
-_HEAD = re.compile(r"\n([A-Z][^\n]*)")
+# a line starting with a capital letter after any spaces, as a keyword line
+# does and no label
+_HEAD = re.compile(r"\n *([A-Z][^\n]*)")
 # ids that know no label: every line comes from ``_items`` as its tokens
 _NO_IDS = {}.__getitem__
 
 
-def _items(text: str, ids: Callable[[str], int], ascending: bool = False):
+def _items(text: str, ids: Callable[[str], int], once: dict[str, int]):
     r"""(line number, tokens) of each line, numbered from 1 at every line
     boundary of ``str``, that holds any before its first '#'; except that
     each run of block lines between keyword lines that ``_run_blocks``
     accepts is one item, (its first line number, its blocks as tuples of
     ``ids``).  Text that is not canonical is rewritten a ``_pieces`` piece
     at a time, one line of single-spaced tokens for each line; runs end at
-    pieces too."""
+    pieces too.  Each keyword line is checked here against ``_ONCE``
+    (``once`` holds the line of each such keyword met) and ``_KEYWORDS``
+    before it is yielded."""
     irregular = any(map(text.__contains__, _IRREGULAR))
     canonical = text.endswith("\n") and text.isascii() and not irregular
     no = 1
@@ -112,10 +116,24 @@ def _items(text: str, ids: Callable[[str], int], ascending: bool = False):
         # "\n" before every line: odd parts are keyword lines, others runs
         for i, part in enumerate(_HEAD.split("\n" + piece[:-1])):
             if i % 2:  # a keyword line
-                yield no, part.split()
+                tok = part.split()
+                key = tok[0]
+                if key in _KEYWORDS:
+                    takes = _KEYWORDS[key]
+                    if key in _ONCE and once.setdefault(key, no) != no:
+                        raise ParseError(_ONCE[key], no)
+                    if takes == 0 and len(tok) > 1:
+                        raise ParseError(f"{key} takes no value", no)
+                    if takes == 1 and len(tok) != 2:
+                        raise ParseError(f"{key} takes exactly one value", no)
+                    if takes and len(tok) == 1:  # one or more, each a ``takes``
+                        raise ParseError(f"{key} needs at least one {takes}", no)
+                    if key == "POINT":  # a new section
+                        once.pop("SPECIAL", None)
+                yield no, tok
                 no += 1
             elif part:
-                blocks = _run_blocks(part, ids, ascending)
+                blocks = _run_blocks(part, ids)
                 if blocks is not None:
                     yield no, blocks
                 else:  # each line as its tokens
@@ -124,10 +142,10 @@ def _items(text: str, ids: Callable[[str], int], ascending: bool = False):
                 no += part.count("\n")
 
 
-def _run_blocks(run: str, ids: Callable[[str], int], ascending: bool) -> list[Block] | None:
+def _run_blocks(run: str, ids: Callable[[str], int]) -> list[Block] | None:
     r"""The blocks of ``run`` ("\n" before each line) as tuples of ``ids``,
-    if each line holds k labels one space apart (and, with ``ascending``,
-    each block's ids ascend, as the line reader would sort them); else None."""
+    if each line holds k labels one space apart and each block's ids ascend,
+    as the line reader would sort them; else None."""
     k = run.split("\n", 2)[1].count(" ") + 1
     if not re.fullmatch(r"(?:\n\S+(?: \S+){%d})+" % (k - 1), run):
         return None
@@ -136,29 +154,9 @@ def _run_blocks(run: str, ids: Callable[[str], int], ascending: bool) -> list[Bl
     except KeyError:
         return None
     cols = [flat[j::k] for j in range(k)]
-    if ascending and not all(all(map(operator.lt, lo, hi)) for lo, hi in zip(cols, cols[1:])):
+    if not all(all(map(operator.lt, lo, hi)) for lo, hi in zip(cols, cols[1:])):
         return None
     return list(zip(*cols))
-
-
-def _checked(text: str, ids: Callable[[str], int], once: dict[str, int], ascending: bool = False):
-    """``_items`` of ``text``, each keyword line checked against ``_ONCE``
-    (``once`` holds the line of each such keyword met) and ``_KEYWORDS``."""
-    for no, tok in _items(text, ids, ascending):
-        key = tok[0]
-        if key in _KEYWORDS:
-            takes = _KEYWORDS[key]
-            if key in _ONCE and once.setdefault(key, no) != no:
-                raise ParseError(_ONCE[key], no)
-            if takes == 0 and len(tok) > 1:
-                raise ParseError(f"{key} takes no value", no)
-            if takes == 1 and len(tok) != 2:
-                raise ParseError(f"{key} takes exactly one value", no)
-            if takes and len(tok) == 1:  # one or more, each a ``takes``
-                raise ParseError(f"{key} needs at least one {takes}", no)
-            if key == "POINT":  # a new section
-                once.pop("SPECIAL", None)
-        yield no, tok
 
 
 def _int(text: str, key: str, no: int) -> int:
@@ -174,45 +172,32 @@ def _int(text: str, key: str, no: int) -> int:
 
 def parse_design(text: str, head: bool = False) -> Design | None:
     """The design a design file states: with GROUP lines, a ``Gdd`` whose
-    GROUP lines partition the POINTS labels.  With ``head``, only the header
-    is read, the keyword lines before the first block line: the result is
-    the plain design it states with no blocks, or None if it holds a GROUP
-    line or lacks a KIND, T, K or POINTS line.
+    GROUP lines partition the POINTS labels.  Every keyword line comes
+    before the first block line, and the header they make is checked at
+    that line (or at the end of a file of no blocks).  With ``head``, only
+    the header is read: the result is the plain design it states with no
+    blocks, or None if it holds a GROUP line.
 
-    Block lines are mapped to point ids as they are read, through a label
-    index that grows at every POINTS line; a line naming a label of a later
-    POINTS line is kept as tokens and resolved once the file is read.  The
-    header checks run first.  If every block came from a run of ascending
-    ids of a size in K, and the runs are in block order, the blocks are
-    kept as read; else ``make_design`` checks each block once.  Only a
-    rejected block makes the text be read again for its line.
+    Each block is checked where it is read, in file order: a run from
+    ``_run_blocks`` already ascends, so only its size is checked; a line
+    read alone is checked for an unknown label, a repeated point and its
+    size.  Blocks out of order are sorted once.
     """
     kind = t = v = None
-    heads: dict[str, int] = {}  # the line of each KIND, T, V and K header, as _checked keeps it
+    heads: dict[str, int] = {}  # the line of each KIND, T, V and K header, as _items keeps it
     sizes: list[int] = []
     labels: list[Label] = []
     index: dict[str, int] = {}
     ids = index.__getitem__
     groups: list[tuple[int, tuple[str, ...]]] = []
-    blocks: list[tuple[int, ...] | list[str]] = []  # ids, or tokens to resolve later
-    late: list[int] = []  # positions in blocks of the token lists
-    run_sizes: set[int] = set()  # the block size of each run, 0 for a block line read alone
-    for no, tok in _checked(text, ids, heads, ascending=True):
+    items = _items(text, ids, heads)
+    first = ()  # the first block line, once it is read
+    for no, tok in items:
         key = tok[0]
-        if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
-            if head:
-                break
-            if type(key) is tuple:  # a run of blocks
-                blocks += tok
-                run_sizes.add(len(key))
-                continue
-            run_sizes.add(0)
-            try:
-                blocks.append(tuple(map(ids, tok)))
-            except KeyError:
-                late.append(len(blocks))
-                blocks.append(tok)
-        elif key == "KIND":
+        if key not in _KEYWORDS:  # the header is complete
+            first = ((no, tok),)
+            break
+        if key == "KIND":
             kind = tok[1]
             if kind not in _DESIGN_KINDS:
                 raise ParseError(f"unknown design kind {kind!r}", no)
@@ -240,36 +225,32 @@ def parse_design(text: str, head: bool = False) -> Design | None:
             groups.append((no, tuple(tok[1:])))
         else:
             raise ParseError(f"{key} not valid in a design file", no)
-    if head:
-        whole = kind is not None and t is not None and sizes and labels and not groups
-        return Design(t, frozenset(sizes), tuple(labels), (), kind) if whole else None
     if kind is None or t is None or not sizes or not labels:
         raise ParseError("missing KIND, T, K, or POINTS header", 1)
     if v is not None and v != len(labels):
         raise ParseError(f"V {v} does not match {len(labels)} labels", heads["V"])
     if t > max(sizes):
         raise ParseError(f"T {t} is above every block size in K={sizes}", heads["T"])
-    # runs alone (no late block), each of ascending ids of a size in K, in order
-    proved = run_sizes.issubset(sizes) and all(map(operator.le, blocks, islice(blocks, 1, None)))
-    try:
-        for i in late:
-            blocks[i] = tuple(map(ids, blocks[i]))
-        if proved:
-            design = Design(t, frozenset(sizes), tuple(labels), tuple(blocks), kind)
-        else:
-            design = make_design(t=t, sizes=sizes, labels=labels, blocks=blocks, kind=kind)
-    except (KeyError, ParameterError):  # name the first failing line in file order
-        for i, b in enumerate(blocks):
-            if isinstance(b, list):
-                try:
-                    b = tuple(map(ids, b))
-                except KeyError as exc:
-                    raise ParseError(f"unknown label {exc.args[0]!r}", _block_line(text, i)) from None
-            if len(set(b)) != len(b):
-                raise ParseError("repeated point in block", _block_line(text, i)) from None
-            if len(b) not in sizes:
-                raise ParseError(f"block size {len(b)} not in K={sizes}", _block_line(text, i)) from None
-        raise
+    if head:
+        return None if groups else Design(t, frozenset(sizes), tuple(labels), (), kind)
+    blocks: list[Block] = []
+    for no, tok in chain(first, items):
+        key = tok[0]
+        if type(key) is tuple:  # a run of blocks
+            if len(key) not in sizes:
+                raise ParseError(f"block size {len(key)} not in K={sizes}", no)
+            blocks += tok
+            continue
+        if key in _KEYWORDS:
+            raise ParseError(f"{key} after a block line", no)
+        b = _block_ids(ids, tok, no)
+        if len(set(b)) != len(b):
+            raise ParseError("repeated point in block", no)
+        if len(b) not in sizes:
+            raise ParseError(f"block size {len(b)} not in K={sizes}", no)
+        blocks.append(b)
+    blocks.sort()
+    design = Design(t, frozenset(sizes), tuple(labels), tuple(blocks), kind)
     if not groups:
         return design
     seen: set[str] = set()
@@ -285,14 +266,6 @@ def parse_design(text: str, head: bool = False) -> Design | None:
         raise ParseError(f"label {missing[0]!r} is in no GROUP", no)
     cells = (tuple(sorted(map(ids, cell))) for _, cell in groups)
     return Gdd(design=design, groups=tuple(sorted(cells)))
-
-
-def _block_line(text: str, i: int) -> int:
-    """The line number of block line ``i`` (counted from 0) of a design file
-    whose other lines are all headers.  It is looked up only when a block is
-    rejected, so a parse keeps no line number per block."""
-    numbers = (no for no, tok in _items(text, _NO_IDS) if tok[0] not in _KEYWORDS)
-    return next(islice(numbers, i, None))
 
 
 def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
@@ -402,7 +375,7 @@ def _sections(text: str, companion: Design, fmt: tuple):
     ids = index.__getitem__
     seen: set[str] = set()
     point = point_line = blocks = None  # blocks: where block lines go
-    for no, tok in _checked(text, ids, {}, ascending=True):
+    for no, tok in _items(text, ids, {}):
         key = tok[0]
         if key not in _KEYWORDS:  # most lines are blocks, so they are tested first
             if blocks is None:
@@ -503,7 +476,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
 def parse_certificate(text: str, companion: Design):
     """(kind, sections) of a certificate file, read as its first KIND line says."""
-    kind = next((tok[1] for _, tok in _checked(text, _NO_IDS, {}) if tok[0] == "KIND"), None)
+    kind = next((tok[1] for _, tok in _items(text, _NO_IDS, {}) if tok[0] == "KIND"), None)
     parse = {"RES": parse_resolution, "STAR": parse_star}.get(kind)
     if parse is None:
         raise ParameterError("a certificate needs a KIND RES or KIND STAR line")

@@ -151,16 +151,18 @@ def test_malformed_header_exits_2_with_one_line(tmp_path, header, line):
 
 @pytest.mark.parametrize("command", ["verify", "construct"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, command, capsys):
+    # verify takes no --jobs at all: it proves in one process
     design = tmp_path / "sqs8.design"
     run_cli("gen", "sqs8", "--out", str(design))
-    argv = {
-        "verify": ["verify", str(design)],
-        "construct": ["construct", str(tmp_path / "none.star"), str(tmp_path / "out")],
+    argv, says = {
+        "verify": (["verify", str(design)], "unrecognized arguments: --jobs 0"),
+        "construct": (["construct", str(tmp_path / "none.star"), str(tmp_path / "out")],
+                      "--jobs: must be at least 1, got 0"),
     }[command]
     with pytest.raises(SystemExit) as err:
         main(argv + ["--jobs", "0"])
     assert err.value.code == 2
-    assert "--jobs: must be at least 1, got 0" in capsys.readouterr().err
+    assert says in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -194,15 +196,61 @@ def test_gen_sqs22_with_certificate_and_rdsqs_verify(tmp_path):
                                      "PASS overlarge set of KTS(21)"]
 
 
+def _sqs4(tmp_path):
+    """The files of an SQS(4), one block, and of its star certificate: at
+    each point the derived design is one triple T, so the special class is
+    {T} and the one group is T three times."""
+    design = tmp_path / "sqs4.design"
+    design.write_text("KIND SQS\nT 3\nV 4\nK 4\nPOINTS 0 1 2 3\n0 1 2 3\n")
+    star = tmp_path / "sqs4.star"
+    sections = []
+    for x in "0123":
+        triple = " ".join(y for y in "0123" if y != x)
+        sections.append(f"POINT {x}\nSPECIAL\n{triple}\nGROUP 1\nCOMMON {triple}\n"
+                        + f"CLASS\n{triple}\n" * 3)
+    star.write_text("KIND STAR\n" + "".join(sections))
+    return design, star
+
+
 def test_jobs_flag_does_not_change_output(tmp_path):
-    design = tmp_path / "rdgdd24.design"
-    run_cli("gen", "rdgdd24", "--out", str(design))
-    res = tmp_path / "rdgdd24.res"
-    code1, out1 = run_cli("verify", str(design), str(res))
-    code2, out2 = run_cli(
-        "verify", str(design), str(res), "--jobs", "2"
-    )
-    assert (code1, out1) == (code2, out2) == (0, out1)
+    # construct's --jobs changes which process proves and writes each point
+    # file, never a byte of the tree or of what report then says of it
+    design, star = _sqs4(tmp_path)
+    trees = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code, out = run_cli("construct", str(star), str(out_dir), "--design", str(design),
+                            "--jobs", jobs)
+        assert (code, out) == (0, f"wrote {out_dir}/design.design, 16 resolution files, manifest.txt\n")
+        trees.append((tree_sha256(out_dir), report_both_ways(out_dir)))
+    assert trees[0] == trees[1]
+    assert trees[0][1][1].splitlines()[-2:] == ["PASS every point resolved 16/16",
+                                                "PASS overlarge set of KTS(15)"]
+
+
+@pytest.mark.parametrize("command, line", [("verify", "CLASS"), ("derive", "GROUP 0"),
+                                           ("construct", "POINTS 9"), ("report", "POINTS 99")])
+def test_a_keyword_line_after_a_block_line_exits_2_with_one_line(tmp_path, capsys, command, line):
+    # every keyword line of a design file comes before its first block line
+    design, star = _sqs4(tmp_path)
+    if command == "report":  # the workers fork on the header, and are reaped
+        run_cli("construct", str(star), str(tmp_path / "out"), "--design", str(design))
+        design = tmp_path / "out" / "design.design"
+    design.write_text(design.read_text() + line + "\n")
+    no = design.read_text().count("\n")
+    if command == "report":
+        code, out, err = report_on(tmp_path / "out", {0, 1})
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    else:
+        capsys.readouterr()
+        code = main({"verify": ["verify", str(design)],
+                     "derive": ["derive", str(design), "0", "--out", str(tmp_path / "d.design")],
+                     "construct": ["construct", str(star), str(tmp_path / "new"),
+                                   "--design", str(design)]}[command])
+        out, err = capsys.readouterr()
+    key = line.split()[0]
+    assert (code, out, err) == (2, "", f"error: {design}: line {no}: {key} after a block line\n")
 
 
 def test_derive_writes_derived_design(tmp_path):
@@ -707,10 +755,10 @@ def test_a_parse_error_in_a_pool_job_reaches_the_caller_intact():
     good = emit_design(catalog.sqs8())
     lines = good.splitlines()
     lines[-1] = " ".join(["99_9"] + lines[-1].split()[1:])
-    results = cli._map_jobs(2, parse_design, [good, "\n".join(lines) + "\n"], None)
-    assert next(results).v == 8
-    with pytest.raises(ParseError) as err:
-        next(results)
+    with cli._jobs(2, parse_design, [good, "\n".join(lines) + "\n"], None) as results:
+        assert next(results).v == 8
+        with pytest.raises(ParseError) as err:
+            next(results)
     assert str(err.value) == f"line {len(lines)}: unknown label '99_9'"
     assert err.value.line == len(lines)
 
@@ -741,10 +789,10 @@ def _kill_9():
 @pytest.mark.parametrize("how, says", [(_exit_3, "exited with status 3"),
                                        (_kill_9, "was killed by signal 9")])
 def test_a_worker_that_dies_is_an_error_not_a_traceback(how, says):
-    results = cli._map_jobs(2, _dies_at(1, how), range(6), None)
-    assert next(results) == 0
-    with pytest.raises(ChildProcessError) as err:
-        next(results)
+    with cli._jobs(2, _dies_at(1, how), range(6), None) as results:
+        assert next(results) == 0
+        with pytest.raises(ChildProcessError) as err:
+            next(results)
     assert str(err.value) == f"a worker {says} before it sent its results"
     with pytest.raises(ChildProcessError):  # both workers were reaped
         os.waitpid(-1, os.WNOHANG)
@@ -780,8 +828,8 @@ def test_a_dead_report_worker_on_a_gdd_tree_exits_2_with_one_error_line(tmp_path
 
 def test_jobs_run_in_process_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    pids = list(cli._map_jobs(2, lambda item: os.getpid(), range(3), None))
-    assert pids == [os.getpid()] * 3
+    with cli._jobs(2, lambda item: os.getpid(), range(3), None) as results:
+        assert list(results) == [os.getpid()] * 3
 
 
 def test_report_needs_every_point_once(tmp_path):
@@ -921,9 +969,10 @@ def test_report_on_an_sqs_that_fails_its_steiner_check_proves_on_fresh_workers(t
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_report_ranks_the_point_files_again_when_the_header_lacks_labels(tmp_path):
-    # labels on a POINTS line after the blocks: the workers ranked on the
-    # header's labels, so the point files are ranked again on the design's
+def test_report_takes_the_labels_of_the_header_alone(tmp_path):
+    # labels on a POINTS line after the blocks are not the header's: the
+    # header fails at its V line, or without one the first block that names
+    # a later label fails; either way before any worker forks
     out_dir = tmp_path / "out"
     _catalog_point_files(out_dir)
     code, canonical, err = report_both_ways(out_dir)
@@ -934,8 +983,19 @@ def test_report_ranks_the_point_files_again_when_the_header_lacks_labels(tmp_pat
     at = next(i for i, line in enumerate(lines) if line.startswith("POINTS "))
     labels = lines[at].split()[1:]
     lines[at] = "POINTS " + " ".join(labels[:11])
-    path.write_text("\n".join(lines + ["POINTS " + " ".join(labels[11:])]) + "\n")
-    assert report_both_ways(out_dir) == (0, canonical, "")
+    lines.append("POINTS " + " ".join(labels[11:]))
+    first = next(i for i, line in enumerate(lines) if set(line.split()) & set(labels[11:]))
+    assert lines[2] == "V 22" and lines[first - 1][:1].isdigit()
+    for text, says in (
+        ("\n".join(lines) + "\n", "line 3: V 22 does not match 11 labels"),
+        ("\n".join(lines[:2] + lines[3:]) + "\n", f"line {first}: unknown label "),
+    ):
+        path.write_text(text)
+        code, out, err = report_both_ways(out_dir)
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}: {says}")
+        assert err.count("\n") == 1
+        with pytest.raises(ChildProcessError):  # no worker was left
+            os.waitpid(-1, os.WNOHANG)
     # a GDD takes the frame route and makes no overlarge-set claim
     gdd = tmp_path / "gdd"
     _catalog_point_files(gdd, "rdgdd24")
@@ -943,12 +1003,31 @@ def test_report_ranks_the_point_files_again_when_the_header_lacks_labels(tmp_pat
     assert (code, err) == (0, "") and out.splitlines()[-1] == "PASS every point resolved 24/24"
 
 
-def test_verify_proves_an_sqs_resolution_by_owner_on_any_number_of_jobs(tmp_path):
+def test_verify_makes_the_claims_report_makes_on_the_same_sections(tmp_path):
+    # verify proves by the frame route, report by the owner route: the same
+    # lines, passing and failing, in point order and in file order
+    out_dir = tmp_path / "out"
+    _catalog_point_files(out_dir)
+    res = tmp_path / "sqs22.res"
+    for bad in (None, "point_7.res", "point_12.res"):
+        if bad:  # one label swapped between two triples of a class
+            lines = (out_dir / bad).read_text().splitlines()
+            (a, *bc), (d, *ef) = lines[3].split(), lines[4].split()
+            lines[3:5] = [" ".join([d, *bc]), " ".join([a, *ef])]
+            (out_dir / bad).write_text("\n".join(lines) + "\n")
+        files = sorted(out_dir.glob("point_*.res"))
+        res.write_text("KIND RES\n" + "".join(p.read_text().split("\n", 1)[1] for p in files))
+        code, out = run_cli("verify", str(out_dir / "design.design"), str(res))
+        by_report = report_on(out_dir, {0})
+        assert by_report[1] != out  # in another order
+        assert (code, sorted(out.splitlines())) == (by_report[0], sorted(by_report[1].splitlines()))
+        assert out.count("FAIL derived resolution") == (bad is not None) + (bad == "point_12.res")
+    assert code == 1 and "overlarge" not in out
     design = tmp_path / "sqs22.design"
     run_cli("gen", "sqs22", "--out", str(design))
     res = tmp_path / "sqs22.res"
-    one, two = (run_cli("verify", str(design), str(res), "--jobs", jobs) for jobs in "12")
-    assert one == two and one[1].splitlines()[-1] == "PASS overlarge set of KTS(21)"
+    code, out = run_cli("verify", str(design), str(res))
+    assert code == 0 and out.splitlines()[-1] == "PASS overlarge set of KTS(21)"
     # a certificate with a POINT * section claims no overlarge set
     text = res.read_text()
     whole = emit_resolution(catalog.sqs22(), {formats.WHOLE: catalog.sqs22_resolutions()["0"].classes})

@@ -1,6 +1,7 @@
 import io
 import pickle
 import random
+import re
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -121,47 +122,48 @@ def test_the_header_of_a_design_file_is_read_alone():
     head = parse_design(text, True)
     assert (head.t, head.sizes, head.labels, head.blocks, head.kind) == (3, {4}, d.labels, (), "SQS")
     lines = text.splitlines()
-    # a block line after the header is not read; a GDD or a header that
-    # lacks its POINTS line gives no header design
-    broken = "\n".join(lines[:6] + ["0 1 2 99_9"] + lines[6:]) + "\n"
-    assert parse_design(broken, True) == head
-    with pytest.raises(ParseError):
-        parse_design(broken)
+    # a block line after the header is not read, nor a keyword line after
+    # it; a GDD gives no header design
+    for line in ("0 1 2 99_9", "POINTS 99"):
+        broken = "\n".join(lines[:6] + [line] + lines[6:]) + "\n"
+        assert parse_design(broken, True) == head
+        with pytest.raises(ParseError, match="^line 7: (unknown label '99_9'|POINTS after a block line)$"):
+            parse_design(broken)
     assert parse_design(emit_design(catalog.rdgdd24()), True) is None
+    # a fault of the header is the full parse's, at the same line: a POINTS
+    # line after the blocks leaves the header without one
     late = [line for line in lines if not line.startswith("POINTS ")] + lines[4:5]
-    assert parse_design("\n".join(late) + "\n", True) is None
-    # a fault of a header line is the full parse's, at the same line
     bad = "\n".join(lines[:3] + ["K 4 0"] + lines[4:]) + "\n"
-    for only_head in (True, False):
-        with pytest.raises(ParseError, match="^line 4: K size 0 is below 1$"):
-            parse_design(bad, only_head)
+    for text, error in (("\n".join(late) + "\n", "line 1: missing KIND, T, K, or POINTS header"),
+                        (bad, "line 4: K size 0 is below 1")):
+        for only_head in (True, False):
+            with pytest.raises(ParseError, match=f"^{error}$"):
+                parse_design(text, only_head)
 
 
-def test_parse_design_keeps_proved_runs_and_checks_anything_else_in_make_design(monkeypatch):
-    # blocks all read as ascending runs of a size in K, in order, are kept
-    # as read; any other block list goes through make_design's checks
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(len(kwargs["blocks"]))
-        return make_design(*args, **kwargs)
-
-    monkeypatch.setattr(formats, "make_design", counted)
+def test_parse_design_sorts_blocks_once_and_checks_each_where_it_is_read():
+    # blocks out of order are sorted, a block that does not ascend is read
+    # alone and sorted, and a block of a size not in K is named at its line
+    # (a run's first line), before any block after it is read
     d = catalog.sqs22()
     lines = emit_design(d).splitlines()
-    assert parse_design("\n".join(lines) + "\n") == d and calls == []
     first = lines.index(next(line for line in lines if line[:1].isdigit()))
     edits = {
         "blocks out of order": lines[:first] + [lines[first + 1], lines[first]] + lines[first + 2:],
         "a block not ascending": lines[:first] + [" ".join(reversed(lines[first].split()))]
                                  + lines[first + 1:],
-        "a size not in K": [line.replace("K 4", "K 3 5") for line in lines],
+        "the last block first": lines[:first] + lines[-1:] + lines[first:-1],
     }
     for name, edited in edits.items():
-        calls.clear()
-        outcome = _outcome(parse_design, "\n".join(edited) + "\n")
-        assert calls == [len(d.blocks)], name
-        assert outcome == d if name != "a size not in K" else outcome[0] is ParseError, name
+        assert parse_design("\n".join(edited) + "\n") == d, name
+    assert first == 5
+    run = [line.replace("K 4", "K 3 5") for line in lines]
+    extra = next(x for x in d.label_index if x not in lines[first + 2].split())
+    alone = lines[:first + 2] + [lines[first + 2] + " " + extra, "0 0 1"]
+    for edited, error in ((run, "line 6: block size 4 not in K=[3, 5]"),
+                          (alone, "line 8: block size 5 not in K=[4]")):
+        with pytest.raises(ParseError, match=rf"^{re.escape(error)}$"):
+            parse_design("\n".join(edited) + "\n")
 
 
 def test_parse_design_requires_headers():
@@ -239,9 +241,11 @@ def reference_tokens(text):
 
 def test_line_reader_matches_splitlines(monkeypatch):
     # with ids that know no label, no run is read as blocks: every line
-    # comes as its tokens, through the rewrite of irregular text or not
+    # comes as its tokens, through the rewrite of irregular text or not;
+    # a keyword line is checked at its line either way, a line that starts
+    # with a space included
     rng = random.Random(20261018)
-    words = ["", "", "a", "0 1 2 3", "KIND SQS", " # note", "\t"]
+    words = ["", "", "a", "0 1 2 3", "CLASS", "POINTS 0 1", " CLASS 5", " # note", "\t"]
     corpus = ["", "\n", "x", "\r\n\r\n", "a\r", "\r\r\n\n", "a\rb\nc",
               "".join(SEPARATORS), "x".join(SEPARATORS), "\n".join(SEPARATORS)]
     for _ in range(400):
@@ -256,11 +260,18 @@ def test_line_reader_matches_splitlines(monkeypatch):
     corpus += [text + "\n" for text in corpus if text.isascii()]
     regular = [t.endswith("\n") and not any(map(t.__contains__, formats._IRREGULAR)) for t in corpus]
     assert any(regular) and not all(regular)  # both ways through _items
+    checked = [any(tok == ["CLASS", "5"] for _, tok in reference_tokens(t)) for t in corpus]
+    assert any(checked) and not all(checked)
     for size in (1, 2, 3, 5):
         monkeypatch.setattr(formats, "_LINE_CHUNK", size)
         for text in corpus:
             want = list(reference_tokens(text))
-            assert list(formats._items(text, {}.__getitem__)) == want, (size, text)
+            bad = next((no for no, tok in want if tok == ["CLASS", "5"]), None)
+            if bad is None:
+                assert list(formats._items(text, formats._NO_IDS, {})) == want, (size, text)
+            else:
+                with pytest.raises(ParseError, match=f"^line {bad}: CLASS takes no value$"):
+                    list(formats._items(text, formats._NO_IDS, {}))
 
 
 def _noisy(text, rng):
@@ -328,23 +339,20 @@ def reference_int(text, key, no):
 
 
 def reference_parse_design(text):
-    """The parser that read every block line as label tokens and mapped
-    them to ids only once the whole file was read (reference)."""
+    """The parser that read the header of a design file, its keyword lines
+    before the first block line, checked it whole, and then read each line
+    after it in file order (reference)."""
+    lines = list(reference_tokens(text))
+    at = next((i for i, (_, tok) in enumerate(lines) if tok[0] not in REFERENCE_KEYWORDS), len(lines))
     kind = None
     t = t_line = None
     v = v_line = None
     sizes = []
     labels = []
     groups = []
-    blocks = []
-    block_lines = []
     header_lines = {}
-    for no, tok in reference_tokens(text):
+    for no, tok in lines[:at]:
         key = tok[0]
-        if key not in REFERENCE_KEYWORDS:
-            blocks.append(tuple(tok))
-            block_lines.append(no)
-            continue
         # a header is checked for a repeat, then for its count of values,
         # and only then for whether a design file may hold it
         if key in ("KIND", "T", "V", "K"):  # each at most once
@@ -386,7 +394,13 @@ def reference_parse_design(text):
         raise ParseError(f"T {t} is above every block size in K={sizes}", t_line)
     index = {lab.text: i for i, lab in enumerate(labels)}
     id_blocks = []
-    for tok, no in zip(blocks, block_lines):
+    for no, tok in lines[at:]:
+        key = tok[0]
+        if key in REFERENCE_KEYWORDS:  # its repeat and values first, as for a header
+            if key in ("KIND", "T", "V", "K") and key in header_lines:
+                raise ParseError(f"duplicate {key} line", no)
+            reference_header(tok, no)
+            raise ParseError(f"{key} after a block line", no)
         try:
             ids = tuple(index[x] for x in tok)
         except KeyError as exc:
@@ -431,17 +445,23 @@ _ODD_TOKENS = ("99_9", "77", "07", "inf", "x", "-1", "0", "POINTS", "K", "GROUP"
 
 def _mutant(lines, rng):
     """1 to 3 seeded line mutations of a design file's lines; half of the
-    picks land on a header line, where order matters most."""
+    picks land on a header line, where order matters most, and half of the
+    lines inserted go into the header, before the first block line."""
     lines = list(lines)
 
     def pick():
         heads = [i for i, line in enumerate(lines) if line[:1].isupper()]
         return rng.choice(heads) if heads and rng.random() < 0.5 else rng.randrange(len(lines))
 
+    def place(low=0):
+        head = next((i for i, line in enumerate(lines) if not line[:1].isupper()), len(lines))
+        return rng.randint(low, max(low, head)) if rng.random() < 0.5 else rng.randint(low, len(lines))
+
     for _ in range(rng.randint(1, 3)):
         if not lines:
             break
-        op = rng.choice(("delete", "swap", "duplicate", "to_end", "corrupt", "split_points"))
+        op = rng.choice(("delete", "swap", "duplicate", "to_end", "corrupt", "split_points",
+                         "first_token"))
         i = pick()
         if op == "delete":
             del lines[i]
@@ -449,9 +469,11 @@ def _mutant(lines, rng):
             j = pick()
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "duplicate":
-            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            lines.insert(place(), lines[i])
         elif op == "to_end":
             lines.append(lines.pop(i))
+        elif op == "first_token":
+            lines[i] = lines[i].split(" ")[0]
         elif op == "corrupt":
             tok = lines[i].split()
             j = rng.randrange(len(tok)) if tok else 0
@@ -470,7 +492,7 @@ def _mutant(lines, rng):
             if len(tok) > 2:
                 cut = rng.randrange(2, len(tok))
                 lines[at] = " ".join(tok[:cut])
-                lines.insert(rng.randrange(at + 1, len(lines) + 1), " ".join(["POINTS"] + tok[cut:]))
+                lines.insert(place(at + 1), " ".join(["POINTS"] + tok[cut:]))
     return lines
 
 
@@ -481,44 +503,47 @@ def test_parse_design_matches_the_reference_parser():
     sqs8 = bases["sqs8"]
     assert sqs8[3] == "K 4" and sqs8[4].startswith("POINTS ")
     first = sqs8[5].split()
-    # a block with a repeated point before a malformed K line: the header
-    # error is the one reported
+    # a block with a repeated point before the K line: the header lacks it,
+    # and that is the error reported
     repeated = sqs8[:3] + sqs8[4:5] + [f"{first[0]} {first[0]} {first[1]} {first[2]}", "K x"]
-    # blocks whose labels come from a later POINTS line
+    # labels on a POINTS line after the blocks: the header has too few
     points = sqs8[4].split()[1:]
     late = sqs8[:4] + ["POINTS " + " ".join(points[:4])] + sqs8[5:] + ["POINTS " + " ".join(points[4:])]
+    late_no_v = late[:2] + late[3:]
+    # keyword lines after the blocks of a whole file
+    after = {key: sqs8 + [line] for key, line in (("POINTS", "POINTS 99"), ("T", "T 3"),
+                                                   ("CLASS", "CLASS"), ("GROUP", "GROUP 0"))}
     # an unknown GROUP label
     rdgdd = bases["rdgdd24"]
     group = rdgdd[:5] + [rdgdd[5].replace("0_0", "9_9")] + rdgdd[6:]
     # GROUP lines that do not partition the points: an empty one, one
-    # repeated, one deleted
+    # repeated, one deleted, one after the blocks
     assert rdgdd[5:7] == ["GROUP 0_0 0_1 0_2", "GROUP 1_0 1_1 1_2"]
     group_empty = rdgdd[:5] + ["GROUP"] + rdgdd[5:]
     group_twice = rdgdd[:6] + rdgdd[5:]
     group_gone = rdgdd[:6] + rdgdd[7:]
-    # make_design checks every block; the line named is still the first
+    group_late = rdgdd[:6] + rdgdd[7:] + rdgdd[6:7]
+    # each block is checked as it is read: the line named is the first
     # failing one in file order, and no ParameterError escapes
     assert sqs8[5] == "0 1 2 5" and "5" in points[4:]
     oversize = sqs8[:5] + ["0 1 2 5 6"] + sqs8[6:9] + ["0 0 1 2"] + sqs8[9:]
-    # the late block is resolved after the whole file is read, yet the
-    # oversized block before it is the one reported
-    oversize_late = sqs8[:4] + ["POINTS " + " ".join(points[:4]), "0 1 2 3 4", "0 1 2 99_9"]
-    oversize_late += sqs8[5:] + ["POINTS " + " ".join(points[4:])]
-    every_late = sqs8[:4] + sqs8[5:] + sqs8[4:5]
-    unknown_after_late = late[:6] + ["0 1 2 99_9"] + late[6:]
-    repeat_after_late = late[:7] + ["0 1 1 2"] + late[7:] + ["0 1 2 99_9"]
+    unknown_before_late = sqs8 + ["0 1 2 99_9", "POINTS 99_9"]
     pinned = [
-        (repeated, (ParseError, "line 6: K value 'x' is not an integer")),
-        (late, catalog.sqs8()),
+        (repeated, (ParseError, "line 1: missing KIND, T, K, or POINTS header")),
+        (late, (ParseError, "line 3: V 8 does not match 4 labels")),
+        (late_no_v, (ParseError, "line 5: unknown label '5'")),
+        (after["POINTS"], (ParseError, "line 20: POINTS after a block line")),
+        (after["T"], (ParseError, "line 20: duplicate T line")),
+        (after["CLASS"], (ParseError, "line 20: CLASS after a block line")),
+        (after["GROUP"], (ParseError, "line 20: GROUP after a block line")),
         (group, (ParseError, "line 6: unknown label '9_9' in GROUP")),
         (group_empty, (ParseError, "line 6: GROUP needs at least one label")),
         (group_twice, (ParseError, "line 7: label '0_0' is already in a GROUP")),
         (group_gone, (ParseError, "line 12: label '1_0' is in no GROUP")),
+        (group_late, (ParseError, f"line {len(rdgdd)}: GROUP after a block line")),
         (oversize, (ParseError, "line 6: block size 5 not in K=[4]")),
-        (oversize_late, (ParseError, "line 6: block size 5 not in K=[4]")),
-        (every_late, catalog.sqs8()),
-        (unknown_after_late, (ParseError, "line 7: unknown label '99_9'")),
-        (repeat_after_late, (ParseError, "line 8: repeated point in block")),
+        (unknown_before_late, (ParseError, "line 20: unknown label '99_9'")),
+        (sqs8, catalog.sqs8()),
     ]
     for lines, expected in pinned:
         text = "\n".join(lines) + "\n"
@@ -537,7 +562,9 @@ def test_parse_design_matches_the_reference_parser():
     for needed in ("parsed", "unknown label", "repeated point", "block size", "K value", "POINTS",
                    "above every block size", "already in a GROUP", "in no GROUP",
                    "duplicate KIND line", "duplicate T line", "duplicate V line",
-                   "duplicate K line", "POINTS needs at least one label", "takes exactly one value"):
+                   "duplicate K line", "POINTS needs at least one label", "takes exactly one value",
+                   "K needs at least one block size", "is below 1", "does not match",
+                   "unknown design kind", "malformed point label", "in GROUP", "after a block line"):
         assert any(needed in outcome for outcome in outcomes), needed
 
 
@@ -546,8 +573,10 @@ def test_parse_design_matches_the_reference_parser():
 
 
 def _both_readers(parse, text, *args):
-    """The outcome of ``parse`` as it reads, and with the line reader
-    alone: the value, or a ParseError's (message, line)."""
+    """The outcome of ``parse`` as it reads, and with every run of block
+    lines declined, so that ``_items`` gives each line as its tokens, as
+    ``test_line_reader_matches_splitlines`` checks: the value, or a
+    ParseError's (message, line)."""
 
     def outcome():
         try:
@@ -557,7 +586,7 @@ def _both_readers(parse, text, *args):
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(formats, "_items", lambda text, ids, ascending=False: reference_tokens(text))
+        m.setattr(formats, "_run_blocks", lambda run, ids: None)
         slow = outcome()
     return fast, slow
 
