@@ -243,24 +243,17 @@ def _rule(points, coeffs, rhs) -> CongruenceRule:
 
 @lru_cache(maxsize=None)
 def rule_table_24() -> tuple[CongruenceRule, ...]:
-    rows = []
-    for i in (0, 1):
-        rows.append(_rule((_INF, *plain_labels((i, 1 + i, 3 + i))), (1, 1, 1, 1), (0, 2, 1)))
-    for i in (2, 3, 4, 5, 6):
-        rows.append(
-            _rule((_INF, *plain_labels((d + i) % 7 for d in (0, 1, 3))), (1, 1, 1, 1), 0)
-        )
-    for i in (0, 2, 6):
-        rows.append(
-            _rule(plain_labels((d + i) % 7 for d in (0, 1, 2, 5)), (1, 1, -1, -1), 0)
-        )
-    for i in (1, 3):
-        rows.append(
-            _rule(plain_labels((d + i) % 7 for d in (0, 1, 2, 5)), (1, 1, 1, 1), 0)
-        )
-    rows.append(_rule(plain_labels((4, 5, 6, 2)), (1, 1, -1, 1), (0, 2, 1)))
-    rows.append(_rule(plain_labels((5, 6, 0, 3)), (1, 1, -1, 1), 0))
-    return tuple(rows)
+    def shift(ds, i):
+        return plain_labels((d + i) % 7 for d in ds)
+
+    return (
+        *(_rule((_INF, *shift((0, 1, 3), i)), (1, 1, 1, 1), (0, 2, 1)) for i in (0, 1)),
+        *(_rule((_INF, *shift((0, 1, 3), i)), (1, 1, 1, 1), 0) for i in (2, 3, 4, 5, 6)),
+        *(_rule(shift((0, 1, 2, 5), i), (1, 1, -1, -1), 0) for i in (0, 2, 6)),
+        *(_rule(shift((0, 1, 2, 5), i), (1, 1, 1, 1), 0) for i in (1, 3)),
+        _rule(plain_labels((4, 5, 6, 2)), (1, 1, -1, 1), (0, 2, 1)),
+        _rule(plain_labels((5, 6, 0, 3)), (1, 1, -1, 1), 0),
+    )
 
 
 _TABLE_42_SUM_102 = ((4, 6, 8, 12), (2, 5, 7, 11), (8, 11, 12, 7))
@@ -279,16 +272,12 @@ _TABLE_42_DIFF_2 = (
 
 @lru_cache(maxsize=None)
 def rule_table_42() -> tuple[CongruenceRule, ...]:
-    rows = []
-    for tup in _TABLE_42_SUM_102:
-        rows.append(_rule(plain_labels(tup), (1, 1, 1, 1), (1, 0, 2)))
-    for tup in _TABLE_42_SUM_210:
-        rows.append(_rule(plain_labels(tup), (1, 1, 1, 1), (2, 1, 0)))
-    for tup in _TABLE_42_DIFF_1:
-        rows.append(_rule(plain_labels(tup), (1, 1, 1, -1), 1))
-    for tup in _TABLE_42_DIFF_2:
-        rows.append(_rule(plain_labels(tup), (1, 1, 1, -1), 2))
-    return tuple(rows)
+    return (
+        *(_rule(plain_labels(tup), (1, 1, 1, 1), (1, 0, 2)) for tup in _TABLE_42_SUM_102),
+        *(_rule(plain_labels(tup), (1, 1, 1, 1), (2, 1, 0)) for tup in _TABLE_42_SUM_210),
+        *(_rule(plain_labels(tup), (1, 1, 1, -1), 1) for tup in _TABLE_42_DIFF_1),
+        *(_rule(plain_labels(tup), (1, 1, 1, -1), 2) for tup in _TABLE_42_DIFF_2),
+    )
 
 
 _DEFAULT_SUM0 = CongruenceRule(points=(), coeffs=(1, 1, 1, 1), rhs=(0, 0, 0))

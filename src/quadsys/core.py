@@ -24,9 +24,9 @@ some block is shorter than t, or t < 2.  ``verify_resolution`` decides by
 set tests, and by the tallies that name its witnesses where those cannot.
 In an S(3, 4, v) each 3-set lies in one block, whose fourth point owns it,
 so the derived designs at the v points partition the 3-sets:
-``owner_table`` holds each 3-set's owner by colex rank, and a resolution of
-the derived design at x is proved by ``owns`` of the ``section_ranks`` of
-its triples' ids (``class_ranks`` of its classes as blocks).
+``owner_table`` holds each 3-set's owner by colex rank, in one pass that is
+also the Steiner proof, and a resolution of the derived design at x is
+proved by ``owns`` of the ``section_ranks`` of its triples' ``class_ids``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import itertools
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
@@ -577,15 +578,19 @@ def verify_gdd(d: Design) -> VerifyReport:
 
 
 def owner_table(d: Design):
-    """The owner of each 3-set of an S(3, 4, v) ``d`` that passed
-    ``verify_steiner``, by colex rank: the fourth point of the one block
-    through it.  The derived design at x is then exactly the 3-sets that x
-    owns.  One byte a rank up to v = 256, else two (``array('H')``)."""
+    """The owner of each 3-set of an S(3, 4, v) ``d`` by colex rank, the
+    fourth point of the one block through it; None unless ``d`` has T 3, K
+    {4}, C(v, 3)/4 blocks and no slot left at its sentinel, so that by
+    pigeonhole each 3-set lies in exactly one block: the Steiner proof.  One
+    byte a rank while v < 255, else two (``array('H')``)."""
     from array import array
 
-    _, t2, t3 = _rank_tables(d.v, 3)
     n = math.comb(d.v, 3)
-    owner = bytearray(n) if d.v <= 256 else array("H", bytes(2 * n))
+    if d.t != 3 or d.sizes != {4} or not d.blocks or 4 * len(d.blocks) != n:
+        return None
+    _, t2, t3 = _rank_tables(d.v, 3)
+    none = 255 if d.v < 255 else 65535  # no point's id
+    owner = bytearray([none]) * n if none == 255 else array("H", [none]) * n
     for a, b, c, x in d.blocks:
         ab = a + t2[b]
         cx = t2[c] + t3[x]
@@ -593,42 +598,66 @@ def owner_table(d: Design):
         owner[ab + t3[x]] = c
         owner[a + cx] = b
         owner[b + cx] = a
-    return owner
+    return None if none in owner else owner
 
 
-def section_ranks(v: int, x: int, flat: Sequence[int]) -> "array | None":
+def section_ranks(v: int, x: int, flat: Sequence[int] | None) -> "array | None":
     """The colex ranks of the triples ``flat[0:3]``, ``flat[3:6]``, ... of
     the ids ``flat``, as ``array('I')``, if each run of v - 1 ids (a class)
     is the points 0..v-1 other than x, each triple ascends, and the ranks
-    are distinct and (v - 1)(v - 2)/6 in number; else None.
+    are distinct and (v - 1)(v - 2)/6 in number; else (or if None) None.
 
-    In an S(3, 4, v) that passed ``verify_steiner``, the classes are a
-    resolution of the derived design at x exactly when they pass here and
-    x owns every rank (``owner_table``, ``owns``): the ranks are then as
-    many as that design's triples, all distinct and all among them."""
+    In an S(3, 4, v) with an ``owner_table``, the classes are a resolution
+    of the derived design at x exactly when they pass here and x owns every
+    rank (``owns``): the ranks are then as many as that design's triples,
+    all distinct and all among them."""
     n = v - 1
     if not flat or n % 3 or len(flat) != n * (n - 1) // 2:
         return None
-    ground = set(range(v)) - {x}
-    a, b, c = flat[0::3], flat[1::3], flat[2::3]
-    if not (all(set(flat[i:i + n]) == ground for i in range(0, len(flat), n))
-            and all(map(operator.lt, a, b)) and all(map(operator.lt, b, c))):
-        return None
     from array import array
 
-    _, t2, t3 = _rank_tables(v, 3)
-    ranks = list(map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
-                     map(t3.__getitem__, c)))
-    return array("I", ranks) if len(set(ranks)) == len(ranks) else None
+    runs, ranks = range(0, len(flat), n), array("I")
+    try:  # as bytes: no id outside the ground, and no class that leaves one out
+        ids, ground = bytes(flat), bytes(p for p in range(v) if p != x)
+        fits = not ids.translate(None, ground) and not any(
+            ground.translate(None, ids[i:i + n]) for i in runs)
+    except ValueError:  # some id or point past 255 (or below 0)
+        ids, ground = flat, set(range(v)) - {x}
+        fits = all(set(flat[i:i + n]) == ground for i in runs)
+    a, b, c = ids[0::3], ids[1::3], ids[2::3]
+    if not (fits and all(map(operator.lt, a, b)) and all(map(operator.lt, b, c))):
+        return None
+    if isinstance(ground, set):
+        _, t2, t3 = _rank_tables(v, 3)
+        ranks.extend(map(operator.add, map(operator.add, a, map(t2.__getitem__, b)),
+                         map(t3.__getitem__, c)))
+    else:  # each rank a field of one int, its tables looked up a byte plane at a time
+        total = 0
+        for part, planes in zip((a, b, c), _rank_planes()):
+            field = bytearray(ranks.itemsize * len(part))
+            for k, plane in enumerate(planes):
+                field[k::ranks.itemsize] = part.translate(plane)
+            total += int.from_bytes(field, "little")
+        ranks.frombytes(total.to_bytes(ranks.itemsize * len(a), "little"))
+        if sys.byteorder == "big":
+            ranks.byteswap()
+    return ranks if len(set(ranks)) == len(ranks) else None
 
 
-def class_ranks(v: int, x: int, classes: Sequence[Sequence[Block]]) -> "array | None":
-    """``section_ranks`` of ``classes`` as blocks, if every block holds 3
+@lru_cache(maxsize=None)
+def _rank_planes() -> tuple[tuple[bytes, ...], ...]:
+    """For j = 1, 2, 3, a ``bytes.translate`` table of byte k < j of C(p, j), p < 256."""
+    return tuple(tuple(bytes(math.comb(p, j) >> 8 * k & 255 for p in range(256)) for k in range(j))
+                 for j in (1, 2, 3))
+
+
+def class_ids(v: int, classes: Sequence[Sequence[Block]]) -> list[int] | None:
+    """The ids of ``classes`` in order, flattened, if every block holds 3
     points and every class (v - 1)/3 blocks; else None."""
-    blocks = list(itertools.chain.from_iterable(classes))
+    blocks = reduce(operator.iconcat, classes, [])  # one extend a class
     if any(len(cls) != (v - 1) // 3 for cls in classes) or set(map(len, blocks)) - {3}:
         return None
-    return section_ranks(v, x, list(itertools.chain.from_iterable(blocks)))
+    return reduce(operator.iconcat, blocks, [])
 
 
 def owns(owner, x: int, ranks: Sequence[int] | None) -> bool:
@@ -655,10 +684,10 @@ def verify_resolution(r: Resolution) -> VerifyReport:
     Set tests decide what they can.  When the ground repeats no id, a class
     partitions it if its block sizes sum to the ground's size and its points
     make the ground's set.  The classes exhaust the target if their blocks
-    are as many as the target's, all distinct, and each in the target (so
-    the target repeats none either).  Where a test fails, or cannot decide
-    because the ground repeats an id or the target a block, the tallies
-    that name the witnesses (``is_partition``, ``Counter``) decide.
+    are as many as the target's, and all distinct and each in it, or else
+    sorted as it is (a multiset target).  Where a test fails, or cannot
+    decide because the ground repeats an id, the tallies that name the
+    witnesses (``is_partition``, ``Counter``) decide.
     """
     rep = VerifyReport()
     rep.counts["classes"] = len(r.classes)
@@ -672,7 +701,9 @@ def verify_resolution(r: Resolution) -> VerifyReport:
         if bad is not None:
             rep.flag(f"class {ci}: {bad[0]}", bad[1])
     used = set().union(*r.classes)
-    if sum(map(len, r.classes)) == len(r.target) == len(used) and used.issubset(r.target):
+    size = sum(map(len, r.classes))
+    if size == len(r.target) and (used.issubset(r.target) if size == len(used) else
+                                  sorted(itertools.chain(*r.classes)) == sorted(r.target)):
         return rep
     union, want = Counter(itertools.chain.from_iterable(r.classes)), Counter(r.target)
     for b in (union - want):

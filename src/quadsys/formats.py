@@ -15,9 +15,9 @@ first rewritten a piece at a time, one line of single-spaced tokens for
 each line.  Both certificate formats are read one POINT section at a time
 by ``_sections``: a fault of a line alone is reported at that line as it is
 read, and one that needs the whole section once the section ends, after the
-next POINT line's own checks.  ``point_ids`` reads a point file as
-``emit_resolution`` writes it with one match, to the flat ids
-``core.section_ranks`` takes.
+next POINT line's own checks.  ``section_text`` writes a section from flat
+ids with one join, and ``point_ids`` reads such a point file back with one
+match, to the flat ids ``core.section_ranks`` takes.
 
 Resolutions and star certificates for the derived design at a point are
 in the ids of the parent design, where the punctured point does not occur,
@@ -29,9 +29,10 @@ from __future__ import annotations
 import operator
 import os
 import re
-from itertools import chain, groupby
+from functools import lru_cache
+from itertools import chain, cycle, groupby
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Block,
@@ -41,6 +42,7 @@ from .core import (
     Label,
     ParameterError,
     Resolution,
+    class_ids,
     derived_frame,
     parse_label,
 )
@@ -92,18 +94,16 @@ _IRREGULAR = "#\t\r\v\f\x1c\x1d\x1e\x1f"
 # a line starting with a capital letter after any spaces, as a keyword line
 # does and no label
 _HEAD = re.compile(r"\n *([A-Z][^\n]*)")
-# ids that know no label: every line comes from ``_items`` as its tokens
-_NO_IDS = {}.__getitem__
 
 
-def _items(text: str, ids: Callable[[str], int], once: dict[str, int]):
+def _items(text: str, ids: Callable[[str], int] | None, once: dict[str, int]):
     r"""(line number, tokens) of each line, numbered from 1 at every line
-    boundary of ``str``, that holds any before its first '#'; except that
-    each run of block lines between keyword lines that ``_run_blocks``
-    accepts is one item, (its first line number, its blocks as tuples of
-    ``ids``).  Text that is not canonical is rewritten a ``_pieces`` piece
-    at a time, one line of single-spaced tokens for each line; runs end at
-    pieces too.  Each keyword line is checked here against ``_ONCE``
+    boundary of ``str``, that holds any before its first '#'; except that,
+    unless ``ids`` is None, each run of block lines between keyword lines
+    that ``_run_blocks`` accepts is one item, (its first line number, its
+    blocks as tuples of ``ids``).  Text that is not canonical is rewritten
+    a piece at a time, one line of single-spaced tokens for each line; runs
+    end at pieces too.  Each keyword line is checked here against ``_ONCE``
     (``once`` holds the line of each such keyword met) and ``_KEYWORDS``
     before it is yielded."""
     irregular = any(map(text.__contains__, _IRREGULAR))
@@ -133,7 +133,7 @@ def _items(text: str, ids: Callable[[str], int], once: dict[str, int]):
                 yield no, tok
                 no += 1
             elif part:
-                blocks = _run_blocks(part, ids)
+                blocks = ids and _run_blocks(part, ids)
                 if blocks is not None:
                     yield no, blocks
                 else:  # each line as its tokens
@@ -174,8 +174,8 @@ def parse_design(text: str, head: bool = False) -> Design | None:
     """The design a design file states: with GROUP lines, a ``Gdd`` whose
     GROUP lines partition the POINTS labels.  Every keyword line comes
     before the first block line, and the header they make is checked at
-    that line (or at the end of a file of no blocks).  With ``head``, only
-    the header is read: the result is the plain design it states with no
+    that line (or at the end of a file of no blocks).  With ``head``, no
+    block is read: the result is the plain design the header states with no
     blocks, or None if it holds a GROUP line.
 
     Each block is checked where it is read, in file order: a run from
@@ -190,7 +190,7 @@ def parse_design(text: str, head: bool = False) -> Design | None:
     index: dict[str, int] = {}
     ids = index.__getitem__
     groups: list[tuple[int, tuple[str, ...]]] = []
-    items = _items(text, ids, heads)
+    items = _items(text, None if head else ids, heads)
     first = ()  # the first block line, once it is read
     for no, tok in items:
         key = tok[0]
@@ -284,26 +284,23 @@ def _blocks_text(names: list[str], blocks: Iterable[Block]) -> list[str]:
     return lines
 
 
-def emit_design(design: Design) -> str:
-    """The design file of ``design``: headers, its GROUP lines, then one
-    line per block.  Block lines are joined ``_EMIT_CHUNK`` at a time and
-    the pieces joined once more, so no list of every line's string is ever
-    held."""
+def design_pieces(design: Design) -> Iterator[str]:
+    """The design file of ``design`` a piece at a time: headers and its
+    GROUP lines, then its block lines, one a block, ``_EMIT_CHUNK`` a piece,
+    so no list of every line's string, nor the whole text, is ever held."""
     names = list(design.label_index)
-    lines = [
-        f"KIND {design.kind}",
-        f"T {design.t}",
-        f"V {design.v}",
-        "K " + " ".join(str(s) for s in sorted(design.sizes)),
-        "POINTS " + " ".join(names),
-    ]
+    lines = [f"KIND {design.kind}", f"T {design.t}", f"V {design.v}",
+             "K " + " ".join(map(str, sorted(design.sizes))), "POINTS " + " ".join(names)]
     lines.extend("GROUP " + line for line in _blocks_text(names, design.groups))
-    pieces = ["\n".join(lines)]
+    yield "\n".join(lines) + "\n"
     blocks = design.blocks
     for i in range(0, len(blocks), _EMIT_CHUNK):
-        pieces.append("\n".join(_blocks_text(names, blocks[i : i + _EMIT_CHUNK])))
-    pieces.append("")  # the final "\n"
-    return "\n".join(pieces)
+        yield "\n".join(_blocks_text(names, blocks[i : i + _EMIT_CHUNK])) + "\n"
+
+
+def emit_design(design: Design) -> str:
+    """The design file of ``design``: its ``design_pieces`` joined."""
+    return "".join(design_pieces(design))
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +406,34 @@ def _sections(text: str, companion: Design, fmt: tuple):
     yield point, point_line, heads
 
 
-def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
-    names = list(companion.label_index)
-    lines = ["KIND RES"]
-    for point, classes in sections.items():
-        lines.append(f"POINT {point}")
-        for cls in classes:
-            lines += ["CLASS", *_blocks_text(names, sorted(cls))]
+@lru_cache(maxsize=4)
+def _class_form(names: tuple[str, ...], triples: int) -> tuple[tuple[str, ...], ...]:
+    """Per place of an id in a class of ``triples`` blocks, each label with its text there."""
+    space, end = tuple(s + " " for s in names), tuple(s + "\n" for s in names)
+    first = tuple("CLASS\n" + s for s in space)
+    return (first, space, end) + (space, space, end) * (triples - 1)
+
+
+def section_text(names: list[str], point: str, classes, flat: list[int] | None) -> str:
+    """The POINT section at ``point`` of ``classes``, a block a line in labels ``names``; where
+    their ``core.class_ids``, ``flat``, are not None, one join of labels ``_class_form`` places."""
+    if flat:
+        form = _class_form(tuple(names), len(flat) // (3 * len(classes)))
+        return f"POINT {point}\n" + "".join(map(operator.getitem, cycle(form), flat))
+    lines = [f"POINT {point}"]
+    for cls in classes:
+        lines += ["CLASS", *_blocks_text(names, cls)]
     return "\n".join(lines) + "\n"
+
+
+def emit_resolution(companion: Design, sections: dict[str, tuple[tuple[Block, ...], ...]]) -> str:
+    """The point file of ``sections``, each class's blocks sorted."""
+    names = list(companion.label_index)
+    pieces = ["KIND RES\n"]
+    for point, classes in sections.items():
+        classes = [sorted(cls) for cls in classes]
+        pieces.append(section_text(names, point, classes, class_ids(companion.v, classes)))
+    return "".join(pieces)
 
 
 def resolution_for_point(d: Design, x, classes: tuple[tuple[Block, ...], ...]) -> Resolution:
@@ -476,7 +493,7 @@ def parse_star(text: str, companion: Design) -> dict[str, StarPointCertificate]:
 
 def parse_certificate(text: str, companion: Design):
     """(kind, sections) of a certificate file, read as its first KIND line says."""
-    kind = next((tok[1] for _, tok in _items(text, _NO_IDS, {}) if tok[0] == "KIND"), None)
+    kind = next((tok[1] for _, tok in _items(text, None, {}) if tok[0] == "KIND"), None)
     parse = {"RES": parse_resolution, "STAR": parse_star}.get(kind)
     if parse is None:
         raise ParameterError("a certificate needs a KIND RES or KIND STAR line")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from . import gf16
@@ -44,13 +44,14 @@ from .core import (
     Resolution,
     VerifyReport,
     _getters,
-    class_ranks,
+    class_ids,
     derived_frame,
     lift,
     lift_map,
     make_design,
     owner_table,
     owns,
+    section_ranks,
     verify_gdd,
     verify_resolution,
     verify_steiner,
@@ -286,25 +287,19 @@ def rdtd_blocks(block: Block) -> list[Block]:
 
 
 def two_column_blocks(points: Iterable[int]) -> list[Block]:
-    """Blocks {(x,a),(x,b),(y,c),(y,d)} with both edges in one factor."""
-    out = []
-    for x, y in itertools.combinations(sorted(points), 2):
-        for factor in FACTORIZATION:
-            for a, b in factor:
-                for c, d in factor:
-                    out.append(tuple(sorted((4 * x + a, 4 * x + b, 4 * y + c, 4 * y + d))))
-    return out
+    """Blocks {(x,a),(x,b),(y,c),(y,d)} with both edges in one factor, each
+    ascending as it is built (x < y, and each edge of a factor ascends)."""
+    return [(4 * x + a, 4 * x + b, 4 * y + c, 4 * y + d)
+            for x, y in itertools.combinations(sorted(points), 2)
+            for factor in FACTORIZATION for a, b in factor for c, d in factor]
 
 
 def assemble_design(cert: StarCertificate) -> Design:
     """The SQS(4v): TD copies over blocks + two-column blocks + columns."""
     d = cert.design
     labels = tuple(Label.pair(m, j) for m in range(d.v) for j in range(4))
-    blocks: list[Block] = []
-    for b in d.blocks:
-        blocks.extend(rdtd_blocks(b))
-    blocks.extend(two_column_blocks(range(d.v)))
-    blocks.extend(tuple(range(4 * x, 4 * x + 4)) for x in range(d.v))
+    blocks = [q for b in d.blocks for q in rdtd_blocks(b)] + two_column_blocks(range(d.v))
+    blocks += (tuple(range(4 * x, 4 * x + 4)) for x in range(d.v))
     return make_design(3, {4}, labels, blocks, kind="SQS")
 
 
@@ -335,10 +330,10 @@ def occurrence_map(pc: StarPointCertificate) -> dict[tuple[int, int, Block], int
 class QuadrupleAssembly:
     """An SQS(4v) and the assembly of one resolution per point.
 
-    ``point_classes`` only assembles; the owner route, run where they are
-    used, is their proof.  The four fibres (x, 0..3) of a star point x
-    share one plan, worked out from x's certificate when a point of x is
-    first asked for; only the current x's plan is held.
+    ``point_classes`` only assembles; the owner route on the ``owner`` table,
+    run where they are used, is their proof.  The four fibres (x, 0..3) of
+    a star point x share one plan, worked out from x's certificate when a
+    point of x is first asked for; only the current x's plan is held.
     Construction is deterministic: given the same certificate, every block
     list, class list, and report is identical between runs.
     """
@@ -356,6 +351,7 @@ class QuadrupleAssembly:
         )
         self._plan_x = -1
         self._plan: tuple = ()
+        self.owner = None  # the design's ``owner_table``, set by ``checked_assembly``
 
     def _plan_for(self, x: int) -> tuple:
         """The plan the four fibres of star point x share, worked out once
@@ -374,17 +370,16 @@ class QuadrupleAssembly:
             pc = self.cert.per_point[x]
             occ = occurrence_map(pc)
             fibres = [([], []) for _ in range(4)]
+
+            def step(tri):  # the map of the block tri + x, and x's template point there
+                bb = sorted(tri + (x,))
+                return lift_map(bb, 4), 4 * bb.index(x)
+
             for k, grp in enumerate(pc.groups):
-                b4 = sorted(grp.common + (x,))
-                m4, z4 = lift_map(b4, 4), 4 * b4.index(x)
-                lifts = []  # per class: (map, template point, row 2o) of each triple but c
-                for l, cls in enumerate(grp.classes):
-                    lifts.append([])
-                    for tri in cls:
-                        if tri != grp.common:
-                            bb = sorted(tri + (x,))
-                            o = 2 * occ[(k, l, tri)]
-                            lifts[l].append((lift_map(bb, 4), 4 * bb.index(x), o))
+                m4, z4 = step(grp.common)
+                # per class: (map, template point, row 2o) of each triple but c
+                lifts = [[(*step(tri), 2 * occ[(k, l, tri)]) for tri in cls if tri != grp.common]
+                         for l, cls in enumerate(grp.classes)]
                 for i, (classes, last) in enumerate(fibres):
                     e = self._e[z4 + i]
                     for l, steps in enumerate(lifts):
@@ -397,19 +392,12 @@ class QuadrupleAssembly:
             self._plan = tuple((tuple(c), tuple(f)) for c, f in fibres)
         return self._plan
 
-    @cached_property
-    def owner(self):
-        """``owner_table`` of the design, built in the process that proves."""
-        return owner_table(self.design)
-
     def point_classes(self, p: int) -> tuple[tuple[Block, ...], ...]:
         """The 2v-1 classes of the derived design at point p, unproved: the
         getters of each step of the plan of p's fibre applied to its map."""
         x, i = divmod(p, 4)
-        steps_by_class, last_steps = self._plan_for(x)[i]
-        classes = [
-            tuple(sorted([f(m) for m, fs in steps for f in fs])) for steps in steps_by_class
-        ]
+        by_class, last_steps = self._plan_for(x)[i]
+        classes = [tuple(sorted([f(m) for m, fs in steps for f in fs])) for steps in by_class]
         last = [f(m) for m, fs in last_steps for f in fs]
         last.append(tuple(q for q in range(4 * x, 4 * x + 4) if q != p))
         last.sort()
@@ -424,19 +412,22 @@ class QuadrupleAssembly:
 
 def checked_assembly(cert: StarCertificate) -> QuadrupleAssembly:
     """The SQS(4v), assembled once the template and the certificate are
-    proven, and proven to have strength 3 over every point triple."""
+    proven, and proven an SQS by its ``owner`` table (else ``verify_steiner`` names why)."""
     verify_template().require("SQS(16) template")
     cert.report.require("star certificate")
     asm = QuadrupleAssembly(cert)
-    verify_steiner(asm.design).require(f"SQS({asm.design.v})")
+    asm.owner = owner_table(asm.design)
+    if asm.owner is None:
+        verify_steiner(asm.design).require(f"SQS({asm.design.v})")
     return asm
 
 
 def construct_rdsqs_4v(cert: StarCertificate) -> QuadrupleAssembly:
     """``checked_assembly`` plus all 4v derived resolutions proved by the
-    owner route (``class_ranks``, ``owns``); fails loudly otherwise."""
+    owner route (``class_ids``, ``section_ranks``, ``owns``); fails loudly."""
     asm = checked_assembly(cert)
-    for p in range(asm.design.v):
-        if not owns(asm.owner, p, class_ranks(asm.design.v, p, asm.point_classes(p))):
+    v = asm.design.v
+    for p in range(v):
+        if not owns(asm.owner, p, section_ranks(v, p, class_ids(v, asm.point_classes(p)))):
             raise DataIntegrityError(f"derived resolution at {asm.design.labels[p].text} failed")
     return asm

@@ -527,12 +527,17 @@ def test_construct_writes_each_point_file_as_it_is_proved(tmp_path, monkeypatch)
         return point_job(p)
 
     monkeypatch.setattr(cli, "_point_job", counting_job)
+    # the one pass that proves the SQS(112) is also its owner table, built
+    # once; verify_steiner runs only on a design that fails it
+    tables, owner_table = [], quadruple.owner_table
+    monkeypatch.setattr(quadruple, "owner_table", lambda d: tables.append(d.v) or owner_table(d))
+    monkeypatch.setattr(quadruple, "verify_steiner", None)
     code, _ = run_cli(
         "construct", str(tmp_path / "sqs28.star"), str(out_dir),
         "--design", str(design), "--jobs", "1",
     )
     assert code == 0
-    assert on_disk == list(range(112))
+    assert on_disk == list(range(112)) and tables == [112]
     assert tree_sha256(out_dir) == CONSTRUCT_SQS28_SHA256
 
 
@@ -885,7 +890,8 @@ def test_report_fails_at_each_point_whose_section_it_does_not_own(construct_out,
     for p, q in ((x, y), (y, x)):
         (out_dir / f"point_{p}.res").write_text(_relabelled(texts[q], {x: y, y: x}))
         (classes,) = parse_resolution(_relabelled(texts[q], {x: y, y: x}), design).values()
-        assert core.class_ranks(design.v, design.label_index[p], classes) is not None
+        flat = core.class_ids(design.v, classes)
+        assert core.section_ranks(design.v, design.label_index[p], flat) is not None
     code, out, err = report_both_ways(out_dir)
     assert code == 1 and err == ""
     # each failing line is the frame route's claim, word for word

@@ -625,6 +625,12 @@ def test_verify_resolution_flags_missing_class():
 # the owner route: in an S(3, 4, v) the derived designs partition the 3-sets
 
 
+def class_ranks(v, x, classes):
+    """The ranks the owner route proves a section by: ``section_ranks`` of
+    the ``class_ids`` of its classes."""
+    return core.section_ranks(v, x, core.class_ids(v, classes))
+
+
 @pytest.mark.parametrize("name", ["sqs8", "sqs14", "sqs16", "sqs22"])
 def test_each_point_owns_exactly_the_triples_of_its_derived_design(name):
     d = catalog.GENERATORS[name]()
@@ -643,7 +649,7 @@ def test_section_ranks_prove_a_resolution_only_with_the_owner_table():
     owner = core.owner_table(d)
     for label, res in catalog.sqs22_resolutions().items():
         x = d.point(label)
-        ranks = core.class_ranks(d.v, x, res.classes)
+        ranks = class_ranks(d.v, x, res.classes)
         assert sorted(ranks) == sorted(map(subset_rank, res.target))
         assert core.owns(owner, x, ranks)
         assert not core.owns(owner, (x + 1) % d.v, ranks)
@@ -653,30 +659,30 @@ def test_section_ranks_prove_a_resolution_only_with_the_owner_table():
     # a class that does not partition the other points, or holds a pair
     swapped = [c[:] for c in classes]
     swapped[0][0], swapped[1][0] = swapped[1][0], swapped[0][0]
-    assert core.class_ranks(d.v, x, swapped) is None
+    assert class_ranks(d.v, x, swapped) is None
     pair = [c[:] for c in classes]
     a, b, c = pair[0][0]
     pair[0][0:1] = [(a, b), (c,)]
-    assert core.class_ranks(d.v, x, pair) is None
+    assert class_ranks(d.v, x, pair) is None
     # blocks of 2 and 4 points in place of two triples: the same ids in order
     uneven = [c[:] for c in classes]
     (p, q, r), (s, t, u) = uneven[0][:2]
     uneven[0][0:2] = [(p, q), (r, s, t, u)]
-    assert core.class_ranks(d.v, x, uneven) is None
+    assert class_ranks(d.v, x, uneven) is None
     # a class too few, or one repeated: the ranks are too few or not distinct
-    assert core.class_ranks(d.v, x, classes[:-1]) is None
-    assert core.class_ranks(d.v, x, classes + classes[:1]) is None
-    assert core.class_ranks(d.v, x, []) is None
+    assert class_ranks(d.v, x, classes[:-1]) is None
+    assert class_ranks(d.v, x, classes + classes[:1]) is None
+    assert class_ranks(d.v, x, []) is None
     # the last triple of a class moved to the front of the next: ragged
     # classes whose ids, read in order, are those of the resolution
     ragged = [c[:] for c in classes]
     ragged[1].insert(0, ragged[0].pop())
-    assert core.class_ranks(d.v, x, ragged) is None
+    assert class_ranks(d.v, x, ragged) is None
     # no point owns a section that does not rank
     assert not core.owns(owner, x, None)
     # a section of the right shape at the wrong point: x does not own it
     y = d.point("1")
-    moved = core.class_ranks(d.v, y, catalog.sqs22_resolutions()["1"].classes)
+    moved = class_ranks(d.v, y, catalog.sqs22_resolutions()["1"].classes)
     assert moved is not None and not core.owns(owner, x, moved)
 
 
@@ -687,7 +693,7 @@ def test_section_ranks_on_flat_ids_checks_each_class_triple_and_count():
     flat = [p for cls in res.classes for b in cls for p in b]
     ranks = core.section_ranks(d.v, x, flat)
     assert list(ranks) == list(map(subset_rank, itertools.chain.from_iterable(res.classes)))
-    assert ranks.typecode == "I" and ranks == core.class_ranks(d.v, x, res.classes)
+    assert ranks.typecode == "I" and ranks == class_ranks(d.v, x, res.classes)
     # a triple whose ids do not ascend ranks as no 3-set: rejected
     down = flat[:]
     down[0:3] = reversed(down[0:3])
@@ -710,6 +716,33 @@ def test_section_ranks_on_flat_ids_checks_each_class_triple_and_count():
     assert core.section_ranks(1, 0, []) is None
 
 
+def test_section_ranks_as_bytes_and_an_id_at_a_time_agree(monkeypatch):
+    # ids that do not fit a byte take the id-at-a-time path: forced here on
+    # every sqs22 section, at its own point and the next, and with two ids
+    # swapped or one cut off, it gives the byte path's verdicts and ranks
+    d = catalog.sqs22()
+    rng = random.Random(2210)
+    cases = []
+    for label, res in catalog.sqs22_resolutions().items():
+        x, flat = d.point(label), [p for cls in res.classes for b in cls for p in b]
+        i, j = rng.sample(range(len(flat)), 2)
+        swapped = flat[:]
+        swapped[i], swapped[j] = flat[j], flat[i]
+        cases += [(x, flat), ((x + 1) % d.v, flat), (x, swapped), (x, flat[:-1])]
+    want = [core.section_ranks(d.v, x, flat) for x, flat in cases]
+    assert sum(ranks is not None for ranks in want) == 22
+
+    def no_bytes(ids):
+        raise ValueError("an id past 255")
+
+    monkeypatch.setattr(core, "bytes", no_bytes, raising=False)
+    assert [core.section_ranks(d.v, x, flat) for x, flat in cases] == want
+    monkeypatch.undo()
+    # an id below 0 fits no byte either: rejected on that path
+    x, flat = cases[0]
+    assert core.section_ranks(d.v, x, [-1] + flat[1:]) is None
+
+
 def test_the_owner_route_on_sqs4_and_beyond_one_byte():
     # SQS(4) is one block: each point's section is one class of one triple
     d = make_design(3, {4}, plain_labels(range(4)), [(0, 1, 2, 3)], "SQS")
@@ -718,11 +751,82 @@ def test_the_owner_route_on_sqs4_and_beyond_one_byte():
     for x in range(4):
         ranks = core.section_ranks(4, x, [p for p in range(4) if p != x])
         assert list(ranks) == [3 - x] and core.owns(owner, x, ranks)
-    # past 256 points an owner takes two bytes
-    big = make_design(3, {4}, plain_labels(range(300)), [(0, 1, 2, 299)], "RAW")
+    # from 255 points on an owner takes two bytes: the Boolean SQS(256),
+    # the zero-sum quadruples of GF(2)^8, is the least S(3, 4, v) there
+    blocks = [(a, b, c, a ^ b ^ c)
+              for c in range(256) for b in range(c) for a in range(b) if a ^ b ^ c > c]
+    big = Design(3, frozenset({4}), plain_labels(range(256)), tuple(sorted(blocks)), "SQS")
     owner = core.owner_table(big)
-    assert owner.typecode == "H" and len(owner) == math.comb(300, 3)
-    assert owner[subset_rank((0, 1, 2))] == 299 and owner[subset_rank((0, 1, 299))] == 2
+    assert owner.typecode == "H" and len(owner) == math.comb(256, 3)
+    for blk in random.Random(256).sample(big.blocks, 1000):
+        for x in blk:
+            assert owner[subset_rank(tuple(p for p in blk if p != x))] == x
+    assert owner[subset_rank((1, 2, 4))] == 7 and owner[subset_rank((0, 1, 255))] == 254
+    # the last block's top point moved: as many blocks, but 3-sets unowned
+    a, b, c, x = big.blocks[-1]
+    moved = replace(big, blocks=big.blocks[:-1] + ((a, b, c, x ^ 1),))
+    assert core.owner_table(moved) is None
+    # past 256 points, one block is far too few blocks
+    one = make_design(3, {4}, plain_labels(range(300)), [(0, 1, 2, 299)], "RAW")
+    assert core.owner_table(one) is None and not verify_steiner(one).passed
+
+
+def retired_owner_table(d):
+    """``owner_table`` as it stood before it was the Steiner proof too: the
+    owners of an S(3, 4, v) that passed ``verify_steiner``, by colex rank,
+    each table starting at zeros.  Kept as the reference."""
+    from array import array
+
+    t2 = [math.comb(p, 2) for p in range(d.v)]
+    t3 = [math.comb(p, 3) for p in range(d.v)]
+    n = math.comb(d.v, 3)
+    owner = bytearray(n) if d.v <= 256 else array("H", bytes(2 * n))
+    for a, b, c, x in d.blocks:
+        ab = a + t2[b]
+        cx = t2[c] + t3[x]
+        owner[ab + t3[c]] = x
+        owner[ab + t3[x]] = c
+        owner[a + cx] = b
+        owner[b + cx] = a
+    return owner
+
+
+def _steiner_mutants(d, rng):
+    """(kind, design) of ``d`` with one fault: a block deleted; one doubled,
+    as a block more or over another block; a point of a block moved to a
+    point outside it."""
+    blocks = list(d.blocks)
+    i, j = rng.sample(range(len(blocks)), 2)
+    b = blocks[i]
+    q = rng.choice([p for p in range(d.v) if p not in b])
+    moved = tuple(sorted(set(b) - {rng.choice(b)} | {q}))
+    over = blocks[:j] + [b] + blocks[j + 1:]
+    for kind, mutant in (("deleted", blocks[:i] + blocks[i + 1:]), ("doubled", blocks + [b]),
+                         ("doubled over another", over),
+                         ("point moved", blocks[:i] + [moved] + blocks[i + 1:])):
+        yield kind, make_design(d.t, d.sizes, d.labels, mutant, d.kind)
+
+
+def test_the_owner_table_is_the_steiner_proof(assembly112):
+    # None exactly where verify_steiner fails; else the retired builder's table
+    rng = random.Random(20261022)
+    designs = [catalog.GENERATORS[name]() for name in ("sqs8", "sqs14", "sqs16", "sqs22", "sqs28")]
+    kinds = Counter()
+    for d in designs + [assembly112.design]:
+        owner = core.owner_table(d)
+        assert owner is not None and verify_steiner(d).passed
+        assert type(owner) is bytearray and owner == retired_owner_table(d)
+        for _ in range(2):
+            for kind, mutant in _steiner_mutants(d, rng):
+                assert core.owner_table(mutant) is None and not verify_steiner(mutant).passed
+                kinds[kind] += 1
+    assert set(kinds.values()) == {12}
+    # T 3 and K {4} only: an STS(15) and the GDDs, whatever verify_steiner says
+    sts = derived_design(catalog.sqs16(), 0)
+    assert verify_steiner(sts).passed and core.owner_table(sts) is None
+    for name in ("rdgdd24", "rdgdd42"):
+        gdd = catalog.GENERATORS[name]()
+        assert core.owner_table(gdd) is None and not verify_steiner(gdd).passed
 
 
 # Counter-based references for the sort-and-compare kernels: the previous
@@ -843,6 +947,29 @@ def test_verify_resolution_matches_the_counter_reference():
     assert failed["none"] == 0
     for fault in RESOLUTION_FAULTS[1:]:
         assert failed[fault] == 100, fault
+
+
+def test_verify_resolution_on_a_multiset_target_matches_the_counter_reference(star28):
+    # the star multiset M repeats every derived triple, so a passing check
+    # meets classes that repeat blocks: decided by sorting, witnesses by tally
+    rng = random.Random(20261022)
+    d = star28.design
+    failed = Counter()
+    for x in rng.sample(sorted(star28.per_point), 6):
+        cert = star28.per_point[x]
+        ground, target = derived_frame(d, x)
+        res = Resolution(ground, cert.all_classes(), star_multiset(target, cert.special))
+        assert len(set(res.target)) < len(res.target)
+        for fault in RESOLUTION_FAULTS:
+            bad = _mutated(res, fault, rng)
+            got, want = verify_resolution(bad), reference_verify_resolution(bad)
+            assert (got.passed, got.violations, got.counts) == (
+                want.passed, want.violations, want.counts
+            ), (fault, x)
+            failed[fault] += not got.passed
+    assert failed["none"] == 0
+    for fault in RESOLUTION_FAULTS[1:]:
+        assert failed[fault] == 6, fault
 
 
 def sorted_verify_resolution(r):

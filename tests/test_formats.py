@@ -268,10 +268,10 @@ def test_line_reader_matches_splitlines(monkeypatch):
             want = list(reference_tokens(text))
             bad = next((no for no, tok in want if tok == ["CLASS", "5"]), None)
             if bad is None:
-                assert list(formats._items(text, formats._NO_IDS, {})) == want, (size, text)
+                assert list(formats._items(text, None, {})) == want, (size, text)
             else:
                 with pytest.raises(ParseError, match=f"^line {bad}: CLASS takes no value$"):
-                    list(formats._items(text, formats._NO_IDS, {}))
+                    list(formats._items(text, None, {}))
 
 
 def _noisy(text, rng):
@@ -633,6 +633,17 @@ def construct_tree(assembly112):
     ]
 
 
+def test_a_header_read_stops_at_the_first_block_line(construct_tree, monkeypatch):
+    full = parse_design(construct_tree[0])
+
+    def no_run(run, ids):
+        raise AssertionError("a run of block lines was read")
+
+    monkeypatch.setattr(formats, "_run_blocks", no_run)
+    head = parse_design(construct_tree[0], head=True)
+    assert head == formats.Design(full.t, full.sizes, full.labels, (), full.kind)
+
+
 def test_the_fast_path_reads_the_construct_tree_as_the_line_reader_does(construct_tree):
     assert len(construct_tree) == 113
     design = _same_by_both_readers(construct_tree[0], construct_tree[1:])
@@ -763,7 +774,8 @@ def test_the_owner_route_and_the_frame_route_agree_on_mutated_point_files(constr
     # owner route by its ranks and the owner table: same verdict everywhere
     rng = random.Random(20261021)
     design = parse_design(construct_tree[0])
-    owner = core.owner_table(design)
+    owner = core.owner_table(design)  # the design's Steiner proof: not None
+    assert owner is not None
     verdicts = {}
     for _ in range(3):
         text, other = rng.sample(construct_tree[1:], 2)
@@ -774,7 +786,7 @@ def test_the_owner_route_and_the_frame_route_agree_on_mutated_point_files(constr
                 continue
             for point, classes in sections.items():
                 x = design.label_index[point]
-                ranks = core.class_ranks(design.v, x, classes)
+                ranks = core.section_ranks(design.v, x, core.class_ids(design.v, classes))
                 by_owner = ranks is not None and core.owns(owner, x, ranks)
                 res = formats.resolution_for_point(design, point, classes)
                 assert by_owner == core.verify_resolution(res).passed, (kind, point)
@@ -800,10 +812,12 @@ def _reader_ranks(text, design):
 
 def _tuple_ranks(text, design):
     """(point, class count, ranks) of each section ``parse_resolution``
-    reads, by ``class_ranks``; the ranks are None where it declines."""
+    reads, by ``section_ranks`` of its ``class_ids``; the ranks are None
+    where they decline."""
     out = []
     for point, classes in parse_resolution(text, design).items():
-        ranks = core.class_ranks(design.v, design.label_index[point], classes)
+        flat = core.class_ids(design.v, classes)
+        ranks = core.section_ranks(design.v, design.label_index[point], flat)
         out.append((point, len(classes), None if ranks is None else sorted(ranks)))
     return out
 
